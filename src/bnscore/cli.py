@@ -38,6 +38,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
+def _non_negative_int(text: str) -> int:
+    if not text.strip().isdigit():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _size_list(text: str) -> list[int]:
+    """Comma-separated positive dataset sizes, e.g. 5,10,20."""
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not tokens or not all(tok.isdigit() and int(tok) > 0 for tok in tokens):
+        raise argparse.ArgumentTypeError(f"expected positive integer sizes, got {text!r}")
+    return [int(tok) for tok in tokens]
+
+
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -123,11 +137,10 @@ def cmd_sample(parser, args) -> int:
 def cmd_roc(parser, args) -> int:
     net_path = args.net if args.net else str(netio.alarm_path())
     doc = netio.parse_network(_read_text(net_path))
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
     metrics = _parse_metric_list(parser, args.metrics)
     result = rocstats.run_alarm_experiment(
         doc.net,
-        sizes=sizes,
+        sizes=args.sizes,
         reps=args.reps,
         metrics=metrics,
         seed=args.seed,
@@ -192,20 +205,20 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sample", help="forward-sample a dataset from a network")
     p.add_argument("--net", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_non_negative_int, default=42)
     p.add_argument("--out", required=True, help="dataset CSV output path")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("roc", help="arc-detection ROC study on a known network")
     p.add_argument("--net", help="network file (default: bundled ALARM)")
-    p.add_argument("--sizes", default="5,10,20,40,80,160")
+    p.add_argument("--sizes", type=_size_list, default="5,10,20,40,80,160")
     p.add_argument("--reps", type=int, default=100)
     p.add_argument(
         "--metrics",
         default="bdeu0.01,bdeu1,bdeu4,k2,gu",
         help="comma-separated: k2, gu, bdeu<alpha0>",
     )
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_non_negative_int, default=42)
     p.add_argument(
         "--jobs", type=int, default=max(1, os.cpu_count() or 1),
         help="worker processes; results do not depend on this",

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import BayesNet, Dataset, Variable
+from .model import BayesNet, Dataset, Variable, _mixed_radix
 from .scoring import (
     DomainError,
     MetricSpec,
@@ -140,26 +140,22 @@ def forward_sample(net: BayesNet, n_cases: int, seed: int) -> Dataset:
 
     Sampling is vectorised per variable with numpy's default generator, so
     a given (net, n_cases, seed) triple always yields the same dataset.
+    A state is the number of the first r - 1 cumulative CPT entries of its
+    parent configuration below u ~ U[0, 1): the inverse CDF, as rows never decrease.
     """
     if n_cases < 0:
         raise DomainError(f"n_cases must be non-negative, got {n_cases}")
     structure = net.structure
     rng = np.random.default_rng(seed)
-    cases = np.zeros((n_cases, structure.n), dtype=np.int64)
+    cases = np.zeros((n_cases, structure.n), dtype=np.int64, order="F")
     for i in structure.topological_order():
         ps = structure.parents[i]
-        if ps:
-            radix = [structure.variables[p].arity for p in ps]
-            config = np.zeros(n_cases, dtype=np.int64)
-            for p, r in zip(ps, radix):
-                config = config * r + cases[:, p]
-        else:
-            config = np.zeros(n_cases, dtype=np.int64)
+        config = _mixed_radix(cases, ps, [structure.variables[p].arity for p in ps])
         cdf = np.cumsum(net.cpts[i], axis=1)
         u = rng.random(n_cases)
-        cases[:, i] = np.minimum(
-            (u[:, None] > cdf[config]).sum(axis=1), structure.variables[i].arity - 1
-        )
+        state = cases[:, i]
+        for k in range(structure.variables[i].arity - 1):
+            state += u > cdf[:, k][config]
     return Dataset(structure.variables, cases)
 
 

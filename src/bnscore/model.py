@@ -7,6 +7,7 @@ indexing with the first listed variable as the most significant digit.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -273,7 +274,9 @@ def _as_case_array(variables: tuple[Variable, ...], cases) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Complete discrete data: one row per case, one column per variable."""
+    """Complete discrete data: one row per case, one column per variable.
+
+    ``cases`` is copied column-major: sampling and counting read it by variable."""
 
     variables: tuple[Variable, ...]
     cases: np.ndarray
@@ -281,7 +284,7 @@ class Dataset:
     def __post_init__(self) -> None:
         variables = tuple(self.variables)
         object.__setattr__(self, "variables", variables)
-        arr = _as_case_array(variables, self.cases).copy()
+        arr = np.array(_as_case_array(variables, self.cases), order="F")
         for col, v in enumerate(variables):
             column = arr[:, col]
             if column.size and (column.min() < 0 or column.max() >= v.arity):
@@ -351,11 +354,12 @@ class SufficientStats:
         return self.tables[i].sum(axis=1)
 
 
-def _mixed_radix(columns: np.ndarray, arities: Sequence[int]) -> np.ndarray:
-    """Fold state columns into flat indices; first column most significant."""
-    idx = np.zeros(columns.shape[0], dtype=np.int64)
-    for k, r in enumerate(arities):
-        idx = idx * r + columns[:, k]
+def _mixed_radix(cases: np.ndarray, cols: Sequence[int], arities: Sequence[int]) -> np.ndarray:
+    """Fold the listed state columns into flat indices, first most significant."""
+    idx = np.zeros(cases.shape[0], dtype=np.int64)
+    for c, r in zip(cols, arities):
+        idx *= r
+        idx += cases[:, c]
     return idx
 
 
@@ -395,13 +399,9 @@ def count_sufficient_stats(structure: DagStructure, data: Dataset) -> Sufficient
         )
     tables = []
     for i, v in enumerate(structure.variables):
-        ps = structure.parents[i]
+        family = (*structure.parents[i], i)
+        flat = _mixed_radix(data.cases, family, [structure.variables[c].arity for c in family])
         q = structure.parent_config_count(i)
-        if ps:
-            j = _mixed_radix(data.cases[:, ps], [structure.variables[p].arity for p in ps])
-        else:
-            j = np.zeros(data.n_cases, dtype=np.int64)
-        flat = j * v.arity + data.cases[:, i]
         table = np.bincount(flat, minlength=q * v.arity).reshape(q, v.arity)
         table.setflags(write=False)
         tables.append(table)
@@ -425,11 +425,8 @@ def joint_cell_counts(component: Sequence[int], data: Dataset) -> np.ndarray:
     if len(set(cols)) != len(cols):
         raise SchemaMismatch("component lists a variable twice")
     arities = [data.variables[c].arity for c in cols]
-    cells = 1
-    for r in arities:
-        cells *= r
-    flat = _mixed_radix(data.cases[:, cols], arities)
-    out = np.bincount(flat, minlength=cells)
+    flat = _mixed_radix(data.cases, cols, arities)
+    out = np.bincount(flat, minlength=math.prod(arities))
     out.setflags(write=False)
     return out
 
@@ -548,7 +545,7 @@ def _check_cpt(v: Variable, q: int, cpt: np.ndarray) -> np.ndarray:
         raise ModelError(
             f"variable {v.name!r}: CPT shape {arr.shape} != ({q}, {v.arity})"
         )
-    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+    if arr.size and not 0.0 <= arr.min() <= arr.max() <= 1.0:  # NaN fails this too
         raise ModelError(f"variable {v.name!r}: CPT entries must lie in [0, 1]")
     sums = arr.sum(axis=1)
     bad = np.where(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]

@@ -19,8 +19,7 @@ from statistics import fmean, stdev
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import betainc
+from scipy.special import stdtrit
 
 from .genbench import forward_sample
 from .model import BayesNet, Dataset, d_separated, joint_cell_counts
@@ -117,6 +116,8 @@ def roc_points(pairs: Sequence[ScoredPair]) -> RocCurve:
         raise DegenerateInput(
             f"need both labels represented, got {n_pos} positives and {n_neg} negatives"
         )
+    if not all(math.isfinite(p.score) for p in pairs):
+        raise DegenerateInput("scores must be finite")
     by_score: dict[float, list[bool]] = {}
     for p in pairs:
         by_score.setdefault(float(p.score), []).append(p.label)
@@ -191,32 +192,15 @@ def mean_roc(
     return RocCurve(tuple(zip(grid, means)))
 
 
-def _t_cdf(t: float, df: int) -> float:
-    x = df / (df + t * t)
-    tail = 0.5 * betainc(df / 2.0, 0.5, x)
-    return 1.0 - tail if t >= 0 else tail
-
-
 def student_t_quantile(p: float, df: int) -> float:
-    """Quantile of Student's t by numeric inversion of the CDF.
-
-    The CDF is expressed through the regularised incomplete beta function
-    and inverted with a bracketing root finder (well inside 1e-6).
-    """
+    """Quantile of Student's t with df degrees of freedom (scipy's stdtrit)."""
     if df < 1:
         raise DomainError(f"df must be at least 1, got {df}")
     if not 0.0 < p < 1.0:
         raise DomainError(f"p must lie strictly in (0, 1), got {p}")
     if p == 0.5:
         return 0.0
-    if p < 0.5:
-        return -student_t_quantile(1.0 - p, df)
-    hi = 1.0
-    while _t_cdf(hi, df) < p:
-        hi *= 2.0
-        if hi > 1e12:
-            raise DomainError(f"quantile out of range for p={p}, df={df}")
-    return float(brentq(lambda t: _t_cdf(t, df) - p, 0.0, hi, xtol=1e-12))
+    return float(stdtrit(df, p))
 
 
 def t_confidence_interval(

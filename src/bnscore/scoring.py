@@ -88,8 +88,8 @@ class MetricSpec:
         if self.kind == "bdeu":
             if self.alpha0 is None:
                 raise DomainError("BDeu requires alpha0")
-            if not self.alpha0 > 0:
-                raise DomainError(f"alpha0 must be positive, got {self.alpha0}")
+            if not 0 < self.alpha0 < math.inf:
+                raise DomainError(f"alpha0 must be positive and finite, got {self.alpha0}")
         elif self.alpha0 is not None:
             raise DomainError(f"{self.kind} does not take alpha0")
 
@@ -177,6 +177,14 @@ def _family_log_score(stats, alpha_cell) -> float:
     return total
 
 
+def _bdeu_finite(log_value: float, alpha0: float) -> float:
+    """The BDeu log score, unless lnG left float range: it overflows near 1e308
+    and is infinite at the subnormal pseudo-counts a tiny alpha0 gives."""
+    if not math.isfinite(log_value):
+        raise DomainError(f"alpha0={alpha0!r} puts a BDeu log-gamma term out of float range")
+    return log_value
+
+
 def k2_log_score(structure: DagStructure, data: Dataset) -> float:
     """Log K2 score: uniform Dirichlet(1, ..., 1) prior in every family."""
     stats = count_sufficient_stats(structure, data)
@@ -185,10 +193,10 @@ def k2_log_score(structure: DagStructure, data: Dataset) -> float:
 
 def bdeu_log_score(structure: DagStructure, data: Dataset, alpha0: float) -> float:
     """Log BDeu score with equivalent sample size alpha0 > 0."""
-    if not alpha0 > 0:
-        raise DomainError(f"alpha0 must be positive, got {alpha0}")
+    if not 0 < alpha0 < math.inf:
+        raise DomainError(f"alpha0 must be positive and finite, got {alpha0}")
     stats = count_sufficient_stats(structure, data)
-    return _family_log_score(stats, lambda q, r: alpha0 / (q * r))
+    return _bdeu_finite(_family_log_score(stats, lambda q, r: alpha0 / (q * r)), alpha0)
 
 
 def gu_log_score(structure: DagStructure, data: Dataset) -> float:
@@ -295,7 +303,8 @@ def _pair_log_scores(metric: MetricSpec, counts: np.ndarray) -> tuple[float, flo
     elif metric.kind == "bdeu":
         a0 = metric.alpha0
         dep = ddm(row, a0 / g) + sum(ddm(counts[j], a0 / (g * h)) for j in range(g))
-        indep = ddm(row, a0 / g) + ddm(col, a0 / h)
+        dep = _bdeu_finite(dep, a0)
+        indep = _bdeu_finite(ddm(row, a0 / g) + ddm(col, a0 / h), a0)
     else:
         dep = float(gammaln(g * h) + np.sum(gammaln(counts + 1)) - gammaln(g * h + n))
         indep = float(
@@ -360,8 +369,8 @@ def bdeu_ratio_constant_pair(n_cases: int, alpha0: float) -> RatioResult:
     """
     if n_cases < 1:
         raise DomainError(f"n_cases must be positive, got {n_cases}")
-    if not alpha0 > 0:
-        raise DomainError(f"alpha0 must be positive, got {alpha0}")
+    if not 0 < alpha0 < math.inf:
+        raise DomainError(f"alpha0 must be positive and finite, got {alpha0}")
     a = float(alpha0)
     log_ratio = (
         2.0 * math.lgamma(a / 2.0)

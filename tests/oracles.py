@@ -1,8 +1,10 @@
 """Independent oracles used to freeze expected values.
 
-Everything here is exact rational arithmetic (fractions.Fraction) or brute
-force, deliberately sharing no code with the package: rising factorials
-instead of lgamma, path enumeration instead of reachability.
+Everything here is exact rational arithmetic (fractions.Fraction), brute
+force, or a plainer form of a vectorised routine, deliberately sharing no
+code with the package: rising factorials instead of lgamma, path
+enumeration instead of reachability, a full inverse-CDF gather instead of
+column-wise threshold counts.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import factorial
+
+import numpy as np
 
 
 def rising(a: Fraction, n: int) -> Fraction:
@@ -145,3 +149,26 @@ def d_separated_brute(n, edges, x, y, given) -> bool:
         if active:
             return False
     return True
+
+
+def forward_sample_reference(net, n_cases: int, seed: int) -> np.ndarray:
+    """Ancestral sampling by gathering each case's whole CDF row.
+
+    Draws the same uniforms as the package's sampler, one vector per
+    variable in topological order, and picks the state by counting all r
+    cumulative entries below u, clamped to r - 1.  Returns the raw
+    row-major case array.
+    """
+    structure = net.structure
+    rng = np.random.default_rng(seed)
+    cases = np.zeros((n_cases, structure.n), dtype=np.int64)
+    for i in structure.topological_order():
+        config = np.zeros(n_cases, dtype=np.int64)
+        for p in structure.parents[i]:
+            config = config * structure.variables[p].arity + cases[:, p]
+        cdf = np.cumsum(net.cpts[i], axis=1)
+        u = rng.random(n_cases)
+        cases[:, i] = np.minimum(
+            (u[:, None] > cdf[config]).sum(axis=1), structure.variables[i].arity - 1
+        )
+    return cases

@@ -122,6 +122,17 @@ class TestScore:
         code, _, err = run(capsys, ["score", "--metric", "k2", "--net", str(bad), "--data", data])
         assert code == 2
 
+    @pytest.mark.parametrize("alpha0", ["inf", "1e-320", "1e308"])
+    def test_alpha0_out_of_float_range(self, capsys, pair_files, alpha0):
+        net, data = pair_files
+        code, out, err = run(
+            capsys,
+            ["score", "--metric", "bdeu", "--alpha0", alpha0, "--net", net, "--data", data],
+        )
+        assert code == 3
+        assert out == ""
+        assert "alpha0" in err and "Traceback" not in err
+
     def test_net_and_structure_mutually_exclusive(self, capsys, pair_files):
         net, data = pair_files
         code, _, _ = run(
@@ -187,6 +198,16 @@ class TestSample:
         code, _, _ = run(capsys, ["sample", "--net", net, "--n", "0", "--out", str(out_path)])
         assert code == 0
         assert out_path.read_text() == "X,Y\n"
+
+    def test_negative_seed(self, capsys, tmp_path, pair_files):
+        net, _ = pair_files
+        out_path = tmp_path / "s.csv"
+        code, _, err = run(
+            capsys, ["sample", "--net", net, "--n", "5", "--seed", "-3", "--out", str(out_path)]
+        )
+        assert code == 3
+        assert "--seed" in err and "Traceback" not in err
+        assert not out_path.exists()
 
     def test_seed_defaults_and_repeats(self, capsys, tmp_path, pair_files):
         net, _ = pair_files
@@ -265,6 +286,24 @@ class TestRoc:
         )
         assert code == 3
         assert "bad metric token" in err
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--metrics", "bdeuinf"],
+            ["--sizes", "abc"],
+            ["--sizes", "5,0"],
+            ["--seed", "-1"],
+            ["--sizes", "5", "--reps", "2", "--metrics", "bdeu1e-320", "--jobs", "1"],
+        ],
+    )
+    def test_invalid_input_is_a_usage_error(self, capsys, tmp_path, argv):
+        out_dir = tmp_path / "x"
+        code, out, err = run(capsys, ["roc", *argv, "--out", str(out_dir)])
+        assert code == 3
+        assert "nan" not in out and "Traceback" not in err
+        assert not (out_dir / "auc_summary.csv").exists()
 
 
 class TestTopLevel:

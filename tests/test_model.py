@@ -343,6 +343,15 @@ class TestBayesNet:
         with pytest.raises(ModelError):
             BayesNet(s, (np.array([[1.5, -0.5]]),))
 
+    @pytest.mark.parametrize(
+        "row", [[np.nan, np.nan], [np.nan, 1.0], [0.0, np.nan], [np.inf, -np.inf]]
+    )
+    def test_non_finite_entries_rejected(self, row):
+        vs = (Variable("X", 2),)
+        s = DagStructure(vs, ((),))
+        with pytest.raises(ModelError):
+            BayesNet(s, (np.array([row]),))
+
 
 class TestAlarmTranscription:
     def test_size(self, alarm):

@@ -62,6 +62,11 @@ class TestRocPoints:
         assert curve.points == ((0.0, 0.0), (1.0, 1.0))
         assert auc(curve) == pytest.approx(0.5, abs=1e-15)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(DegenerateInput):
+            roc_points(scored([0.9, bad], [0.6, 0.1]))
+
     def test_single_label_rejected(self):
         with pytest.raises(DegenerateInput):
             roc_points([ScoredPair(0, 1, True, 0.2)])

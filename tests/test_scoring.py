@@ -404,6 +404,8 @@ class TestConstantPairClosedForms:
         with pytest.raises(DomainError):
             bdeu_ratio_constant_pair(10, 0.0)
         with pytest.raises(DomainError):
+            bdeu_ratio_constant_pair(10, math.inf)
+        with pytest.raises(DomainError):
             gu_ratio_constant_pair(0)
 
 
@@ -447,6 +449,22 @@ class TestMetricSpec:
             MetricSpec("bdeu")
         with pytest.raises(DomainError):
             MetricSpec("bdeu", -1.0)
+
+    @pytest.mark.parametrize("alpha0", [math.inf, math.nan])
+    def test_alpha0_must_be_finite(self, alpha0):
+        with pytest.raises(DomainError):
+            MetricSpec.bdeu(alpha0)
+
+    @pytest.mark.parametrize("alpha0", [1e-320, 1e308])
+    def test_pseudo_counts_out_of_float_range(self, alpha0):
+        """lnG is infinite at subnormal pseudo-counts and overflows near 1e308;
+        both BDeu paths raise instead of returning nan."""
+        table = np.array([[3, 1], [0, 2]])
+        dep, _ = pair_structures(Variable("X", 2), Variable("Y", 2))
+        with pytest.raises(DomainError):
+            bdeu_log_score(dep, make_pair_dataset(table), alpha0)
+        with pytest.raises(DomainError):
+            arc_posterior_from_counts(MetricSpec.bdeu(alpha0), table)
 
     def test_alpha0_forbidden_elsewhere(self):
         with pytest.raises(DomainError):
