@@ -287,7 +287,6 @@ class TestRoc:
         assert code == 3
         assert "bad metric token" in err
 
-
     @pytest.mark.parametrize(
         "argv",
         [
