@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,11 +23,13 @@ import numpy as np
 
 from .model import BayesNet, Dataset, Variable, _mixed_radix
 from .scoring import (
+    _LN10,
     DomainError,
     MetricSpec,
     RatioResult,
-    pair_structures,
-    structure_ratio,
+    _pair_count_table,
+    _pair_log_ratio,
+    _safe_exp,
 )
 
 __all__ = [
@@ -210,7 +211,7 @@ class RatioRow:
 
     @property
     def log10_ratio(self) -> float:
-        return self.log_ratio / math.log(10.0)
+        return self.log_ratio / _LN10
 
 
 @dataclass(frozen=True)
@@ -224,8 +225,8 @@ class SweepResult:
 
 
 def _pair_ratio(metric: MetricSpec, data: Dataset) -> RatioResult:
-    dep, indep = pair_structures(*data.variables)
-    return structure_ratio(metric, dep, indep, data)
+    log_ratio = _pair_log_ratio(metric, _pair_count_table(data, 0, 1))
+    return RatioResult(_safe_exp(log_ratio), log_ratio)
 
 
 def alpha0_sweep(

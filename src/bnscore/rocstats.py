@@ -21,9 +21,9 @@ from typing import Sequence
 import numpy as np
 from scipy.special import stdtrit
 
-from .genbench import forward_sample
-from .model import BayesNet, Dataset, d_separated, joint_cell_counts
-from .scoring import DomainError, MetricSpec, arc_posterior_from_counts
+from .genbench import _fmt, forward_sample
+from .model import BayesNet, d_separated
+from .scoring import DomainError, MetricSpec, _pair_count_table, arc_posterior_from_counts
 
 __all__ = [
     "DegenerateInput",
@@ -296,12 +296,6 @@ class ExperimentResult:
     pairs: PairSets
 
 
-def _pair_count_table(data: Dataset, x: int, y: int) -> np.ndarray:
-    rx = data.variables[x].arity
-    ry = data.variables[y].arity
-    return joint_cell_counts((x, y), data).reshape(rx, ry)
-
-
 def _replicate_curves(
     net: BayesNet,
     n_cases: int,
@@ -381,12 +375,6 @@ def run_alarm_experiment(
 
 def _replicate_curves_star(task):
     return _replicate_curves(*task)
-
-
-def _fmt(value: float | None) -> str:
-    if value is None:
-        return ""
-    return format(value, ".12g")
 
 
 def auc_summary_csv(summaries: Sequence[AucSummary]) -> str:

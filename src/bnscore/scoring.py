@@ -1,21 +1,22 @@
 """Log-space marginal-likelihood metrics for complete discrete data.
 
-Every score is the log of a Dirichlet-multinomial marginal likelihood
+Every score is a Dirichlet-multinomial log marginal likelihood, computed
+by one kernel.  For a (q, r) count table N_jk and pseudo-count a it gives
 
-    sum over (i, j) of  lnG(a_ij) - lnG(a_ij + N_ij)
-                        + sum over k of lnG(a_ijk + N_ijk) - lnG(a_ijk)
+    lnG(a + N_jk) - lnG(a)       for every cell,
+    lnG(r a) - lnG(r a + N_j)    for every row,
 
-with the prior pseudo-counts a_ijk fixed by the metric: K2 uses a_ijk = 1,
-BDeu(alpha0) spreads a total of alpha0 evenly, a_ijk = alpha0 / (q_i r_i).
+and the score is their exactly rounded sum (math.fsum).  K2 and
+BDeu(alpha0) score every family's (parent configuration, state) table,
+with a = 1 and a = alpha0 / (q r) respectively.  The global-uniform (GU) metric puts
+one uniform prior on the joint distribution; it is defined only when the
+skeleton is a union of cliques, and scores each component's joint cells
+as one row with a = 1.
 
-The global-uniform (GU) metric places a single uniform prior over the joint
-distribution instead of per-family priors.  It is defined only for
-structures whose skeleton is a union of cliques, where it reduces to a
-closed form per connected component:
-
-    lnG(n_c) + sum over cells of lnG(N_cell + 1) - lnG(n_c + N)
-
-with n_c the component's number of joint cells and N the case total.
+Empty cells and rows add exactly 0 and fsum ignores term order, so tables
+equal up to a permutation of rows or columns score the same float, and
+terms shared by two structures cancel exactly in their ratio.  Exact ties
+between pairs therefore stay ties in the ROC sweep.
 """
 
 from __future__ import annotations
@@ -136,6 +137,31 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
+def _dm_terms(rows: list[list[int]], alphas: list[float]) -> list[float]:
+    """The Dirichlet-multinomial kernel: the log-gamma terms of a (q, r)
+    count table, given as q rows, whose columns have pseudo-counts alphas.
+
+    Returns the cell terms lnG(a_k + N_jk) - lnG(a_k), then the row terms
+    lnG(A) - lnG(A + N_j) with A the sum of the alphas; their fsum is the
+    log marginal likelihood.  Empty cells and rows give exactly 0.
+    """
+    r, q = len(alphas), len(rows)
+    total_a = math.fsum(alphas)
+    row_args = [total_a + sum(row) for row in rows]
+    cell_args = [a + n for row in rows for a, n in zip(alphas, row)]
+    lg = gammaln(alphas + [total_a] + row_args + cell_args).tolist()
+    # lnG is infinite at subnormal pseudo-counts and overflows near 1e308;
+    # lnG(a_k) and lnG(A + N_j) hold its smallest and largest arguments.
+    if not all(map(math.isfinite, lg[: r + 1 + q])):
+        raise DomainError(
+            "a Dirichlet pseudo-count (alpha0 for BDeu) puts a log-gamma term "
+            "out of float range"
+        )
+    lg_total = lg[r]
+    cells = [x - la for la, x in zip(lg[:r] * q, lg[r + 1 + q :])]
+    return cells + [lg_total - x for x in lg[r + 1 : r + 1 + q]]
+
+
 def log_dirichlet_multinomial(counts, alphas) -> float:
     """Log marginal likelihood of counts under a Dirichlet(alphas) prior.
 
@@ -152,55 +178,25 @@ def log_dirichlet_multinomial(counts, alphas) -> float:
         raise DomainError("counts must be non-negative integers")
     if np.any(a <= 0):
         raise DomainError("alphas must be positive")
-    total_a = float(a.sum())
-    total_n = int(n.sum())
-    return float(
-        gammaln(total_a)
-        - gammaln(total_a + total_n)
-        + np.sum(gammaln(a + n) - gammaln(a))
-    )
+    return math.fsum(_dm_terms([n.tolist()], a.tolist()))
 
 
-def _family_log_score(stats, alpha_cell) -> float:
-    """Sum the family terms with a constant per-cell alpha per variable."""
-    total = 0.0
-    for table in stats.tables:
-        q, r = table.shape
-        a = alpha_cell(q, r)
-        row_totals = table.sum(axis=1)
-        total += float(
-            q * gammaln(r * a)
-            - np.sum(gammaln(r * a + row_totals))
-            + np.sum(gammaln(a + table))
-            - table.size * gammaln(a)
-        )
-    return total
+def _metric_terms(metric: MetricSpec, tables) -> list[float]:
+    """Kernel terms of each (q, r) table at the metric's pseudo-count: 1 for
+    K2 and GU, alpha0 / (q r) for BDeu."""
+    terms = []
+    for rows in tables:
+        r = len(rows[0])
+        a = metric.alpha0 / (len(rows) * r) if metric.kind == "bdeu" else 1.0
+        terms += _dm_terms(rows, [a] * r)
+    return terms
 
 
-def _bdeu_finite(log_value: float, alpha0: float) -> float:
-    """The BDeu log score, unless lnG left float range: it overflows near 1e308
-    and is infinite at the subnormal pseudo-counts a tiny alpha0 gives."""
-    if not math.isfinite(log_value):
-        raise DomainError(f"alpha0={alpha0!r} puts a BDeu log-gamma term out of float range")
-    return log_value
-
-
-def k2_log_score(structure: DagStructure, data: Dataset) -> float:
-    """Log K2 score: uniform Dirichlet(1, ..., 1) prior in every family."""
-    stats = count_sufficient_stats(structure, data)
-    return _family_log_score(stats, lambda q, r: 1.0)
-
-
-def bdeu_log_score(structure: DagStructure, data: Dataset, alpha0: float) -> float:
-    """Log BDeu score with equivalent sample size alpha0 > 0."""
-    if not 0 < alpha0 < math.inf:
-        raise DomainError(f"alpha0 must be positive and finite, got {alpha0}")
-    stats = count_sufficient_stats(structure, data)
-    return _bdeu_finite(_family_log_score(stats, lambda q, r: alpha0 / (q * r)), alpha0)
-
-
-def gu_log_score(structure: DagStructure, data: Dataset) -> float:
-    """Log GU score; raises NotCliqueDecomposable off clique unions."""
+def _score_tables(metric: MetricSpec, structure: DagStructure, data: Dataset) -> list:
+    """The tables a metric scores: every family's (q, r) count table for K2
+    and BDeu, every skeleton component's joint cells as one row for GU."""
+    if metric.kind != "gu":
+        return [t.tolist() for t in count_sufficient_stats(structure, data).tables]
     if data.variables != structure.variables:
         raise SchemaMismatch(
             "dataset schema does not match structure variables"
@@ -213,24 +209,32 @@ def gu_log_score(structure: DagStructure, data: Dataset) -> float:
             f"skeleton is not a union of cliques: {a!r} and {b!r} are "
             "connected but not adjacent"
         )
-    n_total = data.n_cases
-    total = 0.0
-    for comp in decomp.components:
-        cells = joint_cell_counts(comp, data)
-        n_c = cells.size
-        total += float(
-            gammaln(n_c) + np.sum(gammaln(cells + 1)) - gammaln(n_c + n_total)
-        )
-    return total
+    return [[joint_cell_counts(comp, data).tolist()] for comp in decomp.components]
+
+
+def _fsum_ratio(dep_terms: list[float], indep_terms: list[float]) -> float:
+    """One exactly rounded sum of the dependent minus the independent terms."""
+    return math.fsum(dep_terms + [-t for t in indep_terms])
 
 
 def log_score(metric: MetricSpec, structure: DagStructure, data: Dataset) -> float:
-    """Dispatch to the metric's log score."""
-    if metric.kind == "k2":
-        return k2_log_score(structure, data)
-    if metric.kind == "bdeu":
-        return bdeu_log_score(structure, data, metric.alpha0)
-    return gu_log_score(structure, data)
+    """Log marginal likelihood of the data given the structure under the metric."""
+    return math.fsum(_metric_terms(metric, _score_tables(metric, structure, data)))
+
+
+def k2_log_score(structure: DagStructure, data: Dataset) -> float:
+    """Log K2 score: uniform Dirichlet(1, ..., 1) prior in every family."""
+    return log_score(MetricSpec.k2(), structure, data)
+
+
+def bdeu_log_score(structure: DagStructure, data: Dataset, alpha0: float) -> float:
+    """Log BDeu score with equivalent sample size alpha0 > 0."""
+    return log_score(MetricSpec.bdeu(alpha0), structure, data)
+
+
+def gu_log_score(structure: DagStructure, data: Dataset) -> float:
+    """Log GU score; raises NotCliqueDecomposable off clique unions."""
+    return log_score(MetricSpec.gu(), structure, data)
 
 
 def structure_ratio(
@@ -240,8 +244,9 @@ def structure_ratio(
     data: Dataset,
 ) -> RatioResult:
     """Posterior-odds ratio of two structures under a uniform structure prior."""
-    log_ratio = log_score(metric, dependent, data) - log_score(
-        metric, independent, data
+    log_ratio = _fsum_ratio(
+        _metric_terms(metric, _score_tables(metric, dependent, data)),
+        _metric_terms(metric, _score_tables(metric, independent, data)),
     )
     return RatioResult(_safe_exp(log_ratio), log_ratio)
 
@@ -255,69 +260,40 @@ def pair_structures(vx: Variable, vy: Variable) -> tuple[DagStructure, DagStruct
     )
 
 
-def _posterior_from_logs(log_dep: float, log_indep: float) -> float:
-    m = max(log_dep, log_indep)
-    wd = math.exp(log_dep - m)
-    wi = math.exp(log_indep - m)
-    return wd / (wd + wi)
-
-
-def arc_posterior(metric: MetricSpec, x: int, y: int, data: Dataset) -> float:
-    """Posterior probability of x -> y versus no arc, on the projected pair.
-
-    Both structures get prior weight 1/2; the result is
-    P(x -> y) / (P(x -> y) + P(no arc)) computed in log space.
-    """
-    if x == y:
-        raise SchemaMismatch("x and y must be distinct variables")
-    pair = data.project([x, y])
-    dep, indep = pair_structures(*pair.variables)
-    return _posterior_from_logs(
-        log_score(metric, dep, pair), log_score(metric, indep, pair)
+def _pair_count_table(data: Dataset, x: int, y: int) -> np.ndarray:
+    """Joint counts of variables x and y: rows index x's states, columns y's."""
+    return joint_cell_counts((x, y), data).reshape(
+        data.variables[x].arity, data.variables[y].arity
     )
 
 
-def _pair_log_scores(metric: MetricSpec, counts: np.ndarray) -> tuple[float, float]:
-    """Log scores (dependent, independent) from a 2-D pair count table.
+def _pair_log_ratio(metric: MetricSpec, counts: np.ndarray) -> float:
+    """Log posterior odds of x -> y against no arc, from the pair's count table.
 
-    Rows index the parent variable's states, columns the child's.
+    K2 and BDeu give x the same family in both structures, so it cancels and
+    only y's family is compared; GU compares the joint cells with both
+    marginals.
     """
-    counts = np.asarray(counts)
-    g, h = counts.shape
-    n = int(counts.sum())
-    row = counts.sum(axis=1)
-    col = counts.sum(axis=0)
-
-    def ddm(vec, a):
-        k = vec.size
-        return float(
-            gammaln(k * a)
-            - gammaln(k * a + vec.sum())
-            + np.sum(gammaln(a + vec))
-            - k * gammaln(a)
-        )
-
-    if metric.kind == "k2":
-        dep = ddm(row, 1.0) + sum(ddm(counts[j], 1.0) for j in range(g))
-        indep = ddm(row, 1.0) + ddm(col, 1.0)
-    elif metric.kind == "bdeu":
-        a0 = metric.alpha0
-        dep = ddm(row, a0 / g) + sum(ddm(counts[j], a0 / (g * h)) for j in range(g))
-        dep = _bdeu_finite(dep, a0)
-        indep = _bdeu_finite(ddm(row, a0 / g) + ddm(col, a0 / h), a0)
+    table = np.asarray(counts).tolist()
+    y_table = [list(map(sum, zip(*table)))]
+    if metric.kind == "gu":
+        dep = [[[n for row in table for n in row]]]
+        indep = [[list(map(sum, table))], y_table]
     else:
-        dep = float(gammaln(g * h) + np.sum(gammaln(counts + 1)) - gammaln(g * h + n))
-        indep = float(
-            gammaln(g) + np.sum(gammaln(row + 1)) - gammaln(g + n)
-            + gammaln(h) + np.sum(gammaln(col + 1)) - gammaln(h + n)
-        )
-    return dep, indep
+        dep, indep = [table], [y_table]
+    return _fsum_ratio(_metric_terms(metric, dep), _metric_terms(metric, indep))
 
 
 def arc_posterior_from_counts(metric: MetricSpec, counts: np.ndarray) -> float:
-    """arc_posterior computed directly from a pair's joint count table."""
-    dep, indep = _pair_log_scores(metric, counts)
-    return _posterior_from_logs(dep, indep)
+    """Posterior probability of x -> y versus no arc from a pair's joint count
+    table (rows index x's states), both structures with prior weight 1/2."""
+    return 1.0 / (1.0 + _safe_exp(-_pair_log_ratio(metric, counts)))
+
+
+def arc_posterior(metric: MetricSpec, x: int, y: int, data: Dataset) -> float:
+    """Posterior probability of x -> y versus no arc, on the projected pair;
+    raises SchemaMismatch unless x and y are distinct variables of data."""
+    return arc_posterior_from_counts(metric, _pair_count_table(data, x, y))
 
 
 def mc_marginal_saturated(
@@ -372,14 +348,14 @@ def bdeu_ratio_constant_pair(n_cases: int, alpha0: float) -> RatioResult:
     if not 0 < alpha0 < math.inf:
         raise DomainError(f"alpha0 must be positive and finite, got {alpha0}")
     a = float(alpha0)
-    log_ratio = (
-        2.0 * math.lgamma(a / 2.0)
-        + math.lgamma(a / 4.0 + n_cases)
-        + math.lgamma(a + n_cases)
-        - math.lgamma(a / 4.0)
-        - math.lgamma(a)
-        - 2.0 * math.lgamma(a / 2.0 + n_cases)
-    )
+    log_ratio = math.fsum((
+        2.0 * math.lgamma(a / 2.0),
+        math.lgamma(a / 4.0 + n_cases),
+        math.lgamma(a + n_cases),
+        -math.lgamma(a / 4.0),
+        -math.lgamma(a),
+        -2.0 * math.lgamma(a / 2.0 + n_cases),
+    ))
     return RatioResult(_safe_exp(log_ratio), log_ratio)
 
 

@@ -132,6 +132,7 @@ class TestScore:
         assert code == 3
         assert out == ""
         assert "alpha0" in err and "Traceback" not in err
+        assert "RuntimeWarning" not in err
 
     def test_net_and_structure_mutually_exclusive(self, capsys, pair_files):
         net, data = pair_files

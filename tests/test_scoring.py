@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -45,6 +46,35 @@ count_tables = st.lists(
     min_size=2,
     max_size=2,
 ).map(np.array)
+
+
+ALL_METRICS = (
+    MetricSpec.bdeu(0.01),
+    MetricSpec.bdeu(1.0),
+    MetricSpec.bdeu(4.0),
+    MetricSpec.k2(),
+    MetricSpec.gu(),
+)
+
+sparse_counts = st.one_of(st.just(0), st.integers(0, 12))
+
+
+@st.composite
+def pair_tables(draw, counts=sparse_counts):
+    """A 2-4 x 2-4 pair count table, often with empty cells."""
+    g, h = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    return np.array(draw(st.lists(counts, min_size=g * h, max_size=g * h))).reshape(g, h)
+
+
+@st.composite
+def one_row_tables(draw):
+    """A 2-4 x 2-4 table whose only non-empty row is at a drawn index."""
+    g, h = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    table = np.zeros((g, h), dtype=np.int64)
+    table[draw(st.integers(0, g - 1))] = draw(
+        st.lists(sparse_counts, min_size=h, max_size=h)
+    )
+    return table
 
 
 def log_of_fraction(f: Fraction) -> float:
@@ -356,10 +386,69 @@ class TestRatiosAndPosteriors:
             slow = arc_posterior(metric, 0, 1, data)
             assert fast == pytest.approx(slow, rel=1e-12, abs=1e-14)
 
+    @given(pair_tables(st.integers(0, 6)))
+    @settings(max_examples=60, deadline=None)
+    def test_counts_path_matches_exact_oracle(self, table):
+        g, h = table.shape
+        cases = pair_cases(table)
+        dep, indep = ((), (0,)), ((), ())
+        exact = {
+            "k2": [k2_exact((g, h), s, cases) for s in (dep, indep)],
+            "gu": [gu_exact((g, h), c, cases) for c in ([(0, 1)], [(0,), (1,)])],
+        }
+        for metric in ALL_METRICS:
+            if metric.kind == "bdeu":
+                a0 = Fraction(metric.alpha0)
+                s_dep, s_indep = (bdeu_exact((g, h), s, cases, a0) for s in (dep, indep))
+            else:
+                s_dep, s_indep = exact[metric.kind]
+            assert arc_posterior_from_counts(metric, table) == pytest.approx(
+                float(s_dep / (s_dep + s_indep)), rel=1e-12
+            ), metric.label
+
     def test_arc_posterior_identity_rejected(self):
         data = make_pair_dataset([[1, 1], [1, 1]])
         with pytest.raises(SchemaMismatch):
             arc_posterior(MetricSpec.k2(), 1, 1, data)
+
+
+class TestTieExactness:
+    """Tables whose exact posteriors are equal score the same float: every
+    kernel term is computed alone and the sum is exactly rounded, so the
+    order of rows, columns and terms cannot move it."""
+
+    @given(pair_tables(), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_row_and_column_permutations(self, table, rnd):
+        g, h = table.shape
+        rows, cols = rnd.sample(range(g), g), rnd.sample(range(h), h)
+        permuted = table[rows][:, cols]
+        for metric in ALL_METRICS:
+            assert arc_posterior_from_counts(metric, permuted) == (
+                arc_posterior_from_counts(metric, table)
+            ), metric.label
+
+    @given(pair_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_gu_is_symmetric(self, table):
+        gu = MetricSpec.gu()
+        assert arc_posterior_from_counts(gu, table.T) == arc_posterior_from_counts(gu, table)
+
+    @given(one_row_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_k2_constant_parent_is_exactly_half(self, table):
+        assert arc_posterior_from_counts(MetricSpec.k2(), table) == 0.5
+
+    @given(one_row_tables(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_gu_constant_parent_depends_on_shape_and_n_only(self, table, data):
+        g, h = table.shape
+        n = int(table.sum())
+        other = np.zeros((g, h), dtype=np.int64)
+        split = sorted(data.draw(st.lists(st.integers(0, n), min_size=h - 1, max_size=h - 1)))
+        other[data.draw(st.integers(0, g - 1))] = np.diff([0, *split, n])
+        gu = MetricSpec.gu()
+        assert arc_posterior_from_counts(gu, other) == arc_posterior_from_counts(gu, table)
 
 
 class TestConstantPairClosedForms:
@@ -458,13 +547,15 @@ class TestMetricSpec:
     @pytest.mark.parametrize("alpha0", [1e-320, 1e308])
     def test_pseudo_counts_out_of_float_range(self, alpha0):
         """lnG is infinite at subnormal pseudo-counts and overflows near 1e308;
-        both BDeu paths raise instead of returning nan."""
+        both BDeu paths raise before any inf - inf, so no warning is issued."""
         table = np.array([[3, 1], [0, 2]])
         dep, _ = pair_structures(Variable("X", 2), Variable("Y", 2))
-        with pytest.raises(DomainError):
-            bdeu_log_score(dep, make_pair_dataset(table), alpha0)
-        with pytest.raises(DomainError):
-            arc_posterior_from_counts(MetricSpec.bdeu(alpha0), table)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="alpha0"):
+                bdeu_log_score(dep, make_pair_dataset(table), alpha0)
+            with pytest.raises(DomainError, match="alpha0"):
+                arc_posterior_from_counts(MetricSpec.bdeu(alpha0), table)
 
     def test_alpha0_forbidden_elsewhere(self):
         with pytest.raises(DomainError):
