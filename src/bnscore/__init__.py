@@ -17,13 +17,11 @@ from .model import (
     SchemaMismatch,
     SelfLoop,
     StateOutOfRange,
-    SufficientStats,
     Variable,
     clique_decomposition,
     count_sufficient_stats,
     d_separated,
     joint_cell_counts,
-    parent_config_index,
     validate_dag,
 )
 from .netio import (
@@ -45,7 +43,6 @@ from .netio import (
 )
 from .scoring import (
     DomainError,
-    LengthMismatch,
     MetricSpec,
     NotCliqueDecomposable,
     RatioResult,
@@ -55,8 +52,6 @@ from .scoring import (
     gu_log_score,
     gu_ratio_constant_pair,
     k2_log_score,
-    log_dirichlet_multinomial,
-    log_gamma,
     log_score,
     mc_marginal_saturated,
     pair_structures,

@@ -22,7 +22,6 @@ _PARSE_ERRORS = (netio.NetworkSyntaxError, netio.DatasetFormatError)
 _VALIDATION_ERRORS = (
     ModelError,
     scoring.DomainError,
-    scoring.LengthMismatch,
     scoring.NotCliqueDecomposable,
     rocstats.DegenerateInput,
     rocstats.InsufficientNegatives,

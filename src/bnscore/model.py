@@ -7,9 +7,10 @@ indexing with the first listed variable as the most significant digit.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,11 +26,9 @@ __all__ = [
     "Variable",
     "DagStructure",
     "Dataset",
-    "SufficientStats",
     "BayesNet",
     "CliqueDecomposition",
     "validate_dag",
-    "parent_config_index",
     "count_sufficient_stats",
     "joint_cell_counts",
     "d_separated",
@@ -139,9 +138,10 @@ def _find_cycle(parents: Sequence[Sequence[int]], names: Sequence[str]) -> list[
     return []
 
 
-def validate_dag(parents: Sequence[Sequence[int]], names: Sequence[str]) -> None:
+def validate_dag(parents: Sequence[Sequence[int]], names: Sequence[str]) -> tuple[int, ...]:
     """Check parent sets for range, self-loops, duplicates, and acyclicity.
 
+    Returns the topological order that takes the smallest ready index first.
     Raises IndexOutOfRange, SelfLoop, DuplicateParent, or CycleDetected.
     """
     n = len(parents)
@@ -162,24 +162,32 @@ def validate_dag(parents: Sequence[Sequence[int]], names: Sequence[str]) -> None
                 )
             seen.add(p)
 
-    # Kahn's algorithm; any leftover node lies on a cycle.
+    # Kahn's algorithm; any leftover node lies on a cycle.  Forward sampling
+    # draws in this order, so the smallest-index tie rule fixes every dataset.
     indeg = [len(ps) for ps in parents]
-    children: list[list[int]] = [[] for _ in range(n)]
-    for v, ps in enumerate(parents):
-        for p in ps:
-            children[p].append(v)
-    ready = deque(v for v in range(n) if indeg[v] == 0)
-    done = 0
+    children = _children_of(parents)
+    ready = [v for v in range(n) if indeg[v] == 0]
+    order: list[int] = []
     while ready:
-        v = ready.popleft()
-        done += 1
+        v = heapq.heappop(ready)
+        order.append(v)
         for c in children[v]:
             indeg[c] -= 1
             if indeg[c] == 0:
-                ready.append(c)
-    if done != n:
+                heapq.heappush(ready, c)
+    if len(order) != n:
         cycle = _find_cycle(parents, names)
         raise CycleDetected("cycle detected: " + " -> ".join(cycle))
+    return tuple(order)
+
+
+def _children_of(parents: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Each variable's children, ascending."""
+    children: list[list[int]] = [[] for _ in parents]
+    for v, ps in enumerate(parents):
+        for p in ps:
+            children[p].append(v)
+    return tuple(map(tuple, children))
 
 
 @dataclass(frozen=True)
@@ -192,6 +200,8 @@ class DagStructure:
 
     variables: tuple[Variable, ...]
     parents: tuple[tuple[int, ...], ...]
+    _order: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _children: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         variables = tuple(self.variables)
@@ -207,7 +217,8 @@ class DagStructure:
             raise ModelError(
                 f"{len(parents)} parent sets for {len(variables)} variables"
             )
-        validate_dag(parents, names)
+        object.__setattr__(self, "_order", validate_dag(parents, names))
+        object.__setattr__(self, "_children", _children_of(parents))
 
     @property
     def n(self) -> int:
@@ -230,24 +241,11 @@ class DagStructure:
         raise IndexOutOfRange(f"no variable named {name!r}")
 
     def children(self, i: int) -> tuple[int, ...]:
-        i = self._check_index(i)
-        return tuple(c for c, ps in enumerate(self.parents) if i in ps)
+        return self._children[self._check_index(i)]
 
     def topological_order(self) -> tuple[int, ...]:
         """Variable indices, parents before children; ties by index."""
-        indeg = [len(ps) for ps in self.parents]
-        out: list[int] = []
-        ready = [v for v in range(self.n) if indeg[v] == 0]
-        while ready:
-            ready.sort()
-            v = ready.pop(0)
-            out.append(v)
-            for c in range(self.n):
-                if v in self.parents[c]:
-                    indeg[c] -= 1
-                    if indeg[c] == 0:
-                        ready.append(c)
-        return tuple(out)
+        return self._order
 
     def arcs(self) -> tuple[tuple[int, int], ...]:
         """All (parent, child) arcs, children in index order."""
@@ -324,36 +322,6 @@ class Dataset:
         return c
 
 
-@dataclass(frozen=True, eq=False)
-class SufficientStats:
-    """Per-variable count tables of shape (parent configs, arity)."""
-
-    tables: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        tables = tuple(self.tables)
-        object.__setattr__(self, "tables", tables)
-        totals = {int(t.sum()) for t in tables}
-        if len(totals) > 1:
-            raise ModelError(f"count tables disagree on the case total: {sorted(totals)}")
-        for t in tables:
-            if t.ndim != 2:
-                raise ModelError("each count table must be two-dimensional")
-            if t.size and t.min() < 0:
-                raise ModelError("counts must be non-negative")
-
-    @property
-    def n_cases(self) -> int:
-        return int(self.tables[0].sum()) if self.tables else 0
-
-    def counts(self, i: int) -> np.ndarray:
-        return self.tables[i]
-
-    def config_totals(self, i: int) -> np.ndarray:
-        """Row sums N_ij of variable i's table."""
-        return self.tables[i].sum(axis=1)
-
-
 def _mixed_radix(cases: np.ndarray, cols: Sequence[int], arities: Sequence[int]) -> np.ndarray:
     """Fold the listed state columns into flat indices, first most significant."""
     idx = np.zeros(cases.shape[0], dtype=np.int64)
@@ -363,34 +331,9 @@ def _mixed_radix(cases: np.ndarray, cols: Sequence[int], arities: Sequence[int])
     return idx
 
 
-def parent_config_index(structure: DagStructure, var: int, parent_states: Sequence[int]) -> int:
-    """Mixed-radix index of a parent configuration of ``var``.
-
-    ``parent_states`` follows the declared parent order; the first parent is
-    the most significant digit.  Roots map the empty configuration to 0.
-    """
-    var = structure._check_index(var)
-    ps = structure.parents[var]
-    states = list(parent_states)
-    if len(states) != len(ps):
-        raise ModelError(
-            f"variable {structure.variables[var].name!r} has {len(ps)} parents, "
-            f"got {len(states)} states"
-        )
-    idx = 0
-    for p, s in zip(ps, states):
-        r = structure.variables[p].arity
-        if not 0 <= s < r:
-            raise StateOutOfRange(
-                f"state {s} out of range 0..{r - 1} for parent "
-                f"{structure.variables[p].name!r}"
-            )
-        idx = idx * r + s
-    return idx
-
-
-def count_sufficient_stats(structure: DagStructure, data: Dataset) -> SufficientStats:
-    """Count N_ijk for every (variable, parent config, state) in one pass."""
+def count_sufficient_stats(structure: DagStructure, data: Dataset) -> tuple[np.ndarray, ...]:
+    """Count N_ijk for every (variable, parent config, state) in one pass:
+    one read-only (parent configs, arity) table per variable."""
     if data.variables != structure.variables:
         raise SchemaMismatch(
             "dataset schema does not match structure variables: "
@@ -405,7 +348,7 @@ def count_sufficient_stats(structure: DagStructure, data: Dataset) -> Sufficient
         table = np.bincount(flat, minlength=q * v.arity).reshape(q, v.arity)
         table.setflags(write=False)
         tables.append(table)
-    return SufficientStats(tuple(tables))
+    return tuple(tables)
 
 
 def joint_cell_counts(component: Sequence[int], data: Dataset) -> np.ndarray:
@@ -495,12 +438,10 @@ class CliqueDecomposition:
 
 
 def _skeleton_neighbours(structure: DagStructure) -> list[set[int]]:
-    nbrs: list[set[int]] = [set() for _ in range(structure.n)]
-    for c in range(structure.n):
-        for p in structure.parents[c]:
-            nbrs[p].add(c)
-            nbrs[c].add(p)
-    return nbrs
+    return [
+        set(structure.parents[v]).union(structure.children(v))
+        for v in range(structure.n)
+    ]
 
 
 def clique_decomposition(structure: DagStructure) -> CliqueDecomposition:

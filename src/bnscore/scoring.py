@@ -40,12 +40,9 @@ from .model import (
 
 __all__ = [
     "DomainError",
-    "LengthMismatch",
     "NotCliqueDecomposable",
     "MetricSpec",
     "RatioResult",
-    "log_gamma",
-    "log_dirichlet_multinomial",
     "k2_log_score",
     "bdeu_log_score",
     "gu_log_score",
@@ -66,10 +63,6 @@ _EXP_MAX = 709.0
 
 class DomainError(ValueError):
     """An argument falls outside a function's mathematical domain."""
-
-
-class LengthMismatch(ValueError):
-    """Paired vector arguments differ in length."""
 
 
 class NotCliqueDecomposable(ValueError):
@@ -130,55 +123,28 @@ def _safe_exp(log_value: float) -> float:
     return math.exp(log_value) if log_value <= _EXP_MAX else math.inf
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not x > 0:
-        raise DomainError(f"log_gamma needs x > 0, got {x}")
-    return math.lgamma(x)
-
-
-def _dm_terms(rows: list[list[int]], alphas: list[float]) -> list[float]:
+def _dm_terms(rows: list[list[int]], a: float) -> list[float]:
     """The Dirichlet-multinomial kernel: the log-gamma terms of a (q, r)
-    count table, given as q rows, whose columns have pseudo-counts alphas.
+    count table, given as q rows, with pseudo-count a in every cell.
 
-    Returns the cell terms lnG(a_k + N_jk) - lnG(a_k), then the row terms
-    lnG(A) - lnG(A + N_j) with A the sum of the alphas; their fsum is the
-    log marginal likelihood.  Empty cells and rows give exactly 0.
+    Returns the cell terms lnG(a + N_jk) - lnG(a), then the row terms
+    lnG(r a) - lnG(r a + N_j); their fsum is the log marginal likelihood.
+    Empty cells and rows give exactly 0.
     """
-    r, q = len(alphas), len(rows)
-    total_a = math.fsum(alphas)
-    row_args = [total_a + sum(row) for row in rows]
-    cell_args = [a + n for row in rows for a, n in zip(alphas, row)]
-    lg = gammaln(alphas + [total_a] + row_args + cell_args).tolist()
+    q, row_a = len(rows), len(rows[0]) * a
+    row_args = [row_a + sum(row) for row in rows]
+    cell_args = [a + n for row in rows for n in row]
+    lg = gammaln([a, row_a] + row_args + cell_args).tolist()
     # lnG is infinite at subnormal pseudo-counts and overflows near 1e308;
-    # lnG(a_k) and lnG(A + N_j) hold its smallest and largest arguments.
-    if not all(map(math.isfinite, lg[: r + 1 + q])):
+    # lnG(a) and lnG(r a + N_j) hold its smallest and largest arguments.
+    if not all(map(math.isfinite, lg[: 2 + q])):
         raise DomainError(
             "a Dirichlet pseudo-count (alpha0 for BDeu) puts a log-gamma term "
             "out of float range"
         )
-    lg_total = lg[r]
-    cells = [x - la for la, x in zip(lg[:r] * q, lg[r + 1 + q :])]
-    return cells + [lg_total - x for x in lg[r + 1 : r + 1 + q]]
-
-
-def log_dirichlet_multinomial(counts, alphas) -> float:
-    """Log marginal likelihood of counts under a Dirichlet(alphas) prior.
-
-    Computes lnG(A) - lnG(A + N) + sum_k [lnG(a_k + N_k) - lnG(a_k)] where
-    A and N are the respective totals.
-    """
-    n = np.asarray(counts)
-    a = np.asarray(alphas, dtype=float)
-    if n.ndim != 1 or a.ndim != 1 or n.size < 2:
-        raise LengthMismatch("counts and alphas must be vectors of length >= 2")
-    if n.size != a.size:
-        raise LengthMismatch(f"{n.size} counts for {a.size} alphas")
-    if np.any(n < 0) or not np.issubdtype(n.dtype, np.integer):
-        raise DomainError("counts must be non-negative integers")
-    if np.any(a <= 0):
-        raise DomainError("alphas must be positive")
-    return math.fsum(_dm_terms([n.tolist()], a.tolist()))
+    lg_a, lg_row_a = lg[0], lg[1]
+    cells = [x - lg_a for x in lg[2 + q :]]
+    return cells + [lg_row_a - x for x in lg[2 : 2 + q]]
 
 
 def _metric_terms(metric: MetricSpec, tables) -> list[float]:
@@ -188,7 +154,7 @@ def _metric_terms(metric: MetricSpec, tables) -> list[float]:
     for rows in tables:
         r = len(rows[0])
         a = metric.alpha0 / (len(rows) * r) if metric.kind == "bdeu" else 1.0
-        terms += _dm_terms(rows, [a] * r)
+        terms += _dm_terms(rows, a)
     return terms
 
 
@@ -196,7 +162,7 @@ def _score_tables(metric: MetricSpec, structure: DagStructure, data: Dataset) ->
     """The tables a metric scores: every family's (q, r) count table for K2
     and BDeu, every skeleton component's joint cells as one row for GU."""
     if metric.kind != "gu":
-        return [t.tolist() for t in count_sufficient_stats(structure, data).tables]
+        return [t.tolist() for t in count_sufficient_stats(structure, data)]
     if data.variables != structure.variables:
         raise SchemaMismatch(
             "dataset schema does not match structure variables"
@@ -272,9 +238,15 @@ def _pair_log_ratio(metric: MetricSpec, counts: np.ndarray) -> float:
 
     K2 and BDeu give x the same family in both structures, so it cancels and
     only y's family is compared; GU compares the joint cells with both
-    marginals.
+    marginals.  Raises DomainError unless counts is a non-empty 2-D table of
+    non-negative integers.
     """
-    table = np.asarray(counts).tolist()
+    counts = np.asarray(counts)
+    if not (counts.ndim == 2 and counts.size and np.issubdtype(counts.dtype, np.integer)):
+        raise DomainError("a pair count table must be a non-empty 2-D integer array")
+    table = counts.tolist()
+    if min(map(min, table)) < 0:
+        raise DomainError("counts must be non-negative")
     y_table = [list(map(sum, zip(*table)))]
     if metric.kind == "gu":
         dep = [[[n for row in table for n in row]]]

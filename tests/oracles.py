@@ -10,7 +10,7 @@ column-wise threshold counts.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import factorial
 
 import numpy as np
@@ -149,6 +149,13 @@ def d_separated_brute(n, edges, x, y, given) -> bool:
         if active:
             return False
     return True
+
+
+def smallest_topological_order(n, edges) -> tuple[int, ...]:
+    """The lexicographically smallest ordering of 0..n-1 that puts every arc's
+    tail before its head, found by trying all n! orderings in lexicographic
+    order; edges is a set of directed (a, b)."""
+    return next(p for p in permutations(range(n)) if all(p.index(a) < p.index(b) for a, b in edges))
 
 
 def forward_sample_reference(net, n_cases: int, seed: int) -> np.ndarray:

@@ -19,11 +19,11 @@ from bnscore import (
     count_sufficient_stats,
     d_separated,
     joint_cell_counts,
-    parent_config_index,
 )
 from bnscore.model import first_non_adjacent_pair
+from bnscore.rocstats import marginally_d_separated_pairs
 
-from .oracles import d_separated_brute
+from .oracles import d_separated_brute, smallest_topological_order
 
 
 def chain3():
@@ -34,6 +34,18 @@ def chain3():
 def collider3():
     vs = tuple(Variable(n, 2) for n in "ABC")
     return DagStructure(vs, ((), (), (0, 1)))
+
+
+@st.composite
+def relabelled_dags(draw):
+    """(n, arcs, structure) for a random DAG on 3-7 binary variables whose
+    indices are shuffled, so index order is not a topological order."""
+    n = draw(st.integers(3, 7))
+    possible = [(a, b) for b in range(n) for a in range(b)]
+    label = draw(st.permutations(range(n)))
+    edges = {(label[a], label[b]) for a, b in draw(st.sets(st.sampled_from(possible)))}
+    parents = tuple(tuple(sorted(a for a, b in edges if b == c)) for c in range(n))
+    return n, edges, DagStructure(tuple(Variable(f"V{i}", 2) for i in range(n)), parents)
 
 
 class TestVariable:
@@ -103,41 +115,13 @@ class TestDagValidation:
         assert collider3().arcs() == ((0, 2), (1, 2))
         assert chain3().arcs() == ((0, 1), (1, 2))
 
-
-class TestParentConfigIndex:
-    def test_first_parent_most_significant(self):
-        vs = (Variable("A", 2), Variable("B", 3), Variable("C", 2))
-        s = DagStructure(vs, ((), (), (0, 1)))
-        # index = a * 3 + b
-        assert parent_config_index(s, 2, (0, 0)) == 0
-        assert parent_config_index(s, 2, (0, 2)) == 2
-        assert parent_config_index(s, 2, (1, 0)) == 3
-        assert parent_config_index(s, 2, (1, 2)) == 5
-
-    def test_root_has_single_config(self):
-        s = chain3()
-        assert parent_config_index(s, 0, ()) == 0
-        assert s.parent_config_count(0) == 1
-
-    def test_state_out_of_range(self):
-        s = chain3()
-        with pytest.raises(StateOutOfRange):
-            parent_config_index(s, 1, (2,))
-
-    def test_wrong_length(self):
-        s = chain3()
-        with pytest.raises(ModelError):
-            parent_config_index(s, 1, (0, 0))
-
-    def test_bijective_over_configs(self):
-        vs = (Variable("A", 3), Variable("B", 2), Variable("C", 4))
-        s = DagStructure(vs, ((), (), (0, 1)))
-        seen = {
-            parent_config_index(s, 2, (a, b))
-            for a in range(3)
-            for b in range(2)
-        }
-        assert seen == set(range(6))
+    @given(relabelled_dags())
+    @settings(max_examples=80, deadline=None)
+    def test_derived_order_and_children(self, dag):
+        n, edges, s = dag
+        assert s.topological_order() == smallest_topological_order(n, edges)
+        for v in range(n):
+            assert s.children(v) == tuple(sorted(b for a, b in edges if a == v))
 
 
 class TestDataset:
@@ -171,9 +155,8 @@ class TestCounting:
         s = DagStructure(vs, ((), (0,)))
         data = Dataset(vs, [(0, 0)] * 10)
         stats = count_sufficient_stats(s, data)
-        assert stats.tables[0].tolist() == [[10, 0]]
-        assert stats.tables[1].tolist() == [[10, 0], [0, 0]]
-        assert stats.n_cases == 10
+        assert stats[0].tolist() == [[10, 0]]
+        assert stats[1].tolist() == [[10, 0], [0, 0]]
 
     def test_counts_sum_to_n_for_every_variable(self):
         rng = np.random.default_rng(42)
@@ -183,8 +166,9 @@ class TestCounting:
             [rng.integers(0, v.arity, 50) for v in vs]
         )
         stats = count_sufficient_stats(s, Dataset(vs, cases))
-        for t in stats.tables:
+        for t in stats:
             assert t.sum() == 50
+            assert not t.flags.writeable
 
     def test_case_order_does_not_matter(self):
         rng = np.random.default_rng(7)
@@ -195,7 +179,15 @@ class TestCounting:
         d2 = Dataset(vs, cases[rng.permutation(30)])
         s1 = count_sufficient_stats(s, d1)
         s2 = count_sufficient_stats(s, d2)
-        assert all(np.array_equal(a, b) for a, b in zip(s1.tables, s2.tables))
+        assert all(np.array_equal(a, b) for a, b in zip(s1, s2))
+
+    def test_first_parent_most_significant(self):
+        vs = (Variable("A", 2), Variable("B", 3), Variable("C", 2))
+        s = DagStructure(vs, ((), (), (0, 1)))
+        # parent configuration (a, b) holds a * 3 + b + 1 cases, all with C = 0
+        cases = [(a, b, 0) for a in range(2) for b in range(3) for _ in range(a * 3 + b + 1)]
+        table = count_sufficient_stats(s, Dataset(vs, cases))[2]
+        assert table.tolist() == [[k, 0] for k in range(1, 7)]
 
     def test_schema_mismatch(self):
         s = chain3()
@@ -276,6 +268,20 @@ class TestDSeparation:
         got = d_separated(s, x, y, tuple(z))
         want = d_separated_brute(n, {(a, b) for a, b in edges}, x, y, z)
         assert got == want
+
+    @given(relabelled_dags())
+    @settings(max_examples=80, deadline=None)
+    def test_marginal_pairs_match_path_enumeration_oracle(self, dag):
+        n, edges, s = dag
+        cpts = tuple(np.full((s.parent_config_count(v), 2), 0.5) for v in range(n))
+        net = BayesNet(s, cpts)
+        want = tuple(
+            (a, b)
+            for a in range(n)
+            for b in range(a + 1, n)
+            if d_separated_brute(n, edges, a, b, ())
+        )
+        assert marginally_d_separated_pairs(net) == want
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)

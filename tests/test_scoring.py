@@ -12,7 +12,6 @@ from bnscore import (
     DagStructure,
     Dataset,
     DomainError,
-    LengthMismatch,
     MetricSpec,
     NotCliqueDecomposable,
     SchemaMismatch,
@@ -23,8 +22,6 @@ from bnscore import (
     gu_log_score,
     gu_ratio_constant_pair,
     k2_log_score,
-    log_dirichlet_multinomial,
-    log_gamma,
     log_score,
     mc_marginal_saturated,
     structure_ratio,
@@ -81,75 +78,35 @@ def log_of_fraction(f: Fraction) -> float:
     return math.log(f.numerator) - math.log(f.denominator)
 
 
-class TestLogGamma:
-    def test_matches_factorials(self):
-        for n in (1, 2, 5, 21, 171):
-            expect = float(
-                sum(math.log(k) for k in range(1, n))
-            )
-            assert log_gamma(float(n)) == pytest.approx(expect, rel=1e-12)
+class TestOneFamilyKernel:
+    """A lone variable's score is one Dirichlet-multinomial term: with r
+    states and pseudo-count a per state, lnG(r a)/lnG(r a + N) times the
+    product of lnG(a + N_k)/lnG(a)."""
 
-    def test_half_integer(self):
-        # G(1/2) = sqrt(pi)
-        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-15)
+    @staticmethod
+    def score(metric, counts):
+        v = Variable("X", len(counts))
+        cases = [(k,) for k, c in enumerate(counts) for _ in range(c)]
+        return log_score(metric, DagStructure((v,), ((),)), Dataset((v,), cases))
 
-    def test_wide_range_against_recurrence(self):
-        # G(x+1) = x G(x) across the contract's magnitude range
-        for x in (1e-3, 0.04, 1.7, 19.0, 4096.5, 1e7 - 1):
-            lhs = log_gamma(x + 1.0)
-            rhs = log_gamma(x) + math.log(x)
-            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            log_gamma(0.0)
-        with pytest.raises(DomainError):
-            log_gamma(-1.5)
-
-
-class TestLogDirichletMultinomial:
     def test_zero_counts_give_zero(self):
-        assert log_dirichlet_multinomial([0, 0], [1.0, 1.0]) == 0.0
+        for metric in ALL_METRICS:
+            assert self.score(metric, [0, 0, 0]) == 0.0, metric.label
 
-    def test_uniform_prior_single_case(self):
-        # one observation, two cells, alpha = (1, 1): probability 1/2
-        got = log_dirichlet_multinomial([1, 0], [1.0, 1.0])
-        assert got == pytest.approx(math.log(0.5), rel=1e-14)
+    def test_one_case_gives_log_one_over_r(self):
+        for r, metric in product((2, 3, 4), ALL_METRICS):
+            got = self.score(metric, [1] + [0] * (r - 1))
+            assert got == pytest.approx(math.log(1.0 / r), rel=1e-14), metric.label
 
-    def test_against_exact_rational(self):
-        cases = [
-            ([3, 2], [1.0, 1.0]),
-            ([1, 1], [0.5, 0.5]),
-            ([4, 0, 1], [2.0, 0.25, 1.0]),
-            ([10, 20, 30], [1.0, 1.0, 1.0]),
-        ]
-        for counts, alphas in cases:
-            exact = ddm_exact(counts, [Fraction(a).limit_denominator() for a in alphas])
-            got = log_dirichlet_multinomial(counts, alphas)
-            assert got == pytest.approx(log_of_fraction(exact), rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(LengthMismatch):
-            log_dirichlet_multinomial([1, 2], [1.0])
-        with pytest.raises(LengthMismatch):
-            log_dirichlet_multinomial([1], [1.0])
-        with pytest.raises(DomainError):
-            log_dirichlet_multinomial([-1, 1], [1.0, 1.0])
-        with pytest.raises(DomainError):
-            log_dirichlet_multinomial([1, 1], [0.0, 1.0])
-
-    @given(
-        st.lists(st.integers(0, 40), min_size=2, max_size=5),
-        st.lists(st.integers(1, 8), min_size=2, max_size=5),
-    )
+    @given(st.lists(st.integers(0, 40), min_size=2, max_size=5), st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
-    def test_random_cases_match_oracle(self, counts, alpha_quarters):
-        k = min(len(counts), len(alpha_quarters))
-        counts, alphas = counts[:k], [Fraction(a, 4) for a in alpha_quarters[:k]]
-        got = log_dirichlet_multinomial(counts, [float(a) for a in alphas])
-        assert got == pytest.approx(
-            log_of_fraction(ddm_exact(counts, alphas)), rel=1e-10, abs=1e-12
-        )
+    def test_random_counts_match_oracle(self, counts, a_quarters):
+        r = len(counts)
+        a = Fraction(a_quarters, 4)  # dyadic, so alpha0 / r recovers it exactly
+        for metric, alpha in ((MetricSpec.k2(), Fraction(1)), (MetricSpec.bdeu(a * r), a)):
+            assert self.score(metric, counts) == pytest.approx(
+                log_of_fraction(ddm_exact(counts, [alpha] * r)), rel=1e-10, abs=1e-12
+            ), metric.label
 
 
 class TestScoresAgainstExactOracle:
@@ -405,6 +362,22 @@ class TestRatiosAndPosteriors:
             assert arc_posterior_from_counts(metric, table) == pytest.approx(
                 float(s_dep / (s_dep + s_indep)), rel=1e-12
             ), metric.label
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            [[1, -2], [3, 4]],
+            [1, 2, 3],
+            [[[1, 2], [3, 4]]],
+            [[1.0, 2.0], [3.0, 4.0]],
+            np.zeros((0, 2), dtype=np.int64),
+        ],
+        ids=["negative", "1-D", "3-D", "float", "empty"],
+    )
+    @pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.label)
+    def test_counts_path_rejects_bad_tables(self, metric, counts):
+        with pytest.raises(DomainError):
+            arc_posterior_from_counts(metric, counts)
 
     def test_arc_posterior_identity_rejected(self):
         data = make_pair_dataset([[1, 1], [1, 1]])
