@@ -43,6 +43,12 @@ def _non_negative_int(text: str) -> int:
     return int(text)
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _size_list(text: str) -> list[int]:
     """Comma-separated positive dataset sizes, e.g. 5,10,20."""
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
@@ -219,7 +225,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--seed", type=_non_negative_int, default=42)
     p.add_argument(
-        "--jobs", type=int, default=max(1, os.cpu_count() or 1),
+        "--jobs", type=_positive_int, default=max(1, os.cpu_count() or 1),
         help="worker processes; results do not depend on this",
     )
     p.add_argument("--out", required=True, help="output directory for CSVs")

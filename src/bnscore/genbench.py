@@ -23,7 +23,6 @@ import numpy as np
 
 from .model import BayesNet, Dataset, Variable, _mixed_radix
 from .scoring import (
-    _LN10,
     DomainError,
     MetricSpec,
     RatioResult,
@@ -68,6 +67,8 @@ class JointTable:
     def __post_init__(self) -> None:
         variables = tuple(self.variables)
         object.__setattr__(self, "variables", variables)
+        if not variables:
+            raise DomainError("a joint needs at least one variable")
         cells = 1
         for v in variables:
             cells *= v.arity
@@ -109,16 +110,6 @@ def independent_joint(
     return JointTable(tuple(variables), joint)
 
 
-def _decode_cells(cell_indices: np.ndarray, arities: Sequence[int]) -> np.ndarray:
-    """Mixed-radix decode of flat cell indices into state columns."""
-    cols = np.empty((cell_indices.size, len(arities)), dtype=np.int64)
-    rem = cell_indices.astype(np.int64)
-    for k in range(len(arities) - 1, -1, -1):
-        cols[:, k] = rem % arities[k]
-        rem //= arities[k]
-    return cols
-
-
 def noise_free_dataset(joint: JointTable, n_cases: int) -> Dataset:
     """The most faithful size-n realisation of a joint distribution.
 
@@ -131,7 +122,7 @@ def noise_free_dataset(joint: JointTable, n_cases: int) -> Dataset:
         raise DomainError(f"n_cases must be non-negative, got {n_cases}")
     counts = np.floor(joint.probs * n_cases + 0.5).astype(np.int64)
     arities = [v.arity for v in joint.variables]
-    cells = _decode_cells(np.arange(counts.size), arities)
+    cells = np.stack(np.unravel_index(np.arange(counts.size), arities), axis=1)
     cases = np.repeat(cells, counts, axis=0)
     return Dataset(joint.variables, cases)
 
@@ -199,19 +190,13 @@ EXAMPLES: dict[int, ExampleSpec] = {
 
 
 @dataclass(frozen=True)
-class RatioRow:
+class RatioRow(RatioResult):
     """One dependent/independent ratio at a given metric and dataset size."""
 
     example: int
     metric: str
     alpha0: float | None
     n: int
-    ratio: float
-    log_ratio: float
-
-    @property
-    def log10_ratio(self) -> float:
-        return self.log_ratio / _LN10
 
 
 @dataclass(frozen=True)
@@ -260,27 +245,27 @@ def run_example(spec: ExampleSpec) -> list[RatioRow]:
         data = noise_free_dataset(joint, n)
         for a0 in spec.alpha0_values:
             r = _pair_ratio(MetricSpec.bdeu(a0), data)
-            rows.append(RatioRow(spec.example, "bdeu", a0, n, r.ratio, r.log_ratio))
+            rows.append(RatioRow(r.ratio, r.log_ratio, spec.example, "bdeu", a0, n))
         for metric in (MetricSpec.k2(), MetricSpec.gu()):
             r = _pair_ratio(metric, data)
             rows.append(
-                RatioRow(spec.example, metric.kind, None, n, r.ratio, r.log_ratio)
+                RatioRow(r.ratio, r.log_ratio, spec.example, metric.kind, None, n)
             )
     if spec.sweep is not None:
         for n in spec.sizes:
             sweep = alpha0_sweep(joint, n, spec.sweep)
             for a0, ratio, log_ratio in sweep.points:
                 rows.append(
-                    RatioRow(spec.example, "bdeu_sweep", a0, n, ratio, log_ratio)
+                    RatioRow(ratio, log_ratio, spec.example, "bdeu_sweep", a0, n)
                 )
             rows.append(
                 RatioRow(
+                    sweep.max_ratio,
+                    sweep.max_log_ratio,
                     spec.example,
                     "bdeu_max",
                     sweep.argmax_alpha0,
                     n,
-                    sweep.max_ratio,
-                    sweep.max_log_ratio,
                 )
             )
     return rows

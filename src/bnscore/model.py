@@ -2,7 +2,8 @@
 
 States are indexed 0..arity-1 internally; state labels exist for the I/O
 boundary only.  Parent configurations and joint cells use mixed-radix
-indexing with the first listed variable as the most significant digit.
+indexing with the first listed variable as the most significant digit,
+which is numpy's C order (``np.ravel_multi_index``/``np.unravel_index``).
 """
 
 from __future__ import annotations
@@ -108,36 +109,6 @@ class Variable:
             ) from None
 
 
-def _find_cycle(parents: Sequence[Sequence[int]], names: Sequence[str]) -> list[str]:
-    """Return one directed cycle (as names, closed) in parent->child direction."""
-    n = len(parents)
-    color = [0] * n  # 0 unvisited, 1 on stack, 2 done
-    stack: list[int] = []
-
-    def visit(v: int) -> list[int] | None:
-        color[v] = 1
-        stack.append(v)
-        for p in parents[v]:
-            if color[p] == 1:
-                cut = stack[stack.index(p):]
-                return cut + [p]
-            if color[p] == 0:
-                found = visit(p)
-                if found is not None:
-                    return found
-        stack.pop()
-        color[v] = 2
-        return None
-
-    for start in range(n):
-        if color[start] == 0:
-            found = visit(start)
-            if found is not None:
-                # visit() walks child -> parent, so reverse to arc direction.
-                return [names[v] for v in reversed(found)]
-    return []
-
-
 def validate_dag(parents: Sequence[Sequence[int]], names: Sequence[str]) -> tuple[int, ...]:
     """Check parent sets for range, self-loops, duplicates, and acyclicity.
 
@@ -162,8 +133,8 @@ def validate_dag(parents: Sequence[Sequence[int]], names: Sequence[str]) -> tupl
                 )
             seen.add(p)
 
-    # Kahn's algorithm; any leftover node lies on a cycle.  Forward sampling
-    # draws in this order, so the smallest-index tie rule fixes every dataset.
+    # Kahn's algorithm.  Forward sampling draws in this order, so the
+    # smallest-index tie rule fixes every dataset.
     indeg = [len(ps) for ps in parents]
     children = _children_of(parents)
     ready = [v for v in range(n) if indeg[v] == 0]
@@ -176,8 +147,17 @@ def validate_dag(parents: Sequence[Sequence[int]], names: Sequence[str]) -> tupl
             if indeg[c] == 0:
                 heapq.heappush(ready, c)
     if len(order) != n:
-        cycle = _find_cycle(parents, names)
-        raise CycleDetected("cycle detected: " + " -> ".join(cycle))
+        # A leftover variable (indeg > 0) keeps a leftover parent, so walking
+        # from one to its first leftover parent must revisit a variable.
+        pos: dict[int, int] = {}
+        v = next(u for u in range(n) if indeg[u])
+        while v not in pos:
+            pos[v] = len(pos)
+            v = next(p for p in parents[v] if indeg[p])
+        loop = [*list(pos)[pos[v]:], v]  # child -> parent
+        raise CycleDetected(
+            "cycle detected: " + " -> ".join(names[u] for u in reversed(loop))
+        )
     return tuple(order)
 
 
@@ -223,9 +203,6 @@ class DagStructure:
     @property
     def n(self) -> int:
         return len(self.variables)
-
-    def arity(self, i: int) -> int:
-        return self.variables[self._check_index(i)].arity
 
     def parent_config_count(self, i: int) -> int:
         """Number of parent configurations q_i (1 for a root)."""
@@ -297,9 +274,6 @@ class Dataset:
     def n_cases(self) -> int:
         return self.cases.shape[0]
 
-    def __len__(self) -> int:
-        return self.n_cases
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
@@ -323,7 +297,8 @@ class Dataset:
 
 
 def _mixed_radix(cases: np.ndarray, cols: Sequence[int], arities: Sequence[int]) -> np.ndarray:
-    """Fold the listed state columns into flat indices, first most significant."""
+    """Fold the listed state columns into flat indices, first most significant.
+    Same C order as np.ravel_multi_index, but faster on the sampling and counting paths."""
     idx = np.zeros(cases.shape[0], dtype=np.int64)
     for c, r in zip(cols, arities):
         idx *= r
@@ -429,24 +404,25 @@ class CliqueDecomposition:
     """Connected components of the skeleton, with a clique-union verdict.
 
     Components are sorted by smallest member index, members ascending.
-    ``is_clique_union`` holds when every component is fully connected in the
-    skeleton (every pair of member variables adjacent).
+    ``non_adjacent_pair`` is the first same-component pair (a, b), a < b,
+    missing a skeleton edge, searching components in order; it is None
+    exactly when every component is fully connected in the skeleton.
     """
 
     components: tuple[tuple[int, ...], ...]
-    is_clique_union: bool
+    non_adjacent_pair: tuple[int, int] | None
 
-
-def _skeleton_neighbours(structure: DagStructure) -> list[set[int]]:
-    return [
-        set(structure.parents[v]).union(structure.children(v))
-        for v in range(structure.n)
-    ]
+    @property
+    def is_clique_union(self) -> bool:
+        return self.non_adjacent_pair is None
 
 
 def clique_decomposition(structure: DagStructure) -> CliqueDecomposition:
     """Split the skeleton into connected components and test for clique union."""
-    nbrs = _skeleton_neighbours(structure)
+    nbrs = [
+        set(structure.parents[v]).union(structure.children(v))
+        for v in range(structure.n)
+    ]
     seen: set[int] = set()
     components: list[tuple[int, ...]] = []
     for start in range(structure.n):
@@ -462,22 +438,12 @@ def clique_decomposition(structure: DagStructure) -> CliqueDecomposition:
                     frontier.append(w)
         seen |= comp
         components.append(tuple(sorted(comp)))
-    is_union = all(
-        all(b in nbrs[a] for a in comp for b in comp if b > a) for comp in components
+    pair = next(
+        ((a, b) for comp in components for a in comp for b in comp
+         if b > a and b not in nbrs[a]),
+        None,
     )
-    return CliqueDecomposition(tuple(components), is_union)
-
-
-def first_non_adjacent_pair(structure: DagStructure) -> tuple[int, int] | None:
-    """Lowest-indexed same-component variable pair missing a skeleton edge."""
-    nbrs = _skeleton_neighbours(structure)
-    decomp = clique_decomposition(structure)
-    for comp in decomp.components:
-        for a in comp:
-            for b in comp:
-                if b > a and b not in nbrs[a]:
-                    return (a, b)
-    return None
+    return CliqueDecomposition(tuple(components), pair)
 
 
 def _check_cpt(v: Variable, q: int, cpt: np.ndarray) -> np.ndarray:

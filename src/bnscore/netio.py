@@ -216,6 +216,7 @@ def _parse_cpt_row(lineno, tokens, structure, index):
     """Decode one cpt line into (variable index, config index, row values)."""
     child = tokens[1]
     i = index[child]
+    ps = structure.parents[i]
     rest = tokens[2:]
     if not rest or rest[0] != "|":
         raise NetworkSyntaxError(lineno, "cpt line must read 'cpt NAME | ... : ...'")
@@ -233,7 +234,7 @@ def _parse_cpt_row(lineno, tokens, structure, index):
         if pname not in index:
             raise UnknownVariable(lineno, f"condition names undeclared variable {pname!r}")
         p = index[pname]
-        if p not in structure.parents[i]:
+        if p not in ps:
             raise NetworkSyntaxError(
                 lineno, f"{pname!r} is not a parent of {child!r}"
             )
@@ -245,14 +246,13 @@ def _parse_cpt_row(lineno, tokens, structure, index):
             raise NetworkSyntaxError(
                 lineno, f"variable {pname!r} has no state labelled {label!r}"
             ) from None
-    missing = [p for p in structure.parents[i] if p not in assigned]
+    missing = [p for p in ps if p not in assigned]
     if missing:
         names = ", ".join(structure.variables[p].name for p in missing)
         raise NetworkSyntaxError(lineno, f"cpt row for {child!r} leaves {names} unassigned")
 
-    config = 0
-    for p in structure.parents[i]:
-        config = config * structure.variables[p].arity + assigned[p]
+    arities = [structure.variables[p].arity for p in ps]
+    config = int(np.ravel_multi_index([assigned[p] for p in ps], arities))
 
     arity = structure.variables[i].arity
     if len(value_tokens) != arity:
@@ -325,12 +325,7 @@ def serialize_network(net: BayesNet) -> str:
         ps = structure.parents[i]
         arities = [structure.variables[p].arity for p in ps]
         for config in range(structure.parent_config_count(i)):
-            digits = []
-            rem = config
-            for r in reversed(arities):
-                digits.append(rem % r)
-                rem //= r
-            digits.reverse()
+            digits = np.unravel_index(config, arities)
             condition = " ".join(
                 f"{structure.variables[p].name}={structure.variables[p].state_labels[d]}"
                 for p, d in zip(ps, digits)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from statistics import fmean, stdev
@@ -313,7 +314,7 @@ def _replicate_curves(
     seed: int,
     pairs: PairSets,
     metrics: Sequence[MetricSpec],
-) -> list[tuple[float, tuple[tuple[float, float], ...]]]:
+) -> list[tuple[float, RocCurve]]:
     """One replicate: sample, score every pair, one (auc, curve) per metric.
 
     A pair's joint count table is built once and shared across metrics;
@@ -335,8 +336,7 @@ def _replicate_curves(
             ScoredPair(x, y, False, arc_posterior_from_counts(metric, tables[(x, y)]))
             for (x, y) in pairs.negatives
         ]
-        area, curve = auc_from_pairs(scored)
-        out.append((area, curve.points))
+        out.append(auc_from_pairs(scored))
     return out
 
 
@@ -347,7 +347,6 @@ def run_alarm_experiment(
     metrics: Sequence[MetricSpec] = DEFAULT_METRICS,
     seed: int = 42,
     negatives: int = 46,
-    grid: Sequence[float] = DEFAULT_FPR_GRID,
     jobs: int = 1,
 ) -> ExperimentResult:
     """Arc-detection ROC study over replicated forward samples.
@@ -355,6 +354,8 @@ def run_alarm_experiment(
     Replicate r draws its dataset with seed ``seed + r``, so every metric
     sees identical data and reruns are bit-for-bit reproducible; ``jobs``
     only spreads replicates across processes without changing results.
+    The pool starts every worker at once, so it never gets more workers
+    than there are tasks or CPUs.
     """
     if reps < 2:
         raise DegenerateInput(f"need at least 2 replicates, got {reps}")
@@ -363,9 +364,10 @@ def run_alarm_experiment(
     pairs = enumerate_pair_sets(net, negatives, seed)
 
     tasks = [(net, n, seed + rep, pairs, metrics) for n in sizes for rep in range(reps)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_replicate_curves_star, tasks, chunksize=4))
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_replicate_curves, *zip(*tasks), chunksize=4))
     else:
         results = [_replicate_curves(*task) for task in tasks]
 
@@ -375,17 +377,13 @@ def run_alarm_experiment(
         per_rep = results[si * reps : (si + 1) * reps]
         for mi, metric in enumerate(metrics):
             aucs = [rep[mi][0] for rep in per_rep]
-            curves = [RocCurve(rep[mi][1]) for rep in per_rep]
+            curves = [rep[mi][1] for rep in per_rep]
             mean, lo, hi = t_confidence_interval(aucs)
             summaries.append(
                 AucSummary(metric.kind, metric.alpha0, n, mean, lo, hi, reps)
             )
-            mean_curves[(metric.label, n)] = mean_roc(curves, grid)
+            mean_curves[(metric.label, n)] = mean_roc(curves)
     return ExperimentResult(tuple(summaries), mean_curves, pairs)
-
-
-def _replicate_curves_star(task):
-    return _replicate_curves(*task)
 
 
 def auc_summary_csv(summaries: Sequence[AucSummary]) -> str:

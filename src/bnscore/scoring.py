@@ -34,7 +34,6 @@ from .model import (
     Variable,
     clique_decomposition,
     count_sufficient_stats,
-    first_non_adjacent_pair,
     joint_cell_counts,
 )
 
@@ -59,6 +58,8 @@ __all__ = [
 _LN10 = math.log(10.0)
 # math.exp overflows just above this; larger log ratios map to inf.
 _EXP_MAX = 709.0
+# Monte Carlo draws per batch, bounding the (batch, k) draw array.
+_MC_BATCH = 1 << 18
 
 
 class DomainError(ValueError):
@@ -169,8 +170,7 @@ def _score_tables(metric: MetricSpec, structure: DagStructure, data: Dataset) ->
         )
     decomp = clique_decomposition(structure)
     if not decomp.is_clique_union:
-        pair = first_non_adjacent_pair(structure)
-        a, b = (structure.variables[i].name for i in pair)
+        a, b = (structure.variables[i].name for i in decomp.non_adjacent_pair)
         raise NotCliqueDecomposable(
             f"skeleton is not a union of cliques: {a!r} and {b!r} are "
             "connected but not adjacent"
@@ -268,9 +268,7 @@ def arc_posterior(metric: MetricSpec, x: int, y: int, data: Dataset) -> float:
     return arc_posterior_from_counts(metric, _pair_count_table(data, x, y))
 
 
-def mc_marginal_saturated(
-    counts, samples: int, seed: int, _batch: int = 1 << 18
-) -> tuple[float, float]:
+def mc_marginal_saturated(counts, samples: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of the saturated marginal likelihood term.
 
     Draws parameter vectors uniformly from the simplex (unit-rate
@@ -293,7 +291,7 @@ def mc_marginal_saturated(
     total_sq = 0.0
     remaining = samples
     while remaining:
-        m = min(remaining, _batch)
+        m = min(remaining, _MC_BATCH)
         draws = rng.exponential(1.0, size=(m, k))
         theta = draws / draws.sum(axis=1, keepdims=True)
         if active.size:

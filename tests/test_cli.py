@@ -251,6 +251,24 @@ class TestDsep:
         assert code == 3
         assert "W" in err
 
+    def test_long_cycle_is_a_validation_error(self, capsys, tmp_path):
+        n = 1500
+        net = tmp_path / "cyc.bn"
+        net.write_text(
+            "".join(f"var V{i} 2\n" for i in range(n))
+            + "".join(f"arc V{i} V{(i + 1) % n}\n" for i in range(n))
+        )
+        data = tmp_path / "cyc.csv"
+        data.write_text(",".join(f"V{i}" for i in range(n)) + "\n")
+        for argv in (
+            ["dsep", "--net", str(net), "--count-marginal"],
+            ["score", "--metric", "k2", "--structure", str(net), "--data", str(data)],
+        ):
+            code, _, err = run(capsys, argv)
+            assert code == 3
+            assert "cycle detected: V0 -> V1 -> V2" in err
+            assert "Traceback" not in err and "RecursionError" not in err
+
     def test_x_and_y_required_without_count_flag(self, capsys, tmp_path):
         net = tmp_path / "collider.bn"
         net.write_text(COLLIDER_NET)
@@ -295,6 +313,9 @@ class TestRoc:
             ["--sizes", "abc"],
             ["--sizes", "5,0"],
             ["--seed", "-1"],
+            ["--jobs", "0"],
+            ["--jobs", "-1"],
+            ["--jobs", "abc"],
             ["--sizes", "5", "--reps", "2", "--metrics", "bdeu1e-320", "--jobs", "1"],
         ],
     )

@@ -20,7 +20,7 @@ from bnscore import (
     d_separated,
     joint_cell_counts,
 )
-from bnscore.model import first_non_adjacent_pair
+from bnscore.model import _mixed_radix
 from bnscore.rocstats import marginally_d_separated_pairs
 
 from .oracles import d_separated_brute, smallest_topological_order
@@ -46,6 +46,19 @@ def relabelled_dags(draw):
     edges = {(label[a], label[b]) for a, b in draw(st.sets(st.sampled_from(possible)))}
     parents = tuple(tuple(sorted(a for a, b in edges if b == c)) for c in range(n))
     return n, edges, DagStructure(tuple(Variable(f"V{i}", 2) for i in range(n)), parents)
+
+
+@st.composite
+def cyclic_digraphs(draw):
+    """(arcs, parents) for a random digraph on 2-8 variables that contains
+    at least one directed cycle; no self-loops or duplicate arcs."""
+    n = draw(st.integers(2, 8))
+    possible = [(a, b) for a in range(n) for b in range(n) if a != b]
+    arcs = set(draw(st.sets(st.sampled_from(possible))))
+    loop = draw(st.permutations(range(n)))[: draw(st.integers(2, n))]
+    arcs |= set(zip(loop, loop[1:] + loop[:1]))
+    parents = tuple(tuple(sorted(a for a, b in arcs if b == c)) for c in range(n))
+    return arcs, parents
 
 
 class TestVariable:
@@ -83,6 +96,19 @@ class TestDagValidation:
         vs = tuple(Variable(n, 2) for n in "ABC")
         with pytest.raises(CycleDetected):
             DagStructure(vs, ((2,), (0,), (1,)))
+
+    @given(cyclic_digraphs())
+    @settings(max_examples=80, deadline=None)
+    def test_cycle_message_names_a_closed_walk_of_arcs(self, graph):
+        arcs, parents = graph
+        vs = tuple(Variable(f"V{i}", 2) for i in range(len(parents)))
+        with pytest.raises(CycleDetected) as exc:
+            DagStructure(vs, parents)
+        prefix = "cycle detected: "
+        assert str(exc.value).startswith(prefix)
+        walk = [int(name[1:]) for name in str(exc.value)[len(prefix):].split(" -> ")]
+        assert len(walk) >= 3 and walk[0] == walk[-1]
+        assert all(step in arcs for step in zip(walk, walk[1:]))
 
     def test_self_loop(self):
         vs = (Variable("X", 2), Variable("Y", 2))
@@ -122,6 +148,22 @@ class TestDagValidation:
         assert s.topological_order() == smallest_topological_order(n, edges)
         for v in range(n):
             assert s.children(v) == tuple(sorted(b for a, b in edges if a == v))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_mixed_radix_is_numpy_c_order(data):
+    n_cols = data.draw(st.integers(1, 6))
+    arities = data.draw(st.lists(st.integers(2, 4), min_size=n_cols, max_size=n_cols))
+    n_cases = data.draw(st.integers(0, 30))
+    cases = np.array(
+        [[data.draw(st.integers(0, r - 1)) for r in arities] for _ in range(n_cases)],
+        dtype=np.int64,
+    ).reshape(n_cases, n_cols)
+    cols = data.draw(st.permutations(range(n_cols)))[: data.draw(st.integers(1, n_cols))]
+    picked = [arities[c] for c in cols]
+    expected = np.ravel_multi_index(tuple(cases[:, c] for c in cols), picked)
+    assert np.array_equal(_mixed_radix(cases, cols, picked), expected)
 
 
 class TestDataset:
@@ -314,7 +356,15 @@ class TestCliqueDecomposition:
         d = clique_decomposition(chain3())
         assert d.components == ((0, 1, 2),)
         assert not d.is_clique_union
-        assert first_non_adjacent_pair(chain3()) == (0, 2)
+        assert d.non_adjacent_pair == (0, 2)
+
+    def test_witness_is_the_first_missing_edge(self):
+        vs = tuple(Variable(n, 2) for n in "ABCDEFG")
+        # Components (0, 2, 4, 6) and (1, 3, 5), each a chain in index order.
+        s = DagStructure(vs, ((), (), (0,), (1,), (2,), (3,), (4,)))
+        d = clique_decomposition(s)
+        assert d.components == ((0, 2, 4, 6), (1, 3, 5))
+        assert d.non_adjacent_pair == (0, 4)
 
     def test_collider_plus_edge_is_clique(self):
         vs = tuple(Variable(n, 2) for n in "ABC")

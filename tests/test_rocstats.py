@@ -30,6 +30,7 @@ from bnscore import (
     student_t_quantile,
     t_confidence_interval,
 )
+from bnscore import rocstats
 from bnscore.rocstats import DEFAULT_FPR_GRID, DEFAULT_METRICS, DEFAULT_SIZES
 
 
@@ -277,6 +278,36 @@ class TestAlarmExperiment:
         parallel = run_alarm_experiment(alarm.net, metrics=metrics, jobs=2, **self.SMALL)
         assert serial.summaries == parallel.summaries
         assert serial.mean_curves == parallel.mean_curves
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, workers",
+        [(100_000, 64, 4), (100_000, 2, 2), (3, 64, 3), (100_000, None, None), (1, 64, None)],
+    )
+    def test_pool_never_exceeds_tasks_or_cpus(self, alarm, monkeypatch, jobs, cpus, workers):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(rocstats, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(rocstats.os, "cpu_count", lambda: cpus)
+        metrics = (MetricSpec.k2(),)
+        small = dict(self.SMALL, reps=2)  # 2 sizes x 2 reps: 4 tasks
+        result = run_alarm_experiment(alarm.net, metrics=metrics, jobs=jobs, **small)
+        serial = run_alarm_experiment(alarm.net, metrics=metrics, jobs=1, **small)
+        assert started == ([] if workers is None else [workers])
+        assert result.summaries == serial.summaries
+        assert result.mean_curves == serial.mean_curves
 
     def test_reruns_identical(self, alarm):
         metrics = (MetricSpec.gu(),)
