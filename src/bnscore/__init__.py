@@ -89,7 +89,6 @@ from .rocstats import (
     mean_roc_csv,
     roc_points,
     run_alarm_experiment,
-    student_t_quantile,
     t_confidence_interval,
 )
 

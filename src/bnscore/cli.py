@@ -216,11 +216,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("roc", help="arc-detection ROC study on a known network")
     p.add_argument("--net", help="network file (default: bundled ALARM)")
-    p.add_argument("--sizes", type=_size_list, default="5,10,20,40,80,160")
+    p.add_argument("--sizes", type=_size_list, default=list(rocstats.DEFAULT_SIZES))
     p.add_argument("--reps", type=int, default=100)
     p.add_argument(
         "--metrics",
-        default="bdeu0.01,bdeu1,bdeu4,k2,gu",
+        default=",".join(m.label for m in rocstats.DEFAULT_METRICS),
         help="comma-separated: k2, gu, bdeu<alpha0>",
     )
     p.add_argument("--seed", type=_non_negative_int, default=42)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -276,13 +277,10 @@ def parse_network(text: str) -> NetworkDocument:
     structure = _build_structure(order, variables, parents)
     index = {name: i for i, name in enumerate(order)}
 
-    cpts = [
-        np.full((structure.parent_config_count(i), v.arity), np.nan)
-        for i, v in enumerate(structure.variables)
-    ]
+    rows: dict[tuple[int, int], np.ndarray] = {}
     for lineno, tokens in cpt_lines:
         i, config, row = _parse_cpt_row(lineno, tokens, structure, index)
-        if not np.isnan(cpts[i][config]).all():
+        if (i, config) in rows:
             raise NetworkSyntaxError(
                 lineno,
                 f"duplicate cpt row for {structure.variables[i].name!r} "
@@ -293,16 +291,21 @@ def parse_network(text: str) -> NetworkDocument:
             raise RowSumNotOne(lineno, structure.variables[i].name, config, total)
         if abs(total - 1.0) > _EXACT_ROW_TOL:
             row = row / total
-        cpts[i][config] = row
+        rows[(i, config)] = row
 
+    # Declared sizes are unbounded: allocate a table only once its rows exist.
+    present = Counter(i for i, _ in rows)
+    cpts = []
     for i, v in enumerate(structure.variables):
-        holes = np.where(np.isnan(cpts[i]).any(axis=1))[0]
-        if holes.size:
+        q = structure.parent_config_count(i)
+        if present[i] < q:
+            first = next(c for c in range(q) if (i, c) not in rows)
             raise MissingCptRow(
                 var_lines[v.name],
-                f"variable {v.name!r} is missing {holes.size} cpt row(s), "
-                f"first missing config {int(holes[0])}",
+                f"variable {v.name!r} is missing {q - present[i]} cpt row(s), "
+                f"first missing config {first}",
             )
+        cpts.append(np.array([rows[(i, c)] for c in range(q)]))
 
     net = BayesNet(structure, tuple(cpts))
     return NetworkDocument(net, var_lines)

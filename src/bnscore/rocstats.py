@@ -24,7 +24,7 @@ from scipy.special import stdtrit
 
 from .genbench import _fmt, forward_sample
 from .model import BayesNet
-from .scoring import DomainError, MetricSpec, _pair_count_table, arc_posterior_from_counts
+from .scoring import MetricSpec, _pair_count_table, arc_posterior_from_counts
 
 __all__ = [
     "DegenerateInput",
@@ -42,7 +42,6 @@ __all__ = [
     "mann_whitney_auc",
     "auc_from_pairs",
     "mean_roc",
-    "student_t_quantile",
     "t_confidence_interval",
     "marginally_d_separated_pairs",
     "enumerate_pair_sets",
@@ -109,28 +108,25 @@ class RocCurve:
 def roc_points(pairs: Sequence[ScoredPair]) -> RocCurve:
     """Sweep a decision threshold down through the scores.
 
-    After each distinct score value the running (fpr, tpr) is emitted, so
-    a group of tied scores contributes one segment.
+    After each group of tied scores in one stable descending sort, the
+    running (fpr, tpr) is emitted (Fawcett 2006, Algorithm 2).
     """
-    n_pos = sum(1 for p in pairs if p.label)
-    n_neg = len(pairs) - n_pos
+    labels = np.array([p.label for p in pairs], dtype=bool)
+    scores = np.array([p.score for p in pairs], dtype=float)
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateInput(
             f"need both labels represented, got {n_pos} positives and {n_neg} negatives"
         )
-    if not all(math.isfinite(p.score) for p in pairs):
+    if not np.isfinite(scores).all():
         raise DegenerateInput("scores must be finite")
-    by_score: dict[float, list[bool]] = {}
-    for p in pairs:
-        by_score.setdefault(float(p.score), []).append(p.label)
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    for score in sorted(by_score, reverse=True):
-        group = by_score[score]
-        tp += sum(group)
-        fp += len(group) - sum(group)
-        points.append((fp / n_neg, tp / n_pos))
-    return RocCurve(tuple(points))
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    tp = np.cumsum(labels[order])[ends]
+    fp = ends + 1 - tp
+    return RocCurve(((0.0, 0.0), *zip((fp / n_neg).tolist(), (tp / n_pos).tolist())))
 
 
 def auc(curve: RocCurve) -> float:
@@ -167,48 +163,24 @@ def auc_from_pairs(pairs: Sequence[ScoredPair]) -> tuple[float, RocCurve]:
     return area, curve
 
 
-def mean_roc(
-    curves: Sequence[RocCurve], grid: Sequence[float] = DEFAULT_FPR_GRID
-) -> RocCurve:
-    """Vertical average: at each grid fpr, mean of the curves' best tpr
-    reachable at or below that fpr."""
+def mean_roc(curves: Sequence[RocCurve]) -> RocCurve:
+    """Vertical average: at each fpr of DEFAULT_FPR_GRID, the mean of the
+    curves' best tpr reachable at or below that fpr."""
     if not curves:
         raise DegenerateInput("need at least one curve")
-    grid = [float(g) for g in grid]
-    if grid[0] != 0.0 or grid[-1] != 1.0 or any(
-        b <= a for a, b in zip(grid, grid[1:])
-    ):
-        raise DegenerateInput("grid must increase from 0 to 1")
-    means = []
-    for g in grid:
-        total = 0.0
-        for curve in curves:
-            best = 0.0
-            for f, t in curve.points:
-                if f <= g + 1e-15:
-                    best = t
-                else:
-                    break
-            total += best
-        means.append(total / len(curves))
-    return RocCurve(tuple(zip(grid, means)))
+    reach = np.add(DEFAULT_FPR_GRID, 1e-15)
+    best = np.empty((len(curves), len(DEFAULT_FPR_GRID)))
+    for row, curve in zip(best, curves):
+        f, t = np.array(curve.points).T
+        row[:] = t[np.searchsorted(f, reach, side="right") - 1]
+    # Axis 0 of a C-ordered array adds one curve at a time, in order, as
+    # a loop does; a pairwise sum would move mean_roc.csv digits.
+    means = best.sum(axis=0) / len(curves)
+    return RocCurve(tuple(zip(DEFAULT_FPR_GRID, means.tolist())))
 
 
-def student_t_quantile(p: float, df: int) -> float:
-    """Quantile of Student's t with df degrees of freedom (scipy's stdtrit)."""
-    if df < 1:
-        raise DomainError(f"df must be at least 1, got {df}")
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"p must lie strictly in (0, 1), got {p}")
-    if p == 0.5:
-        return 0.0
-    return float(stdtrit(df, p))
-
-
-def t_confidence_interval(
-    values: Sequence[float], level: float = 0.95
-) -> tuple[float, float, float]:
-    """(mean, low, high): a symmetric t interval for the mean.
+def t_confidence_interval(values: Sequence[float]) -> tuple[float, float, float]:
+    """(mean, low, high): a symmetric 95% t interval for the mean.
 
     Needs at least two values; a zero-spread sample collapses to a
     zero-width interval at the common value.
@@ -216,14 +188,11 @@ def t_confidence_interval(
     vals = [float(v) for v in values]
     if len(vals) < 2:
         raise DegenerateInput(f"need at least 2 values, got {len(vals)}")
-    if not 0.0 < level < 1.0:
-        raise DomainError(f"level must lie strictly in (0, 1), got {level}")
     m = fmean(vals)
     s = stdev(vals)
     if s == 0.0:
         return m, m, m
-    q = student_t_quantile(0.5 + level / 2.0, len(vals) - 1)
-    half = q * s / math.sqrt(len(vals))
+    half = float(stdtrit(len(vals) - 1, 0.975)) * s / math.sqrt(len(vals))
     return m, m - half, m + half
 
 
@@ -283,8 +252,8 @@ def enumerate_pair_sets(net: BayesNet, negatives: int = 46, seed: int = 42) -> P
     """True arcs as positives; a seeded draw of d-separated pairs as negatives.
 
     Negatives are sampled without replacement from all marginally
-    d-separated unordered pairs, then sorted; by default the draw is the
-    same size as the positive set.
+    d-separated unordered pairs, then sorted. The default of 46 is ALARM's
+    arc count, a constant rather than a size read from ``net``.
     """
     positives = net.structure.arcs()
     candidates = marginally_d_separated_pairs(net)
@@ -322,22 +291,16 @@ def _replicate_curves(
     lower-indexed variable.
     """
     data = forward_sample(net, n_cases, seed)
-    tables = {
-        (x, y): _pair_count_table(data, x, y)
-        for (x, y) in (*pairs.positives, *pairs.negatives)
-    }
-    out = []
-    for metric in metrics:
-        scored = [
-            ScoredPair(x, y, True, arc_posterior_from_counts(metric, tables[(x, y)]))
-            for (x, y) in pairs.positives
-        ]
-        scored += [
-            ScoredPair(x, y, False, arc_posterior_from_counts(metric, tables[(x, y)]))
-            for (x, y) in pairs.negatives
-        ]
-        out.append(auc_from_pairs(scored))
-    return out
+    labelled = [(x, y, True) for x, y in pairs.positives]
+    labelled += [(x, y, False) for x, y in pairs.negatives]
+    tables = {(x, y): _pair_count_table(data, x, y) for x, y, _ in labelled}
+    return [
+        auc_from_pairs([
+            ScoredPair(x, y, label, arc_posterior_from_counts(metric, tables[(x, y)]))
+            for x, y, label in labelled
+        ])
+        for metric in metrics
+    ]
 
 
 def run_alarm_experiment(
@@ -346,7 +309,6 @@ def run_alarm_experiment(
     reps: int = 100,
     metrics: Sequence[MetricSpec] = DEFAULT_METRICS,
     seed: int = 42,
-    negatives: int = 46,
     jobs: int = 1,
 ) -> ExperimentResult:
     """Arc-detection ROC study over replicated forward samples.
@@ -355,13 +317,18 @@ def run_alarm_experiment(
     sees identical data and reruns are bit-for-bit reproducible; ``jobs``
     only spreads replicates across processes without changing results.
     The pool starts every worker at once, so it never gets more workers
-    than there are tasks or CPUs.
+    than there are tasks or CPUs. Results are keyed by metric label and
+    size, so a repeated label or size is rejected.
     """
     if reps < 2:
         raise DegenerateInput(f"need at least 2 replicates, got {reps}")
     sizes = tuple(int(n) for n in sizes)
     metrics = tuple(metrics)
-    pairs = enumerate_pair_sets(net, negatives, seed)
+    for kind, keys in (("size", sizes), ("metric", tuple(m.label for m in metrics))):
+        repeated = [k for k in keys if keys.count(k) > 1]
+        if repeated:
+            raise DegenerateInput(f"{kind} {repeated[0]!r} is given more than once")
+    pairs = enumerate_pair_sets(net, 46, seed)
 
     tasks = [(net, n, seed + rep, pairs, metrics) for n in sizes for rep in range(reps)]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)

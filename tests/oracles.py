@@ -179,3 +179,39 @@ def forward_sample_reference(net, n_cases: int, seed: int) -> np.ndarray:
             (u[:, None] > cdf[config]).sum(axis=1), structure.variables[i].arity - 1
         )
     return cases
+
+
+def roc_points_reference(pairs) -> tuple[tuple[float, float], ...]:
+    """ROC points by grouping the scores in a dict and sweeping its keys in
+    descending order, one (fpr, tpr) after each distinct score."""
+    n_pos = sum(1 for p in pairs if p.label)
+    n_neg = len(pairs) - n_pos
+    by_score: dict[float, list[bool]] = {}
+    for p in pairs:
+        by_score.setdefault(float(p.score), []).append(p.label)
+    points = [(0.0, 0.0)]
+    tp = fp = 0
+    for score in sorted(by_score, reverse=True):
+        group = by_score[score]
+        tp += sum(group)
+        fp += len(group) - sum(group)
+        points.append((fp / n_neg, tp / n_pos))
+    return tuple(points)
+
+
+def mean_roc_reference(curves, grid) -> tuple[tuple[float, float], ...]:
+    """Vertical average by rescanning every curve's points at each grid fpr,
+    adding the curves' tprs in order."""
+    means = []
+    for g in grid:
+        total = 0.0
+        for curve in curves:
+            best = 0.0
+            for f, t in curve.points:
+                if f <= g + 1e-15:
+                    best = t
+                else:
+                    break
+            total += best
+        means.append(total / len(curves))
+    return tuple(zip(grid, means))

@@ -1,9 +1,14 @@
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from bnscore import k2_log_score, parse_dataset, parse_network
-from bnscore.cli import main
+from bnscore import k2_log_score, parse_dataset, parse_network, rocstats
+from bnscore.cli import _build_parser, main
 from bnscore.netio import alarm_path
 
 PAIR_NET = """\
@@ -43,6 +48,15 @@ cpt Z | X=1 Y=1 : 0.9 0.1
 cpt Z | X=1 Y=2 : 0.2 0.8
 cpt Z | X=2 Y=1 : 0.3 0.7
 cpt Z | X=2 Y=2 : 0.6 0.4
+"""
+
+
+WIDE_NET = """\
+var A 10000
+var B 10000
+var C 10000
+arc A C
+arc B C
 """
 
 
@@ -275,6 +289,34 @@ class TestDsep:
         code, _, err = run(capsys, ["dsep", "--net", str(net), "--x", "X"])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "text, code, expected",
+        [
+            (WIDE_NET, 2, "variable 'A' is missing 1 cpt row(s), first missing config 0"),
+            (alarm_path().read_text(), 0, "marginally_d_separated_pairs=365"),
+        ],
+        ids=["wide", "alarm"],
+    )
+    def test_parse_allocates_only_rows_the_file_gives(self, tmp_path, text, code, expected):
+        # WIDE_NET's C has 10000**2 parent configurations: a full table
+        # would take 7.28 TiB, far past the child's 1 GiB address space.
+        net = tmp_path / "net.bn"
+        net.write_text(text)
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "bnscore.cli", "dsep", "--net", str(net), "--count-marginal"],
+            capture_output=True, text=True, env=env, preexec_fn=limit_address_space,
+        )
+        assert proc.returncode == code
+        assert expected in proc.stdout + proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestRoc:
     ARGS = ["roc", "--sizes", "5,10", "--reps", "3", "--metrics", "bdeu4,gu", "--seed", "7"]
@@ -317,6 +359,9 @@ class TestRoc:
             ["--jobs", "-1"],
             ["--jobs", "abc"],
             ["--sizes", "5", "--reps", "2", "--metrics", "bdeu1e-320", "--jobs", "1"],
+            ["--sizes", "5", "--reps", "2", "--metrics", "k2,k2"],
+            ["--sizes", "5", "--reps", "2", "--metrics", "bdeu4,bdeu4.0"],
+            ["--sizes", "5,5", "--reps", "2", "--metrics", "k2"],
         ],
     )
     def test_invalid_input_is_a_usage_error(self, capsys, tmp_path, argv):
@@ -325,6 +370,12 @@ class TestRoc:
         assert code == 3
         assert "nan" not in out and "Traceback" not in err
         assert not (out_dir / "auc_summary.csv").exists()
+
+    def test_defaults_come_from_rocstats(self):
+        args = _build_parser().parse_args(["roc", "--out", "x"])
+        assert tuple(args.sizes) == rocstats.DEFAULT_SIZES
+        metrics = [m.label for m in rocstats.DEFAULT_METRICS]
+        assert args.metrics.split(",") == metrics
 
 
 class TestTopLevel:

@@ -11,7 +11,6 @@ from bnscore import (
     BayesNet,
     DagStructure,
     DegenerateInput,
-    DomainError,
     InsufficientNegatives,
     MetricSpec,
     RocCurve,
@@ -27,11 +26,15 @@ from bnscore import (
     mean_roc_csv,
     roc_points,
     run_alarm_experiment,
-    student_t_quantile,
     t_confidence_interval,
 )
 from bnscore import rocstats
 from bnscore.rocstats import DEFAULT_FPR_GRID, DEFAULT_METRICS, DEFAULT_SIZES
+
+from .oracles import mean_roc_reference, roc_points_reference
+
+# Integer-valued scores tie often; -0.0 must share a tie group with 0.0.
+tie_heavy_scores = st.one_of(st.integers(-4, 4).map(float), st.just(-0.0))
 
 
 def scored(pos, neg):
@@ -82,6 +85,19 @@ class TestRocPoints:
         with pytest.raises(DegenerateInput):
             RocCurve(((0.0, 0.5), (0.5, 0.2), (1.0, 1.0)))
 
+    def test_signed_zeros_are_one_tie_group(self):
+        curve = roc_points(scored([0.0, 1.0], [-0.0]))
+        assert curve.points == ((0.0, 0.0), (0.0, 0.5), (1.0, 1.0))
+
+    @given(
+        st.lists(tie_heavy_scores, min_size=1, max_size=46),
+        st.lists(tie_heavy_scores, min_size=1, max_size=46),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sweep_equals_dict_reference(self, pos, neg):
+        pairs = scored(pos, neg)
+        assert roc_points(pairs).points == roc_points_reference(pairs)
+
 
 class TestAucCrossChecks:
     def test_mann_whitney_matches_example(self):
@@ -115,13 +131,14 @@ class TestMeanRoc:
     def test_step_average_of_two_curves(self):
         perfect = RocCurve(((0.0, 0.0), (0.0, 1.0), (1.0, 1.0)))
         diagonal = RocCurve(((0.0, 0.0), (1.0, 1.0)))
-        mean = mean_roc([perfect, diagonal], grid=(0.0, 0.5, 1.0))
-        assert mean.points == ((0.0, 0.5), (0.5, 0.5), (1.0, 1.0))
+        mean = mean_roc([perfect, diagonal])
+        assert mean.points == tuple((g, 0.5) for g in DEFAULT_FPR_GRID[:-1]) + ((1.0, 1.0),)
 
     def test_average_of_identical_curves_is_the_curve(self):
         curve = roc_points(scored([0.9, 0.4], [0.6, 0.1]))
-        mean = mean_roc([curve, curve], grid=(0.0, 0.5, 1.0))
-        assert mean.points == ((0.0, 0.5), (0.5, 1.0), (1.0, 1.0))
+        mean = mean_roc([curve, curve])
+        assert DEFAULT_FPR_GRID[23] == 0.5
+        assert mean.points == tuple((g, 0.5 if g < 0.5 else 1.0) for g in DEFAULT_FPR_GRID)
 
     def test_default_grid(self):
         assert len(DEFAULT_FPR_GRID) == 47
@@ -133,47 +150,26 @@ class TestMeanRoc:
 
     def test_grid_validation(self):
         curve = roc_points(scored([0.9], [0.1]))
-        with pytest.raises(DegenerateInput):
-            mean_roc([curve], grid=(0.1, 1.0))
-        with pytest.raises(DegenerateInput):
-            mean_roc([curve], grid=(0.0, 0.5))
-        with pytest.raises(DegenerateInput):
-            mean_roc([curve], grid=(0.0, 0.5, 0.5, 1.0))
+        assert [f for f, _ in mean_roc([curve]).points] == list(DEFAULT_FPR_GRID)
         with pytest.raises(DegenerateInput):
             mean_roc([])
 
-
-class TestStudentTQuantile:
-    def test_cauchy_case_closed_form(self):
-        # df = 1 is Cauchy: quantile(0.975) = cot(pi/40)
-        q = student_t_quantile(0.975, 1)
-        assert q == pytest.approx(1.0 / math.tan(math.pi / 40.0), rel=1e-10)
-        assert q == pytest.approx(12.706204736174671, rel=1e-10)
-
-    def test_matches_scipy_reference(self):
-        for p in (0.6, 0.9, 0.975, 0.995):
-            for df in (1, 2, 5, 30, 99):
-                expected = scipy.stats.t.ppf(p, df)
-                assert student_t_quantile(p, df) == pytest.approx(expected, rel=1e-9)
-
-    def test_symmetry_and_median(self):
-        assert student_t_quantile(0.5, 7) == 0.0
-        assert student_t_quantile(0.1, 4) == pytest.approx(
-            -student_t_quantile(0.9, 4), abs=1e-12
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(tie_heavy_scores, min_size=1, max_size=12),
+                st.lists(tie_heavy_scores, min_size=1, max_size=46),
+            ),
+            min_size=1,
+            max_size=24,
         )
-
-    def test_round_trip_through_cdf(self):
-        for p in (0.51, 0.75, 0.99):
-            q = student_t_quantile(p, 12)
-            assert scipy.stats.t.cdf(q, 12) == pytest.approx(p, abs=1e-9)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            student_t_quantile(0.0, 3)
-        with pytest.raises(DomainError):
-            student_t_quantile(1.0, 3)
-        with pytest.raises(DomainError):
-            student_t_quantile(0.9, 0)
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_mean_equals_rescan_reference(self, draws):
+        # Past 8 curves numpy's pairwise sum along a contiguous axis would
+        # reorder the additions; the sum must add one curve at a time.
+        curves = [roc_points(scored(pos, neg)) for pos, neg in draws]
+        assert mean_roc(curves).points == mean_roc_reference(curves, DEFAULT_FPR_GRID)
 
 
 class TestTConfidenceInterval:
@@ -196,9 +192,15 @@ class TestTConfidenceInterval:
         with pytest.raises(DegenerateInput):
             t_confidence_interval([0.4])
 
-    def test_level_domain(self):
-        with pytest.raises(DomainError):
-            t_confidence_interval([0.0, 1.0], level=1.0)
+    @pytest.mark.parametrize("df", [1, 2, 5, 30, 99])
+    def test_matches_scipy_interval(self, df):
+        values = np.random.default_rng(df).random(df + 1).tolist()
+        mean, lo, hi = t_confidence_interval(values)
+        expected = scipy.stats.t.interval(
+            0.95, df, loc=np.mean(values), scale=scipy.stats.sem(values)
+        )
+        assert mean == pytest.approx(np.mean(values), rel=1e-12)
+        assert (lo, hi) == pytest.approx(expected, rel=1e-12)
 
 
 class TestAucSummary:
@@ -254,7 +256,7 @@ class TestPairEnumeration:
 
 
 class TestAlarmExperiment:
-    SMALL = dict(sizes=(5, 10), reps=3, seed=7, negatives=10)
+    SMALL = dict(sizes=(5, 10), reps=3, seed=7)
 
     def test_small_run_shape(self, alarm):
         metrics = (MetricSpec.bdeu(4.0), MetricSpec.gu())
@@ -319,6 +321,21 @@ class TestAlarmExperiment:
     def test_needs_two_replicates(self, alarm):
         with pytest.raises(DegenerateInput):
             run_alarm_experiment(alarm.net, sizes=(5,), reps=1)
+
+    @pytest.mark.parametrize(
+        "sizes, metrics, named",
+        [
+            ((5,), (MetricSpec.k2(), MetricSpec.k2()), "metric 'k2'"),
+            ((5,), (MetricSpec.bdeu(4.0), MetricSpec.gu(), MetricSpec.bdeu(4)), "metric 'bdeu4'"),
+            ((5,), (MetricSpec.bdeu(1e-7), MetricSpec.bdeu(1.0000001e-7)), "metric 'bdeu1e-07'"),
+            ((5, 10, 5), (MetricSpec.k2(),), "size 5"),
+        ],
+    )
+    def test_repeated_metric_label_or_size_rejected(self, alarm, sizes, metrics, named):
+        # Results are keyed by (label, size): a repeat would write more AUC
+        # rows than mean curves.
+        with pytest.raises(DegenerateInput, match=named):
+            run_alarm_experiment(alarm.net, sizes=sizes, reps=2, metrics=metrics)
 
     def test_defaults(self):
         assert DEFAULT_SIZES == (5, 10, 20, 40, 80, 160)

@@ -1,0 +1,83 @@
+"""Snapshot the CLI's outputs so two trees can be compared byte for byte.
+
+Usage (from a checkout, with the bnscore to snapshot on PYTHONPATH):
+
+    PYTHONPATH=src python3 tools/snapshot_outputs.py OUT
+
+Each command runs as ``python -m bnscore.cli ...`` in its own directory
+OUT/NAME, which receives the command's ``stdout``, ``stderr`` and
+``exit_code`` next to any file the command writes. Relative PYTHONPATH
+entries are made absolute first, so the snapshot tests the tree the caller
+chose. Snapshot the parent and the change, then compare with
+``diff -r OUT_PARENT OUT_CHANGE``. Standard library only.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+CLI = ["-m", "bnscore.cli"]
+LARGE_N = ["--sizes", "10000,20000", "--reps", "20", "--metrics", "k2,gu", "--seed", "11"]
+SCORES = {
+    "k2": ["--metric", "k2"],
+    "bdeu1": ["--metric", "bdeu", "--alpha0", "1"],
+    "bdeu4": ["--metric", "bdeu", "--alpha0", "4"],
+    "gu": ["--metric", "gu"],
+}
+SERIALIZE_ALARM = (
+    "import sys; from bnscore.netio import load_alarm, serialize_network; "
+    "sys.stdout.write(serialize_network(load_alarm().net))"
+)
+
+
+def commands(alarm: str) -> list[tuple[str, list[str]]]:
+    """(directory name, arguments after ``python``), in the order they run."""
+    out = [
+        ("roc-default", [*CLI, "roc", "--out", "roc"]),
+        ("roc-largen", [*CLI, "roc", *LARGE_N, "--out", "roc"]),
+    ]
+    out += [(f"bench-{k:02d}", [*CLI, "bench", "--example", str(k)]) for k in range(1, 12)]
+    out.append(
+        ("sample", [*CLI, "sample", "--net", alarm, "--n", "5000", "--seed", "3", "--out", "cases.csv"])
+    )
+    out += [
+        (f"score-{name}", [*CLI, "score", *metric, "--net", alarm, "--data", "../sample/cases.csv"])
+        for name, metric in SCORES.items()
+    ]
+    out += [
+        ("dsep-query", [*CLI, "dsep", "--net", alarm, "--x", "HRBP", "--y", "HREKG", "--given", "HR"]),
+        ("dsep-count", [*CLI, "dsep", "--net", alarm, "--count-marginal"]),
+        ("serialize-alarm", ["-c", SERIALIZE_ALARM]),
+    ]
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    root = Path(argv[0]).resolve()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        str(Path(p).resolve()) for p in env.get("PYTHONPATH", "").split(os.pathsep) if p
+    )
+    alarm = subprocess.run(
+        [sys.executable, "-c", "from bnscore.netio import alarm_path; print(alarm_path())"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    for name, args in commands(alarm):
+        cwd = root / name
+        cwd.mkdir(parents=True, exist_ok=True)
+        proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True)
+        (cwd / "stdout").write_bytes(proc.stdout)
+        (cwd / "stderr").write_bytes(proc.stderr)
+        (cwd / "exit_code").write_text(f"{proc.returncode}\n")
+        print(f"{name}: exit {proc.returncode}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
