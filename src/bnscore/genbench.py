@@ -148,7 +148,7 @@ def forward_sample(net: BayesNet, n_cases: int, seed: int) -> Dataset:
         state = cases[:, i]
         for k in range(structure.variables[i].arity - 1):
             state += u > cdf[:, k][config]
-    return Dataset(structure.variables, cases)
+    return Dataset._adopt(structure.variables, cases)
 
 
 @dataclass(frozen=True)

@@ -251,7 +251,8 @@ def _as_case_array(variables: tuple[Variable, ...], cases) -> np.ndarray:
 class Dataset:
     """Complete discrete data: one row per case, one column per variable.
 
-    ``cases`` is copied column-major: sampling and counting read it by variable."""
+    ``cases`` is copied column-major: sampling and counting read it by variable.
+    Forward sampling builds its array in that layout and hands it over uncopied."""
 
     variables: tuple[Variable, ...]
     cases: np.ndarray
@@ -259,8 +260,20 @@ class Dataset:
     def __post_init__(self) -> None:
         variables = tuple(self.variables)
         object.__setattr__(self, "variables", variables)
-        arr = np.array(_as_case_array(variables, self.cases), order="F")
-        for col, v in enumerate(variables):
+        self._own(np.array(_as_case_array(variables, self.cases), order="F"))
+
+    @classmethod
+    def _adopt(cls, variables: tuple[Variable, ...], cases: np.ndarray) -> "Dataset":
+        """A Dataset over ``cases`` itself, not a copy: for a fresh int64
+        (cases, variables) Fortran-order array that its maker then drops."""
+        data = object.__new__(cls)
+        object.__setattr__(data, "variables", tuple(variables))
+        data._own(cases)
+        return data
+
+    def _own(self, arr: np.ndarray) -> None:
+        """Range-check every column, then keep arr read-only as the cases."""
+        for col, v in enumerate(self.variables):
             column = arr[:, col]
             if column.size and (column.min() < 0 or column.max() >= v.arity):
                 bad = column[(column < 0) | (column >= v.arity)][0]

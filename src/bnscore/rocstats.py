@@ -20,7 +20,6 @@ from statistics import fmean, stdev
 from typing import Sequence
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .genbench import _fmt, forward_sample
 from .model import BayesNet
@@ -192,6 +191,9 @@ def t_confidence_interval(values: Sequence[float]) -> tuple[float, float, float]
     s = stdev(vals)
     if s == 0.0:
         return m, m, m
+    # Imported here: only roc's aggregation needs scipy, not import bnscore.
+    from scipy.special import stdtrit
+
     half = float(stdtrit(len(vals) - 1, 0.975)) * s / math.sqrt(len(vals))
     return m, m - half, m + half
 

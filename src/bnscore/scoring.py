@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .model import (
     DagStructure,
@@ -124,6 +123,88 @@ def _safe_exp(log_value: float) -> float:
     return math.exp(log_value) if log_value <= _EXP_MAX else math.inf
 
 
+# lnG(x) for x >= 0 by the Cephes ``lgam`` algorithm (S. L. Moshier), the
+# one scipy.special.gammaln runs, step for step so every result is the same
+# float.  Below 13 a recurrence moves the argument into [2, 3), where
+# lnG(2 + t) = t B(t) / C(t); above, Stirling's series with the A polynomial
+# in 1/x^2 below 1000, its first three terms up to 1e8, and none beyond.
+_LGAM_A = (
+    8.11614167470508450300e-4, -5.95061904284301438324e-4,
+    7.93650340457716943945e-4, -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_LGAM_B = (
+    -1.37825152569120859100e3, -3.88016315134637840924e4,
+    -3.31612992738871184744e5, -1.16237097492762307383e6,
+    -1.72173700820839662146e6, -8.53555664245765465627e5,
+)
+_LGAM_C = (
+    1.0, -3.51815701436523470549e2, -1.70642106651881159223e4,
+    -2.20528590553854454839e5, -1.13933444367982507207e6,
+    -2.53252307177582951285e6, -2.01889141433532773231e6,
+)
+_LN_SQRT_2PI = 0.91893853320467274178
+# (x - 1/2) ln x overflows just above this.
+_LGAM_MAX = 2.556348e305
+# Arguments remembered by the memo before it starts afresh.
+_LGAM_MEMO_SIZE = 1 << 14
+
+
+def _polevl(x: float, coefs: tuple[float, ...]) -> float:
+    """Horner's rule, highest power first; its first step 0 x + c0 is exact."""
+    acc = 0.0
+    for c in coefs:
+        acc = acc * x + c
+    return acc
+
+
+def _lgam(x: float) -> float:
+    """lnG(x) for x >= 0, bit for bit scipy.special.gammaln; inf at 0, at
+    subnormal x whose reciprocal overflows, and above _LGAM_MAX."""
+    if x < 13.0:
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            if u == 0.0:
+                return math.inf
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x += p - 2.0
+        return math.log(z) + x * _polevl(x, _LGAM_B) / _polevl(x, _LGAM_C)
+    if x > _LGAM_MAX:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LN_SQRT_2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + (
+            (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+            + 0.0833333333333333333333
+        ) / x
+    return q + _polevl(p, _LGAM_A) / x
+
+
+class _LgamMemo(dict):
+    """lnG by argument: a replicate's pseudo-counts and counts repeat, so
+    most terms are looked up, not computed."""
+
+    def __missing__(self, x: float) -> float:
+        if len(self) >= _LGAM_MEMO_SIZE:
+            self.clear()
+        value = self[x] = _lgam(float(x))
+        return value
+
+
+_LGAM = _LgamMemo()
+
+
 def _dm_terms(rows: list[list[int]], a: float) -> list[float]:
     """The Dirichlet-multinomial kernel: the log-gamma terms of a (q, r)
     count table, given as q rows, with pseudo-count a in every cell.
@@ -135,7 +216,7 @@ def _dm_terms(rows: list[list[int]], a: float) -> list[float]:
     q, row_a = len(rows), len(rows[0]) * a
     row_args = [row_a + sum(row) for row in rows]
     cell_args = [a + n for row in rows for n in row]
-    lg = gammaln([a, row_a] + row_args + cell_args).tolist()
+    lg = list(map(_LGAM.__getitem__, [a, row_a] + row_args + cell_args))
     # lnG is infinite at subnormal pseudo-counts and overflows near 1e308;
     # lnG(a) and lnG(r a + N_j) hold its smallest and largest arguments.
     if not all(map(math.isfinite, lg[: 2 + q])):

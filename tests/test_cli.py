@@ -378,6 +378,61 @@ class TestRoc:
         assert args.metrics.split(",") == metrics
 
 
+# Runs the CLI with the given arguments (none: only imports bnscore), then
+# reports the scipy modules the command loaded.
+STARTUP_PROBE = """
+import sys
+import bnscore
+code = 0
+if sys.argv[1:]:
+    from bnscore.cli import main
+    code = main(sys.argv[1:])
+print("scipy modules:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+sys.exit(code)
+"""
+
+
+class TestStartUp:
+    """Only roc's aggregation needs scipy; every other command, and import
+    bnscore itself, runs without loading it."""
+
+    @staticmethod
+    def probe(argv):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        return subprocess.run(
+            [sys.executable, "-c", STARTUP_PROBE, *argv],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["bench", "--example", "3"],
+            ["dsep", "--net", "{alarm}", "--x", "HRBP", "--y", "HREKG", "--given", "HR"],
+            ["dsep", "--net", "{alarm}", "--count-marginal"],
+            ["sample", "--net", "{alarm}", "--n", "200", "--seed", "3", "--out", "{tmp}/s.csv"],
+            ["score", "--metric", "bdeu", "--alpha0", "4", "--net", "{net}", "--data", "{data}"],
+        ],
+        ids=["import", "bench", "dsep-given", "dsep-count", "sample", "score"],
+    )
+    def test_command_leaves_scipy_unloaded(self, tmp_path, pair_files, argv):
+        net, data = pair_files
+        fields = {"alarm": str(alarm_path()), "tmp": str(tmp_path), "net": net, "data": data}
+        proc = self.probe([a.format(**fields) for a in argv])
+        assert proc.returncode == 0, proc.stderr
+        assert "scipy modules: []" in proc.stdout
+
+    def test_small_roc_still_writes_its_csvs(self, tmp_path):
+        out_dir = tmp_path / "roc"
+        proc = self.probe([*TestRoc.ARGS, "--jobs", "1", "--out", str(out_dir)])
+        assert proc.returncode == 0, proc.stderr
+        for name in ("auc_summary.csv", "mean_roc.csv"):
+            assert len((out_dir / name).read_text().splitlines()) > 1, name
+
+
 class TestTopLevel:
     def test_no_subcommand(self, capsys):
         code, _, _ = run(capsys, [])

@@ -183,6 +183,16 @@ class TestDataset:
         with pytest.raises(ValueError):
             d.cases[0, 0] = 1
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_caller_array_is_copied(self, order):
+        """An int64 Fortran-order array needs no conversion, but is copied too."""
+        vs = (Variable("X", 2), Variable("Y", 3))
+        cases = np.array([[0, 2], [1, 1]], dtype=np.int64, order=order)
+        d = Dataset(vs, cases)
+        cases[0, 1] = 0
+        assert d.cases.tolist() == [[0, 2], [1, 1]]
+        assert cases.flags.writeable
+
     def test_project_reorders_columns(self):
         vs = (Variable("X", 2), Variable("Y", 3))
         d = Dataset(vs, [(0, 2), (1, 1)])

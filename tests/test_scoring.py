@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from fractions import Fraction
 from itertools import combinations, product
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from bnscore import (
     DagStructure,
@@ -26,7 +28,8 @@ from bnscore import (
     mc_marginal_saturated,
     structure_ratio,
 )
-from bnscore.scoring import arc_posterior_from_counts, pair_structures
+from bnscore.genbench import ALPHA0_GRID, DEFAULT_ALPHA0S
+from bnscore.scoring import _LGAM, _lgam, arc_posterior_from_counts, pair_structures
 
 from .helpers import make_pair_dataset
 from .oracles import (
@@ -107,6 +110,52 @@ class TestOneFamilyKernel:
             assert self.score(metric, counts) == pytest.approx(
                 log_of_fraction(ddm_exact(counts, [alpha] * r)), rel=1e-10, abs=1e-12
             ), metric.label
+
+
+def assert_same_bits_as_gammaln(xs):
+    xs = [float(x) for x in xs]
+    want = [x.hex() for x in gammaln(np.array(xs)).tolist()]
+    assert [_lgam(x).hex() for x in xs] == want
+    assert [_LGAM[x].hex() for x in xs] == want
+
+
+class TestLogGammaPort:
+    """The kernel's stdlib lnG gives scipy.special.gammaln's float, bit for
+    bit, so no score moves when scipy is not imported."""
+
+    def test_integers(self):
+        assert_same_bits_as_gammaln(range(1, 200_001))
+
+    @given(st.lists(st.floats(min_value=5e-324, max_value=1e308), min_size=1, max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_positive_floats(self, xs):
+        assert_same_bits_as_gammaln(xs)
+
+    def test_log_uniform_floats(self):
+        rng = np.random.default_rng(2)
+        assert_same_bits_as_gammaln(np.exp(rng.uniform(math.log(5e-324), math.log(1e308), 50_000)))
+        assert_same_bits_as_gammaln(rng.uniform(0.0, 13.0, 50_000))
+
+    def test_bdeu_arguments(self):
+        """Cell and row arguments alpha0/(q r) + n and alpha0/q + n of every
+        alpha0 the CLI and the benchmarks use, over ALARM-sized tables."""
+        alpha0s = {*DEFAULT_ALPHA0S, *ALPHA0_GRID}
+        qs = (1, 2, 3, 4, 6, 8, 9, 12, 16, 18, 27, 36, 64)
+        divisors = {q * r for q in qs for r in (1, 2, 3, 4)}
+        bases = {a0 / d for a0 in alpha0s for d in divisors}
+        assert_same_bits_as_gammaln([b + n for b in bases for n in range(200)])
+
+    def test_domain_edges(self):
+        maxlgm = 2.556348e305
+        edges = [
+            0.0, 5e-324, 2.5e-321, sys.float_info.min, 1e-300,
+            math.nextafter(maxlgm, 0.0), maxlgm, math.nextafter(maxlgm, math.inf),
+            1e308, sys.float_info.max, math.inf,
+        ]
+        # The branch points of the algorithm and their neighbours.
+        for x in (1.0, 2.0, 3.0, 13.0, 1000.0, 1e8):
+            edges += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+        assert_same_bits_as_gammaln(edges)
 
 
 class TestScoresAgainstExactOracle:

@@ -26,6 +26,11 @@ SCORES = {
     "bdeu1": ["--metric", "bdeu", "--alpha0", "1"],
     "bdeu4": ["--metric", "bdeu", "--alpha0", "4"],
     "gu": ["--metric", "gu"],
+    # The kernel's domain edge: lnG leaves float range at 1e-320 and 1e308.
+    **{
+        f"bdeu{a}": ["--metric", "bdeu", "--alpha0", a]
+        for a in ("1e-320", "1e-300", "1e300", "1e308")
+    },
 }
 SERIALIZE_ALARM = (
     "import sys; from bnscore.netio import load_alarm, serialize_network; "
