@@ -47,11 +47,8 @@ from .scoring import (
     NotCliqueDecomposable,
     RatioResult,
     arc_posterior,
-    bdeu_log_score,
     bdeu_ratio_constant_pair,
-    gu_log_score,
     gu_ratio_constant_pair,
-    k2_log_score,
     log_score,
     mc_marginal_saturated,
     pair_structures,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -294,20 +293,6 @@ class Dataset:
             self.cases, other.cases
         )
 
-    def project(self, columns: Sequence[int]) -> "Dataset":
-        """Dataset restricted to the given variable indices, in the given order."""
-        cols = [self._check_column(c) for c in columns]
-        return Dataset(
-            tuple(self.variables[c] for c in cols), self.cases[:, cols]
-        )
-
-    def _check_column(self, c: int) -> int:
-        if not 0 <= c < len(self.variables):
-            raise IndexOutOfRange(
-                f"variable index {c} out of range 0..{len(self.variables) - 1}"
-            )
-        return c
-
 
 def _mixed_radix(cases: np.ndarray, cols: Sequence[int], arities: Sequence[int]) -> np.ndarray:
     """Fold the listed state columns into flat indices, first most significant.
@@ -320,23 +305,18 @@ def _mixed_radix(cases: np.ndarray, cols: Sequence[int], arities: Sequence[int])
 
 
 def count_sufficient_stats(structure: DagStructure, data: Dataset) -> tuple[np.ndarray, ...]:
-    """Count N_ijk for every (variable, parent config, state) in one pass:
-    one read-only (parent configs, arity) table per variable."""
+    """Count N_ijk for every (variable, parent config, state): each family's
+    joint cell counts as one read-only (parent configs, arity) table."""
     if data.variables != structure.variables:
         raise SchemaMismatch(
             "dataset schema does not match structure variables: "
             f"{[v.name for v in data.variables]} vs "
             f"{[v.name for v in structure.variables]}"
         )
-    tables = []
-    for i, v in enumerate(structure.variables):
-        family = (*structure.parents[i], i)
-        flat = _mixed_radix(data.cases, family, [structure.variables[c].arity for c in family])
-        q = structure.parent_config_count(i)
-        table = np.bincount(flat, minlength=q * v.arity).reshape(q, v.arity)
-        table.setflags(write=False)
-        tables.append(table)
-    return tuple(tables)
+    return tuple(
+        joint_cell_counts((*structure.parents[i], i), data).reshape(-1, v.arity)
+        for i, v in enumerate(structure.variables)
+    )
 
 
 def joint_cell_counts(component: Sequence[int], data: Dataset) -> np.ndarray:
@@ -365,9 +345,9 @@ def joint_cell_counts(component: Sequence[int], data: Dataset) -> np.ndarray:
 def d_separated(structure: DagStructure, x: int, y: int, given: Iterable[int] = ()) -> bool:
     """True when every path between x and y is blocked by the given set.
 
-    Uses the standard reachability procedure: descend through chains and
-    forks not in the conditioning set, and pass through colliders whose
-    descendants (including themselves) intersect it.
+    Decided in the moral graph of the ancestors of x, y and the given set,
+    where they are d-separated exactly when the given set cuts every path
+    between them (Lauritzen, Dawid, Larsen & Leimer 1990).
     """
     x = structure._check_index(x)
     y = structure._check_index(y)
@@ -377,38 +357,32 @@ def d_separated(structure: DagStructure, x: int, y: int, given: Iterable[int] = 
     if x in z or y in z:
         raise ModelError("x and y must not appear in the conditioning set")
 
-    # Ancestors of the conditioning set, including the set itself.
-    anc = set(z)
-    frontier = list(z)
+    anc = {x, y, *z}
+    frontier = list(anc)
     while frontier:
-        v = frontier.pop()
-        for p in structure.parents[v]:
+        for p in structure.parents[frontier.pop()]:
             if p not in anc:
                 anc.add(p)
                 frontier.append(p)
 
-    up, down = 0, 1  # arrived from a child / from a parent
-    queue: deque[tuple[int, int]] = deque([(x, up)])
-    visited: set[tuple[int, int]] = set()
-    while queue:
-        v, direction = queue.popleft()
-        if (v, direction) in visited:
-            continue
-        visited.add((v, direction))
-        if v not in z and v == y:
-            return False
-        if direction == up and v not in z:
-            for p in structure.parents[v]:
-                queue.append((p, up))
-            for c in structure.children(v):
-                queue.append((c, down))
-        elif direction == down:
-            if v not in z:
-                for c in structure.children(v):
-                    queue.append((c, down))
-            if v in anc:
-                for p in structure.parents[v]:
-                    queue.append((p, up))
+    # Moralise: link each variable to its parents, and its parents to each other.
+    nbrs: dict[int, set[int]] = {v: set() for v in anc}
+    for v in anc:
+        ps = structure.parents[v]
+        nbrs[v].update(ps)
+        for p in ps:
+            nbrs[p].update(ps)
+            nbrs[p].add(v)
+
+    seen = {x}
+    frontier = [x]
+    while frontier:
+        for w in nbrs[frontier.pop()]:
+            if w == y:
+                return False
+            if w not in seen and w not in z:
+                seen.add(w)
+                frontier.append(w)
     return True
 
 

@@ -338,10 +338,6 @@ def serialize_network(net: BayesNet) -> str:
     return "\n".join(out) + "\n"
 
 
-def _looks_like_index(value: str) -> bool:
-    return value.isdigit()
-
-
 def parse_dataset(text: str, schema: tuple[Variable, ...]) -> Dataset:
     """Read a dataset CSV against a known schema.
 
@@ -364,7 +360,7 @@ def parse_dataset(text: str, schema: tuple[Variable, ...]) -> Dataset:
     by_name = {v.name: v for v in schema}
     columns = [by_name[h] for h in header]
     numeric_ok = {
-        v.name: not any(_looks_like_index(lab) for lab in v.state_labels)
+        v.name: not any(lab.isdigit() for lab in v.state_labels)
         for v in schema
     }
 
@@ -383,7 +379,7 @@ def parse_dataset(text: str, schema: tuple[Variable, ...]) -> Dataset:
                 raise MissingValue(rownum, v.name)
             if cell in v.state_labels:
                 row.append(v.state_labels.index(cell))
-            elif numeric_ok[v.name] and _looks_like_index(cell):
+            elif numeric_ok[v.name] and cell.isdigit():
                 state = int(cell)
                 if not 0 <= state < v.arity:
                     raise UnknownStateLabel(rownum, v.name, cell)
@@ -392,11 +388,8 @@ def parse_dataset(text: str, schema: tuple[Variable, ...]) -> Dataset:
                 raise UnknownStateLabel(rownum, v.name, cell)
         rows.append(row)
 
-    arr = np.array(rows, dtype=np.int64).reshape(len(rows), len(schema)) if rows else []
-    data = Dataset(tuple(columns), arr)
-    if header == names:
-        return data
-    return data.project([header.index(n) for n in names])
+    arr = np.array(rows, dtype=np.int64).reshape(len(rows), len(header))
+    return Dataset(schema, arr[:, [header.index(n) for n in names]])
 
 
 def write_dataset(data: Dataset) -> str:
@@ -417,5 +410,4 @@ def alarm_path() -> Path:
 
 def load_alarm() -> NetworkDocument:
     """Parse the bundled ALARM monitoring network (37 variables, 46 arcs)."""
-    text = resources.files("bnscore").joinpath("data/alarm.bn").read_text()
-    return parse_network(text)
+    return parse_network(alarm_path().read_text())

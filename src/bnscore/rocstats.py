@@ -14,7 +14,6 @@ import csv
 import io
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from statistics import fmean, stdev
 from typing import Sequence
@@ -335,6 +334,9 @@ def run_alarm_experiment(
     tasks = [(net, n, seed + rep, pairs, metrics) for n in sizes for rep in range(reps)]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # Imported here: only a parallel roc needs the pool, not import bnscore.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replicate_curves, *zip(*tasks), chunksize=4))
     else:

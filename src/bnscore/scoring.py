@@ -41,9 +41,6 @@ __all__ = [
     "NotCliqueDecomposable",
     "MetricSpec",
     "RatioResult",
-    "k2_log_score",
-    "bdeu_log_score",
-    "gu_log_score",
     "log_score",
     "structure_ratio",
     "pair_structures",
@@ -267,21 +264,6 @@ def _fsum_ratio(dep_terms: list[float], indep_terms: list[float]) -> float:
 def log_score(metric: MetricSpec, structure: DagStructure, data: Dataset) -> float:
     """Log marginal likelihood of the data given the structure under the metric."""
     return math.fsum(_metric_terms(metric, _score_tables(metric, structure, data)))
-
-
-def k2_log_score(structure: DagStructure, data: Dataset) -> float:
-    """Log K2 score: uniform Dirichlet(1, ..., 1) prior in every family."""
-    return log_score(MetricSpec.k2(), structure, data)
-
-
-def bdeu_log_score(structure: DagStructure, data: Dataset, alpha0: float) -> float:
-    """Log BDeu score with equivalent sample size alpha0 > 0."""
-    return log_score(MetricSpec.bdeu(alpha0), structure, data)
-
-
-def gu_log_score(structure: DagStructure, data: Dataset) -> float:
-    """Log GU score; raises NotCliqueDecomposable off clique unions."""
-    return log_score(MetricSpec.gu(), structure, data)
 
 
 def structure_ratio(

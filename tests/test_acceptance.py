@@ -28,11 +28,8 @@ from bnscore import (
     MetricSpec,
     Variable,
     alpha0_sweep,
-    bdeu_log_score,
     bdeu_ratio_constant_pair,
-    gu_log_score,
     independent_joint,
-    k2_log_score,
     log_score,
     marginally_d_separated_pairs,
     mc_marginal_saturated,
@@ -156,6 +153,7 @@ def _random_tables(count=100, seed=2024):
 def test_criterion_04_likelihood_equivalence():
     """Arc direction never changes the BDeu or GU score."""
     reversed_dep = DagStructure(XY, ((1,), ()))
+    gu = MetricSpec.gu()
     worst = 0.0
     for table in _random_tables():
         data = make_pair_dataset(table)
@@ -163,11 +161,11 @@ def test_criterion_04_likelihood_equivalence():
             worst = max(
                 worst,
                 abs(
-                    bdeu_log_score(DEP, data, a0)
-                    - bdeu_log_score(reversed_dep, data, a0)
+                    log_score(MetricSpec.bdeu(a0), DEP, data)
+                    - log_score(MetricSpec.bdeu(a0), reversed_dep, data)
                 ),
             )
-        worst = max(worst, abs(gu_log_score(DEP, data) - gu_log_score(reversed_dep, data)))
+        worst = max(worst, abs(log_score(gu, DEP, data) - log_score(gu, reversed_dep, data)))
     ok = worst <= 1e-10
     _report(4, ok, f"100 random tables, worst |forward - reversed| = {worst:.3g} (tol 1e-10)")
     assert ok
@@ -178,10 +176,9 @@ def test_criterion_05_gu_equals_bdeu_at_matched_alpha0():
     worst = 0.0
     for table in _random_tables():
         data = make_pair_dataset(table)
-        worst = max(worst, abs(gu_log_score(DEP, data) - bdeu_log_score(DEP, data, 4.0)))
-        worst = max(
-            worst, abs(gu_log_score(INDEP, data) - bdeu_log_score(INDEP, data, 2.0))
-        )
+        for s, a0 in ((DEP, 4.0), (INDEP, 2.0)):
+            gu = log_score(MetricSpec.gu(), s, data)
+            worst = max(worst, abs(gu - log_score(MetricSpec.bdeu(a0), s, data)))
     ok = worst <= 1e-10
     _report(5, ok, f"100 random tables, worst |GU - matched BDeu| = {worst:.3g} (tol 1e-10)")
     assert ok

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bnscore import k2_log_score, parse_dataset, parse_network, rocstats
+from bnscore import MetricSpec, log_score, parse_dataset, parse_network, rocstats
 from bnscore.cli import _build_parser, main
 from bnscore.netio import alarm_path
 
@@ -85,7 +85,8 @@ class TestScore:
         code, out, err = run(capsys, ["score", "--metric", "k2", "--net", net, "--data", data])
         assert code == 0
         structure = parse_network(PAIR_NET).structure
-        expected = k2_log_score(structure, parse_dataset(PAIR_DATA, structure.variables))
+        data = parse_dataset(PAIR_DATA, structure.variables)
+        expected = log_score(MetricSpec.k2(), structure, data)
         assert out == f"log10_score={expected / math.log(10.0):.12g}\n"
 
     def test_structure_file_without_cpts(self, capsys, tmp_path, pair_files):
@@ -379,7 +380,7 @@ class TestRoc:
 
 
 # Runs the CLI with the given arguments (none: only imports bnscore), then
-# reports the scipy modules the command loaded.
+# reports the scipy and process-pool modules the command loaded.
 STARTUP_PROBE = """
 import sys
 import bnscore
@@ -388,13 +389,15 @@ if sys.argv[1:]:
     from bnscore.cli import main
     code = main(sys.argv[1:])
 print("scipy modules:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+pool = ("concurrent", "multiprocessing")
+print("pool modules:", sorted(m for m in sys.modules if m.split(".")[0] in pool))
 sys.exit(code)
 """
 
 
 class TestStartUp:
-    """Only roc's aggregation needs scipy; every other command, and import
-    bnscore itself, runs without loading it."""
+    """Only roc's aggregation needs scipy, and only a parallel roc the process
+    pool; every other command, and import bnscore itself, loads neither."""
 
     @staticmethod
     def probe(argv):
@@ -424,6 +427,7 @@ class TestStartUp:
         proc = self.probe([a.format(**fields) for a in argv])
         assert proc.returncode == 0, proc.stderr
         assert "scipy modules: []" in proc.stdout
+        assert "pool modules: []" in proc.stdout
 
     def test_small_roc_still_writes_its_csvs(self, tmp_path):
         out_dir = tmp_path / "roc"

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -301,7 +302,7 @@ class TestAlarmExperiment:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(rocstats, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(rocstats.os, "cpu_count", lambda: cpus)
         metrics = (MetricSpec.k2(),)
         small = dict(self.SMALL, reps=2)  # 2 sizes x 2 reps: 4 tasks

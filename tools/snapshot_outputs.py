@@ -6,7 +6,9 @@ Usage (from a checkout, with the bnscore to snapshot on PYTHONPATH):
 
 Each command runs as ``python -m bnscore.cli ...`` in its own directory
 OUT/NAME, which receives the command's ``stdout``, ``stderr`` and
-``exit_code`` next to any file the command writes. Relative PYTHONPATH
+``exit_code`` next to any file the command writes; OUT/one-arc.bn is the
+ALARM variables with the single arc HYPOVOLEMIA -> LVEDVOLUME, the structure
+the ``score --structure`` rows read. Relative PYTHONPATH
 entries are made absolute first, so the snapshot tests the tree the caller
 chose. Snapshot the parent and the change, then compare with
 ``diff -r OUT_PARENT OUT_CHANGE``. Standard library only.
@@ -32,13 +34,26 @@ SCORES = {
         for a in ("1e-320", "1e-300", "1e300", "1e308")
     },
 }
+# HYPOVOLEMIA and LVFAILURE are ALARM roots with the common child LVEDVOLUME,
+# whose child is CVP: separated alone, connected given either.
+DSEP_GIVEN = {
+    "": [],
+    "-given-lvedvolume": ["--given", "LVEDVOLUME"],
+    "-given-cvp": ["--given", "CVP"],
+}
 SERIALIZE_ALARM = (
     "import sys; from bnscore.netio import load_alarm, serialize_network; "
     "sys.stdout.write(serialize_network(load_alarm().net))"
 )
 
 
-def commands(alarm: str) -> list[tuple[str, list[str]]]:
+def one_arc_structure(alarm: str) -> str:
+    """The var lines of the network file at ``alarm`` plus one arc."""
+    lines = [line for line in Path(alarm).read_text().splitlines() if line.startswith("var ")]
+    return "\n".join([*lines, "arc HYPOVOLEMIA LVEDVOLUME"]) + "\n"
+
+
+def commands(alarm: str, structure: str) -> list[tuple[str, list[str]]]:
     """(directory name, arguments after ``python``), in the order they run."""
     out = [
         ("roc-default", [*CLI, "roc", "--out", "roc"]),
@@ -53,10 +68,20 @@ def commands(alarm: str) -> list[tuple[str, list[str]]]:
         for name, metric in SCORES.items()
     ]
     out += [
+        (f"score-structure-{name}",
+         [*CLI, "score", *SCORES[name], "--structure", structure, "--data", "../sample/cases.csv"])
+        for name in ("k2", "bdeu4", "gu")
+    ]
+    out += [
         ("dsep-query", [*CLI, "dsep", "--net", alarm, "--x", "HRBP", "--y", "HREKG", "--given", "HR"]),
         ("dsep-count", [*CLI, "dsep", "--net", alarm, "--count-marginal"]),
-        ("serialize-alarm", ["-c", SERIALIZE_ALARM]),
     ]
+    out += [
+        (f"dsep-hypovolemia-lvfailure{suffix}",
+         [*CLI, "dsep", "--net", alarm, "--x", "HYPOVOLEMIA", "--y", "LVFAILURE", *given])
+        for suffix, given in DSEP_GIVEN.items()
+    ]
+    out.append(("serialize-alarm", ["-c", SERIALIZE_ALARM]))
     return out
 
 
@@ -73,7 +98,10 @@ def main(argv: list[str]) -> int:
         [sys.executable, "-c", "from bnscore.netio import alarm_path; print(alarm_path())"],
         env=env, capture_output=True, text=True, check=True,
     ).stdout.strip()
-    for name, args in commands(alarm):
+    root.mkdir(parents=True, exist_ok=True)
+    structure = root / "one-arc.bn"
+    structure.write_text(one_arc_structure(alarm))
+    for name, args in commands(alarm, str(structure)):
         cwd = root / name
         cwd.mkdir(parents=True, exist_ok=True)
         proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True)
