@@ -47,10 +47,7 @@ from .scoring import (
     NotCliqueDecomposable,
     RatioResult,
     arc_posterior,
-    bdeu_ratio_constant_pair,
-    gu_ratio_constant_pair,
     log_score,
-    mc_marginal_saturated,
     pair_structures,
     structure_ratio,
 )

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: score, bench, sample, roc, dsep.  Exit codes: 0 on success,
-2 when an input file fails to parse, 3 on validation or usage errors.
+2 when the command cannot read, parse or write a file, 3 on validation or
+usage errors.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def _size_list(text: str) -> list[int]:
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
 
@@ -251,6 +252,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(parser, args)
     except _PARSE_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # Reads are reported by _read_text; what is left is a file or
+        # directory the command could not write.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _VALIDATION_ERRORS as exc:

@@ -116,10 +116,9 @@ class MissingValue(DatasetFormatError):
 
 @dataclass(frozen=True)
 class NetworkDocument:
-    """A parsed network plus the source line of each var declaration."""
+    """A parsed network."""
 
     net: BayesNet
-    var_lines: dict[str, int]
 
     @property
     def structure(self) -> DagStructure:
@@ -308,7 +307,7 @@ def parse_network(text: str) -> NetworkDocument:
         cpts.append(np.array([rows[(i, c)] for c in range(q)]))
 
     net = BayesNet(structure, tuple(cpts))
-    return NetworkDocument(net, var_lines)
+    return NetworkDocument(net)
 
 
 def _format_prob(p: float) -> str:
@@ -342,9 +341,9 @@ def parse_dataset(text: str, schema: tuple[Variable, ...]) -> Dataset:
     """Read a dataset CSV against a known schema.
 
     The header must name exactly the schema's variables (any order; columns
-    are reordered to match).  Cells hold state labels; a purely numeric cell
-    is read as a 0-based state index only when none of that variable's
-    labels is itself purely numeric.
+    are reordered to match).  Cells hold state labels; a cell of decimal
+    digits (str.isdecimal, the digits int() reads) is read as a 0-based
+    state index only when none of that variable's labels is itself one.
     """
     schema = tuple(schema)
     reader = csv.reader(io.StringIO(text))
@@ -360,7 +359,7 @@ def parse_dataset(text: str, schema: tuple[Variable, ...]) -> Dataset:
     by_name = {v.name: v for v in schema}
     columns = [by_name[h] for h in header]
     numeric_ok = {
-        v.name: not any(lab.isdigit() for lab in v.state_labels)
+        v.name: not any(lab.isdecimal() for lab in v.state_labels)
         for v in schema
     }
 
@@ -379,7 +378,7 @@ def parse_dataset(text: str, schema: tuple[Variable, ...]) -> Dataset:
                 raise MissingValue(rownum, v.name)
             if cell in v.state_labels:
                 row.append(v.state_labels.index(cell))
-            elif numeric_ok[v.name] and cell.isdigit():
+            elif numeric_ok[v.name] and cell.isdecimal():
                 state = int(cell)
                 if not 0 <= state < v.arity:
                     raise UnknownStateLabel(rownum, v.name, cell)

@@ -46,16 +46,11 @@ __all__ = [
     "pair_structures",
     "arc_posterior",
     "arc_posterior_from_counts",
-    "mc_marginal_saturated",
-    "bdeu_ratio_constant_pair",
-    "gu_ratio_constant_pair",
 ]
 
 _LN10 = math.log(10.0)
 # math.exp overflows just above this; larger log ratios map to inf.
 _EXP_MAX = 709.0
-# Monte Carlo draws per batch, bounding the (batch, k) draw array.
-_MC_BATCH = 1 << 18
 
 
 class DomainError(ValueError):
@@ -329,76 +324,3 @@ def arc_posterior(metric: MetricSpec, x: int, y: int, data: Dataset) -> float:
     """Posterior probability of x -> y versus no arc, on the projected pair;
     raises SchemaMismatch unless x and y are distinct variables of data."""
     return arc_posterior_from_counts(metric, _pair_count_table(data, x, y))
-
-
-def mc_marginal_saturated(counts, samples: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo estimate of the saturated marginal likelihood term.
-
-    Draws parameter vectors uniformly from the simplex (unit-rate
-    exponential draws, normalised) and averages prod_k theta_k ** N_k.
-    Returns (estimate, standard error).
-    """
-    n = np.asarray(counts)
-    if n.ndim != 1 or n.size < 2:
-        raise DomainError("counts must be a vector of length >= 2")
-    if np.any(n < 0) or not np.issubdtype(n.dtype, np.integer):
-        raise DomainError("counts must be non-negative integers")
-    if samples < 1000:
-        raise DomainError(f"need at least 1000 samples, got {samples}")
-
-    k = n.size
-    active = np.where(n > 0)[0]
-    n_active = n[active].astype(float)
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    total_sq = 0.0
-    remaining = samples
-    while remaining:
-        m = min(remaining, _MC_BATCH)
-        draws = rng.exponential(1.0, size=(m, k))
-        theta = draws / draws.sum(axis=1, keepdims=True)
-        if active.size:
-            w = np.exp(np.log(theta[:, active]) @ n_active)
-        else:
-            w = np.ones(m)
-        total += float(w.sum())
-        total_sq += float((w * w).sum())
-        remaining -= m
-    mean = total / samples
-    var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
-    return mean, math.sqrt(var / samples)
-
-
-def bdeu_ratio_constant_pair(n_cases: int, alpha0: float) -> RatioResult:
-    """BDeu dependent/independent ratio for two binary variables observed
-    constant in all n_cases cases, in closed form.
-
-    The ratio is G(a/2)^2 G(a/4 + N) G(a + N) / [G(a/4) G(a) G(a/2 + N)^2]
-    with a = alpha0 and N = n_cases; it equals 1 at N = 1 and grows with N.
-    """
-    if n_cases < 1:
-        raise DomainError(f"n_cases must be positive, got {n_cases}")
-    if not 0 < alpha0 < math.inf:
-        raise DomainError(f"alpha0 must be positive and finite, got {alpha0}")
-    a = float(alpha0)
-    log_ratio = math.fsum((
-        2.0 * math.lgamma(a / 2.0),
-        math.lgamma(a / 4.0 + n_cases),
-        math.lgamma(a + n_cases),
-        -math.lgamma(a / 4.0),
-        -math.lgamma(a),
-        -2.0 * math.lgamma(a / 2.0 + n_cases),
-    ))
-    return RatioResult(_safe_exp(log_ratio), log_ratio)
-
-
-def gu_ratio_constant_pair(n_cases: int) -> RatioResult:
-    """GU dependent/independent ratio for two constant binary variables:
-    6 (N + 1) / ((N + 2) (N + 3)), which is below 1 for N > 1 and falls
-    like 6/N.
-    """
-    if n_cases < 1:
-        raise DomainError(f"n_cases must be positive, got {n_cases}")
-    n = n_cases
-    ratio = 6.0 * (n + 1) / ((n + 2) * (n + 3))
-    return RatioResult(ratio, math.log(ratio))

@@ -28,11 +28,9 @@ from bnscore import (
     MetricSpec,
     Variable,
     alpha0_sweep,
-    bdeu_ratio_constant_pair,
     independent_joint,
     log_score,
     marginally_d_separated_pairs,
-    mc_marginal_saturated,
     noise_free_dataset,
     pair_structures,
     run_alarm_experiment,
@@ -44,10 +42,12 @@ from bnscore.cli import main
 from .helpers import make_pair_dataset
 from .oracles import (
     bdeu_exact,
+    bdeu_ratio_constant_pair,
     d_separated_brute,
     ddm_exact,
     gu_exact,
     k2_exact,
+    mc_marginal_saturated,
     pair_cases,
 )
 

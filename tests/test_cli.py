@@ -445,3 +445,50 @@ class TestTopLevel:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, ["frobnicate"])
         assert code == 3
+
+
+class TestFileErrors:
+    """A file the command cannot read, parse or write ends in exit 2 and one
+    error line that names it, never a traceback."""
+
+    MISSING_DIR = "{tmp}/missing/x.csv"
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["score", "--metric", "k2", "--net", "{net}", "--data", "{binary}"], "{binary}"),
+            (["dsep", "--net", "{binary}", "--count-marginal"], "{binary}"),
+            (["sample", "--net", "{alarm}", "--n", "3", "--out", MISSING_DIR], MISSING_DIR),
+            (["bench", "--example", "2", "--out", MISSING_DIR], MISSING_DIR),
+            (
+                ["roc", "--sizes", "5", "--reps", "2", "--metrics", "k2", "--jobs", "1",
+                 "--out", "{taken}"],
+                "{taken}",
+            ),
+            (["score", "--metric", "k2", "--net", "{net}", "--data", "{sup2}"], "'²'"),
+            (["score", "--metric", "k2", "--net", "{net}", "--data", "{sup3}"], "'³'"),
+        ],
+        ids=[
+            "score-undecodable-data", "dsep-undecodable-net", "sample-out-missing-dir",
+            "bench-out-missing-dir", "roc-out-is-a-file", "score-superscript-2",
+            "score-superscript-3",
+        ],
+    )
+    def test_exits_2_with_one_error_line(self, capsys, tmp_path, pair_files, argv, named):
+        net, _ = pair_files
+        fields = {"alarm": str(alarm_path()), "tmp": str(tmp_path), "net": net}
+        for name, content in (
+            ("binary", b"X,Y\n\xff,y1\n"),
+            ("taken", b""),
+            # str.isdigit accepts superscripts, which int() rejects
+            ("sup2", "X,Y\nx1,y1\n²,y2\n".encode()),
+            ("sup3", "X,Y\n³,y1\n".encode()),
+        ):
+            fields[name] = str(tmp_path / name)
+            (tmp_path / name).write_bytes(content)
+        code, out, err = run(capsys, [a.format(**fields) for a in argv])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named.format(**fields) in err
+        assert "Traceback" not in err

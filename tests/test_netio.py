@@ -43,7 +43,6 @@ class TestParseNetwork:
         assert s.parents == ((), (0,))
         np.testing.assert_allclose(doc.net.cpts[0], [[0.9, 0.1]])
         np.testing.assert_allclose(doc.net.cpts[1], [[0.5, 0.5], [0.2, 0.8]])
-        assert doc.var_lines == {"X": 2, "Y": 3}
 
     def test_condition_order_is_free(self):
         text = (
@@ -87,6 +86,7 @@ class TestParseNetwork:
         with pytest.raises(MissingCptRow) as exc:
             parse_network(text)
         assert "Y" in str(exc.value)
+        assert exc.value.line == 3  # Y's var line
 
     def test_duplicate_cpt_row(self):
         text = TOY + "cpt Y | X=x2 : 0.3 0.7\n"
@@ -220,6 +220,10 @@ class TestDatasetCsv:
         assert data.cases.tolist() == [[2], [0]]
         with pytest.raises(UnknownStateLabel):
             parse_dataset("X\n3\n", vs)
+        # str.isdigit accepts superscripts, which int() rejects
+        for cell in ("²", "³"):
+            with pytest.raises(UnknownStateLabel):
+                parse_dataset(f"X\n{cell}\n", vs)
 
     def test_numeric_labels_disable_index_reading(self):
         # default labels are "1".."arity", so "0" matches nothing

@@ -19,10 +19,7 @@ from bnscore import (
     SchemaMismatch,
     Variable,
     arc_posterior,
-    bdeu_ratio_constant_pair,
-    gu_ratio_constant_pair,
     log_score,
-    mc_marginal_saturated,
     structure_ratio,
 )
 from bnscore.genbench import ALPHA0_GRID, DEFAULT_ALPHA0S
@@ -31,9 +28,12 @@ from bnscore.scoring import _LGAM, _lgam, arc_posterior_from_counts, pair_struct
 from .helpers import make_pair_dataset
 from .oracles import (
     bdeu_exact,
+    bdeu_ratio_constant_pair,
     ddm_exact,
     gu_exact,
+    gu_ratio_constant_pair,
     k2_exact,
+    mc_marginal_saturated,
     pair_cases,
     rising,
 )

@@ -8,14 +8,19 @@ Each command runs as ``python -m bnscore.cli ...`` in its own directory
 OUT/NAME, which receives the command's ``stdout``, ``stderr`` and
 ``exit_code`` next to any file the command writes; OUT/one-arc.bn is the
 ALARM variables with the single arc HYPOVOLEMIA -> LVEDVOLUME, the structure
-the ``score --structure`` rows read. Relative PYTHONPATH
-entries are made absolute first, so the snapshot tests the tree the caller
-chose. Snapshot the parent and the change, then compare with
-``diff -r OUT_PARENT OUT_CHANGE``. Standard library only.
+the ``score --structure`` rows read. OUT/outputs.sha256 lists the SHA-256
+of every file under the row directories, one ``DIGEST  NAME/FILE`` line per
+file sorted by path (``sha256sum -c`` reads it from OUT); a fresh OUT keeps
+stale files out of it. Relative PYTHONPATH entries are made absolute first,
+so the snapshot tests the tree the caller chose. ``tests/test_golden.py``
+checks this tree against the committed ``tests/golden/outputs.sha256``; to
+compare two trees, snapshot each and run ``diff -r OUT_PARENT OUT_CHANGE``.
+Standard library only.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -85,6 +90,39 @@ def commands(alarm: str, structure: str) -> list[tuple[str, list[str]]]:
     return out
 
 
+def prepare(root: Path, env: dict[str, str]) -> list[tuple[str, list[str]]]:
+    """Write root/one-arc.bn and return the rows, for the bnscore that env
+    puts on the path."""
+    alarm = subprocess.run(
+        [sys.executable, "-c", "from bnscore.netio import alarm_path; print(alarm_path())"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    root.mkdir(parents=True, exist_ok=True)
+    structure = root / "one-arc.bn"
+    structure.write_text(one_arc_structure(alarm))
+    return commands(alarm, str(structure))
+
+
+def run_rows(root: Path, rows: list[tuple[str, list[str]]], env: dict[str, str]) -> list[str]:
+    """Run each row in root/NAME; return the sorted manifest lines of every
+    file under those directories."""
+    lines = []
+    for name, args in rows:
+        cwd = root / name
+        cwd.mkdir(parents=True, exist_ok=True)
+        proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True)
+        (cwd / "stdout").write_bytes(proc.stdout)
+        (cwd / "stderr").write_bytes(proc.stderr)
+        (cwd / "exit_code").write_text(f"{proc.returncode}\n")
+        print(f"{name}: exit {proc.returncode}")
+        lines += [
+            f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(root).as_posix()}"
+            for path in cwd.rglob("*")
+            if path.is_file()
+        ]
+    return sorted(lines, key=lambda line: line.split("  ", 1)[1])
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -94,21 +132,8 @@ def main(argv: list[str]) -> int:
     env["PYTHONPATH"] = os.pathsep.join(
         str(Path(p).resolve()) for p in env.get("PYTHONPATH", "").split(os.pathsep) if p
     )
-    alarm = subprocess.run(
-        [sys.executable, "-c", "from bnscore.netio import alarm_path; print(alarm_path())"],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout.strip()
-    root.mkdir(parents=True, exist_ok=True)
-    structure = root / "one-arc.bn"
-    structure.write_text(one_arc_structure(alarm))
-    for name, args in commands(alarm, str(structure)):
-        cwd = root / name
-        cwd.mkdir(parents=True, exist_ok=True)
-        proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True)
-        (cwd / "stdout").write_bytes(proc.stdout)
-        (cwd / "stderr").write_bytes(proc.stderr)
-        (cwd / "exit_code").write_text(f"{proc.returncode}\n")
-        print(f"{name}: exit {proc.returncode}")
+    lines = run_rows(root, prepare(root, env), env)
+    (root / "outputs.sha256").write_text("".join(f"{line}\n" for line in lines))
     return 0
 
 
