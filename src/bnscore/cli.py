@@ -39,13 +39,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _non_negative_int(text: str) -> int:
-    if not text.strip().isdigit():
+    if not text.strip().isdecimal():
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
 
 
 def _positive_int(text: str) -> int:
-    if not text.strip().isdigit() or int(text) < 1:
+    if not text.strip().isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 
@@ -53,7 +53,7 @@ def _positive_int(text: str) -> int:
 def _size_list(text: str) -> list[int]:
     """Comma-separated positive dataset sizes, e.g. 5,10,20."""
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
-    if not tokens or not all(tok.isdigit() and int(tok) > 0 for tok in tokens):
+    if not tokens or not all(tok.isdecimal() and int(tok) > 0 for tok in tokens):
         raise argparse.ArgumentTypeError(f"expected positive integer sizes, got {text!r}")
     return [int(tok) for tok in tokens]
 
@@ -144,6 +144,9 @@ def cmd_roc(parser, args) -> int:
     net_path = args.net if args.net else str(netio.alarm_path())
     doc = netio.parse_network(_read_text(net_path))
     metrics = _parse_metric_list(parser, args.metrics)
+    # Made before the study, so an unusable --out fails before the work.
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     result = rocstats.run_alarm_experiment(
         doc.net,
         sizes=args.sizes,
@@ -152,8 +155,6 @@ def cmd_roc(parser, args) -> int:
         seed=args.seed,
         jobs=args.jobs,
     )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "auc_summary.csv").write_text(
         rocstats.auc_summary_csv(result.summaries)
     )

@@ -21,13 +21,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import BayesNet, Dataset, Variable, _mixed_radix
+from .model import BayesNet, Dataset, Variable, _mixed_radix, _pair_count_tables
 from .scoring import (
     DomainError,
     MetricSpec,
     RatioResult,
-    _pair_count_table,
-    _pair_log_ratio,
+    _pair_log_ratios,
     _safe_exp,
 )
 
@@ -209,8 +208,10 @@ class SweepResult:
     max_log_ratio: float
 
 
-def _pair_ratio(metric: MetricSpec, data: Dataset) -> RatioResult:
-    log_ratio = _pair_log_ratio(metric, _pair_count_table(data, 0, 1))
+def _pair_ratio(metric: MetricSpec, counts) -> RatioResult:
+    """The dependent/independent ratio from the (X, Y) count table, as
+    _pair_count_tables gives it: counted once per dataset, scored per metric."""
+    (log_ratio,) = _pair_log_ratios(metric, counts)
     return RatioResult(_safe_exp(log_ratio), log_ratio)
 
 
@@ -223,10 +224,10 @@ def alpha0_sweep(
         raise DomainError("alpha0 grid must be non-empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("alpha0 grid must be strictly increasing")
-    data = noise_free_dataset(joint, n_cases)
+    counts = _pair_count_tables(noise_free_dataset(joint, n_cases), [(0, 1)])
     points = []
     for a0 in grid:
-        r = _pair_ratio(MetricSpec.bdeu(a0), data)
+        r = _pair_ratio(MetricSpec.bdeu(a0), counts)
         points.append((a0, r.ratio, r.log_ratio))
     best = max(points, key=lambda p: p[2])
     return SweepResult(tuple(points), best[0], best[1], best[2])
@@ -242,12 +243,12 @@ def run_example(spec: ExampleSpec) -> list[RatioRow]:
     joint = spec.joint()
     rows: list[RatioRow] = []
     for n in spec.sizes:
-        data = noise_free_dataset(joint, n)
+        counts = _pair_count_tables(noise_free_dataset(joint, n), [(0, 1)])
         for a0 in spec.alpha0_values:
-            r = _pair_ratio(MetricSpec.bdeu(a0), data)
+            r = _pair_ratio(MetricSpec.bdeu(a0), counts)
             rows.append(RatioRow(r.ratio, r.log_ratio, spec.example, "bdeu", a0, n))
         for metric in (MetricSpec.k2(), MetricSpec.gu()):
-            r = _pair_ratio(metric, data)
+            r = _pair_ratio(metric, counts)
             rows.append(
                 RatioRow(r.ratio, r.log_ratio, spec.example, metric.kind, None, n)
             )

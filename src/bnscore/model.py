@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -319,12 +320,9 @@ def count_sufficient_stats(structure: DagStructure, data: Dataset) -> tuple[np.n
     )
 
 
-def joint_cell_counts(component: Sequence[int], data: Dataset) -> np.ndarray:
-    """Joint counts over a variable subset, flattened in mixed-radix order.
-
-    The first listed variable is the most significant digit; the result has
-    one entry per joint cell and sums to the number of cases.
-    """
+def _checked_component(component: Sequence[int], data: Dataset) -> list[int]:
+    """The component's variable indices; raises SchemaMismatch unless they
+    are distinct variables of data, at least one."""
     cols = list(component)
     if not cols:
         raise SchemaMismatch("component must name at least one variable")
@@ -335,11 +333,61 @@ def joint_cell_counts(component: Sequence[int], data: Dataset) -> np.ndarray:
             )
     if len(set(cols)) != len(cols):
         raise SchemaMismatch("component lists a variable twice")
+    return cols
+
+
+def joint_cell_counts(component: Sequence[int], data: Dataset) -> np.ndarray:
+    """Joint counts over a variable subset, flattened in mixed-radix order.
+
+    The first listed variable is the most significant digit; the result has
+    one entry per joint cell and sums to the number of cases.
+    """
+    cols = _checked_component(component, data)
     arities = [data.variables[c].arity for c in cols]
     flat = _mixed_radix(data.cases, cols, arities)
     out = np.bincount(flat, minlength=math.prod(arities))
     out.setflags(write=False)
     return out
+
+
+def _pair_count_tables(
+    data: Dataset, pairs: Sequence[tuple[int, int]]
+) -> list[tuple[list[int], np.ndarray]]:
+    """Joint count tables of many (x, y) pairs, grouped by shape (rx, ry).
+
+    Returns (positions in pairs, int64 tables of shape (k, rx, ry)) per
+    shape, each table equal to joint_cell_counts((x, y), data) reshaped.
+    The cases where a variable takes a state are packed into a bitset, so
+    a cell count is the population count of two bitsets' intersection.
+    """
+    for pair in pairs:
+        _checked_component(pair, data)
+    variables, cases = data.variables, data.cases
+    used = sorted({v for pair in pairs for v in pair})
+    arities = [variables[v].arity for v in used]
+    first_row = dict(zip(used, accumulate([0, *arities])))
+    # Row first_row[v] + s holds the cases where v takes state s, one bit
+    # per case in 64-bit words; the bits past the last case stay 0.
+    words = np.zeros((sum(arities), -(-cases.shape[0] // 64)), np.uint64)
+    as_bytes = words.view(np.uint8)
+    for v, r in zip(used, arities):
+        packed = np.packbits(cases[:, v] == np.arange(r)[:, None], axis=-1, bitorder="little")
+        as_bytes[first_row[v] : first_row[v] + r, : packed.shape[1]] = packed
+
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for i, (x, y) in enumerate(pairs):
+        shapes.setdefault((variables[x].arity, variables[y].arity), []).append(i)
+    groups = []
+    for (rx, ry), positions in shapes.items():
+        xs = np.array([first_row[pairs[i][0]] for i in positions])[:, None] + np.arange(rx)
+        ys = np.array([first_row[pairs[i][1]] for i in positions])[:, None] + np.arange(ry)
+        tables = np.empty((len(positions), rx, ry), np.int64)
+        for s in range(rx):
+            both = words[ys]
+            both &= words[xs[:, s, None]]
+            tables[:, s] = np.bitwise_count(both).sum(-1, dtype=np.int64)
+        groups.append((positions, tables))
+    return groups
 
 
 def d_separated(structure: DagStructure, x: int, y: int, given: Iterable[int] = ()) -> bool:

@@ -21,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .genbench import _fmt, forward_sample
-from .model import BayesNet
-from .scoring import MetricSpec, _pair_count_table, arc_posterior_from_counts
+from .model import BayesNet, _pair_count_tables
+from .scoring import MetricSpec, _arc_posteriors
 
 __all__ = [
     "DegenerateInput",
@@ -285,20 +285,20 @@ def _replicate_curves(
     pairs: PairSets,
     metrics: Sequence[MetricSpec],
 ) -> list[tuple[float, RocCurve]]:
-    """One replicate: sample, score every pair, one (auc, curve) per metric.
+    """One replicate: sample, count every pair's table, then score all pairs
+    by each metric, one (auc, curve) per metric.
 
-    A pair's joint count table is built once and shared across metrics;
-    positives are scored in the arc direction, negatives from the
+    Positives are scored in the arc direction, negatives from the
     lower-indexed variable.
     """
     data = forward_sample(net, n_cases, seed)
     labelled = [(x, y, True) for x, y in pairs.positives]
     labelled += [(x, y, False) for x, y in pairs.negatives]
-    tables = {(x, y): _pair_count_table(data, x, y) for x, y, _ in labelled}
+    groups = _pair_count_tables(data, [(x, y) for x, y, _ in labelled])
     return [
         auc_from_pairs([
-            ScoredPair(x, y, label, arc_posterior_from_counts(metric, tables[(x, y)]))
-            for x, y, label in labelled
+            ScoredPair(x, y, label, posterior)
+            for (x, y, label), posterior in zip(labelled, _arc_posteriors(metric, groups))
         ])
         for metric in metrics
     ]

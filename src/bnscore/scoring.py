@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .model import (
     Dataset,
     SchemaMismatch,
     Variable,
+    _pair_count_tables,
     clique_decomposition,
     count_sufficient_stats,
     joint_cell_counts,
@@ -197,46 +199,60 @@ class _LgamMemo(dict):
 _LGAM = _LgamMemo()
 
 
-def _dm_terms(rows: list[list[int]], a: float) -> list[float]:
-    """The Dirichlet-multinomial kernel: the log-gamma terms of a (q, r)
-    count table, given as q rows, with pseudo-count a in every cell.
+def _dm_sums(
+    metric: MetricSpec, blocks: Sequence[Sequence[tuple[float, np.ndarray]]]
+) -> list[list[float]]:
+    """The Dirichlet-multinomial kernel, for blocks of signed count tables.
 
-    Returns the cell terms lnG(a + N_jk) - lnG(a), then the row terms
-    lnG(r a) - lnG(r a + N_j); their fsum is the log marginal likelihood.
-    Empty cells and rows give exactly 0.
+    A block lists (sign, counts) entries, each counts holding k stacked
+    (q, r) tables, with one k per block.  Table i of an entry has cell
+    terms lnG(a + N_jk) - lnG(a) and row terms lnG(r a) - lnG(r a + N_j),
+    at the metric's pseudo-count a: 1 for K2 and GU, alpha0 / (q r) for
+    BDeu; their sum is the table's log marginal likelihood.  For each block
+    this returns, for i < k, one math.fsum of the terms of every entry's
+    table i times its sign.  Empty cells and rows add exactly 0.  Each
+    distinct lnG argument, across all blocks, is looked up once.
     """
-    q, row_a = len(rows), len(rows[0]) * a
-    row_args = [row_a + sum(row) for row in rows]
-    cell_args = [a + n for row in rows for n in row]
-    lg = list(map(_LGAM.__getitem__, [a, row_a] + row_args + cell_args))
-    # lnG is infinite at subnormal pseudo-counts and overflows near 1e308;
-    # lnG(a) and lnG(r a + N_j) hold its smallest and largest arguments.
-    if not all(map(math.isfinite, lg[: 2 + q])):
+    parts = []
+    for block in blocks:
+        # Column c of a block holds the count n and offset b of one term,
+        # whose value is sign_c (lnG(b + n) - lnG(b)); a row term's sign is
+        # flipped, which negates the difference exactly.
+        counts, offsets, signs = [], [], []
+        for sign, tables in block:
+            k, q, r = tables.shape
+            a = metric.alpha0 / (q * r) if metric.kind == "bdeu" else 1.0
+            counts += [tables.reshape(k, q * r), np.add.reduce(tables, 2)]
+            offsets += [a] * (q * r) + [r * a] * q
+            signs += [sign] * (q * r) + [-sign] * q
+        parts.append((np.concatenate(counts, axis=1), np.array(offsets), np.array(signs)))
+    distinct, where = np.unique(
+        np.concatenate([x for n, b, _ in parts for x in ((b + n).ravel(), b)]),
+        return_inverse=True,
+    )
+    lg = np.array(list(map(_LGAM.__getitem__, distinct.tolist())))
+    # lnG is infinite at subnormal pseudo-counts and overflows near 1e308.
+    if not np.isfinite(lg).all():
         raise DomainError(
             "a Dirichlet pseudo-count (alpha0 for BDeu) puts a log-gamma term "
             "out of float range"
         )
-    lg_a, lg_row_a = lg[0], lg[1]
-    cells = [x - lg_a for x in lg[2 + q :]]
-    return cells + [lg_row_a - x for x in lg[2 : 2 + q]]
+    lg = lg[where]
+    sums, start = [], 0
+    for n, b, signs in parts:
+        stop = start + n.size
+        terms = signs * (lg[start:stop].reshape(n.shape) - lg[stop : stop + b.size])
+        sums.append(list(map(math.fsum, terms.tolist())))
+        start = stop + b.size
+    return sums
 
 
-def _metric_terms(metric: MetricSpec, tables) -> list[float]:
-    """Kernel terms of each (q, r) table at the metric's pseudo-count: 1 for
-    K2 and GU, alpha0 / (q r) for BDeu."""
-    terms = []
-    for rows in tables:
-        r = len(rows[0])
-        a = metric.alpha0 / (len(rows) * r) if metric.kind == "bdeu" else 1.0
-        terms += _dm_terms(rows, a)
-    return terms
-
-
-def _score_tables(metric: MetricSpec, structure: DagStructure, data: Dataset) -> list:
-    """The tables a metric scores: every family's (q, r) count table for K2
-    and BDeu, every skeleton component's joint cells as one row for GU."""
+def _structure_tables(metric: MetricSpec, structure: DagStructure, data: Dataset) -> list:
+    """The tables a metric scores, each as a stack of one: every family's
+    (q, r) count table for K2 and BDeu, every skeleton component's joint
+    cells as one row for GU."""
     if metric.kind != "gu":
-        return [t.tolist() for t in count_sufficient_stats(structure, data)]
+        return [t[None] for t in count_sufficient_stats(structure, data)]
     if data.variables != structure.variables:
         raise SchemaMismatch(
             "dataset schema does not match structure variables"
@@ -248,17 +264,13 @@ def _score_tables(metric: MetricSpec, structure: DagStructure, data: Dataset) ->
             f"skeleton is not a union of cliques: {a!r} and {b!r} are "
             "connected but not adjacent"
         )
-    return [[joint_cell_counts(comp, data).tolist()] for comp in decomp.components]
-
-
-def _fsum_ratio(dep_terms: list[float], indep_terms: list[float]) -> float:
-    """One exactly rounded sum of the dependent minus the independent terms."""
-    return math.fsum(dep_terms + [-t for t in indep_terms])
+    return [joint_cell_counts(comp, data).reshape(1, 1, -1) for comp in decomp.components]
 
 
 def log_score(metric: MetricSpec, structure: DagStructure, data: Dataset) -> float:
     """Log marginal likelihood of the data given the structure under the metric."""
-    return math.fsum(_metric_terms(metric, _score_tables(metric, structure, data)))
+    tables = _structure_tables(metric, structure, data)
+    return _dm_sums(metric, [[(1.0, t) for t in tables]])[0][0]
 
 
 def structure_ratio(
@@ -268,10 +280,9 @@ def structure_ratio(
     data: Dataset,
 ) -> RatioResult:
     """Posterior-odds ratio of two structures under a uniform structure prior."""
-    log_ratio = _fsum_ratio(
-        _metric_terms(metric, _score_tables(metric, dependent, data)),
-        _metric_terms(metric, _score_tables(metric, independent, data)),
-    )
+    block = [(1.0, t) for t in _structure_tables(metric, dependent, data)]
+    block += [(-1.0, t) for t in _structure_tables(metric, independent, data)]
+    log_ratio = _dm_sums(metric, [block])[0][0]
     return RatioResult(_safe_exp(log_ratio), log_ratio)
 
 
@@ -284,43 +295,59 @@ def pair_structures(vx: Variable, vy: Variable) -> tuple[DagStructure, DagStruct
     )
 
 
-def _pair_count_table(data: Dataset, x: int, y: int) -> np.ndarray:
-    """Joint counts of variables x and y: rows index x's states, columns y's."""
-    return joint_cell_counts((x, y), data).reshape(
-        data.variables[x].arity, data.variables[y].arity
-    )
-
-
-def _pair_log_ratio(metric: MetricSpec, counts: np.ndarray) -> float:
-    """Log posterior odds of x -> y against no arc, from the pair's count table.
+def _pair_log_ratios(
+    metric: MetricSpec, groups: Sequence[tuple[Sequence[int], np.ndarray]]
+) -> list[float]:
+    """Log posterior odds of x -> y against no arc for every pair of
+    _pair_count_tables groups, in pair order: (positions, k stacked (rx, ry)
+    count tables whose rows index x's states).
 
     K2 and BDeu give x the same family in both structures, so it cancels and
     only y's family is compared; GU compares the joint cells with both
-    marginals.  Raises DomainError unless counts is a non-empty 2-D table of
-    non-negative integers.
+    marginals.
     """
-    counts = np.asarray(counts)
-    if not (counts.ndim == 2 and counts.size and np.issubdtype(counts.dtype, np.integer)):
-        raise DomainError("a pair count table must be a non-empty 2-D integer array")
-    table = counts.tolist()
-    if min(map(min, table)) < 0:
-        raise DomainError("counts must be non-negative")
-    y_table = [list(map(sum, zip(*table)))]
-    if metric.kind == "gu":
-        dep = [[[n for row in table for n in row]]]
-        indep = [[list(map(sum, table))], y_table]
-    else:
-        dep, indep = [table], [y_table]
-    return _fsum_ratio(_metric_terms(metric, dep), _metric_terms(metric, indep))
+    blocks = []
+    for _, tables in groups:
+        k, rx, ry = tables.shape
+        y_tables = (-1.0, np.add.reduce(tables, 1)[:, None])
+        if metric.kind == "gu":
+            x_tables = (-1.0, np.add.reduce(tables, 2)[:, None])
+            blocks.append([(1.0, tables.reshape(k, 1, rx * ry)), x_tables, y_tables])
+        else:
+            blocks.append([(1.0, tables), y_tables])
+    out = [0.0] * sum(len(positions) for positions, _ in groups)
+    for (positions, _), log_ratios in zip(groups, _dm_sums(metric, blocks)):
+        for i, log_ratio in zip(positions, log_ratios):
+            out[i] = log_ratio
+    return out
+
+
+def _arc_posteriors(
+    metric: MetricSpec, groups: Sequence[tuple[Sequence[int], np.ndarray]]
+) -> list[float]:
+    """Posterior of x -> y versus no arc, both with prior weight 1/2, for
+    every pair of _pair_count_tables groups, in pair order."""
+    return [1.0 / (1.0 + _safe_exp(-lr)) for lr in _pair_log_ratios(metric, groups)]
 
 
 def arc_posterior_from_counts(metric: MetricSpec, counts: np.ndarray) -> float:
     """Posterior probability of x -> y versus no arc from a pair's joint count
-    table (rows index x's states), both structures with prior weight 1/2."""
-    return 1.0 / (1.0 + _safe_exp(-_pair_log_ratio(metric, counts)))
+    table (rows index x's states), both structures with prior weight 1/2.
+    Raises DomainError unless counts is a non-empty 2-D table of non-negative
+    integers whose total fits in int64."""
+    counts = np.asarray(counts)
+    if not (counts.ndim == 2 and counts.size and np.issubdtype(counts.dtype, np.integer)):
+        raise DomainError("a pair count table must be a non-empty 2-D integer array")
+    if counts.min() < 0:
+        raise DomainError("counts must be non-negative")
+    # The kernel sums rows and columns in int64.
+    if counts.max() > (2**63 - 1) // counts.size:
+        raise DomainError("counts must total less than 2**63")
+    table = counts.astype(np.int64)
+    return _arc_posteriors(metric, [([0], table[None])])[0]
 
 
 def arc_posterior(metric: MetricSpec, x: int, y: int, data: Dataset) -> float:
     """Posterior probability of x -> y versus no arc, on the projected pair;
     raises SchemaMismatch unless x and y are distinct variables of data."""
-    return arc_posterior_from_counts(metric, _pair_count_table(data, x, y))
+    return _arc_posteriors(metric, _pair_count_tables(data, [(x, y)]))[0]

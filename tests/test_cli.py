@@ -372,6 +372,32 @@ class TestRoc:
         assert "nan" not in out and "Traceback" not in err
         assert not (out_dir / "auc_summary.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--seed", "²"], "expected a non-negative integer, got '²'"),
+            (["--sizes", "5,²"], "expected positive integer sizes, got '5,²'"),
+            (["--jobs", "²"], "expected a positive integer, got '²'"),
+        ],
+        ids=["seed", "sizes", "jobs"],
+    )
+    def test_superscript_digit_gets_the_type_message(self, capsys, tmp_path, argv, message):
+        # str.isdigit accepts superscripts, which int() rejects
+        code, _, err = run(capsys, ["roc", *argv, "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert message in err
+
+    def test_unusable_out_fails_before_the_study(self, capsys, tmp_path, monkeypatch):
+        def study_must_not_run(*args, **kwargs):
+            raise AssertionError("the study ran before --out was made")
+
+        monkeypatch.setattr(rocstats, "run_alarm_experiment", study_must_not_run)
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"")
+        code, out, err = run(capsys, ["roc", "--out", str(taken)])
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and str(taken) in err
+
     def test_defaults_come_from_rocstats(self):
         args = _build_parser().parse_args(["roc", "--out", "x"])
         assert tuple(args.sizes) == rocstats.DEFAULT_SIZES

@@ -20,7 +20,7 @@ from bnscore import (
     d_separated,
     joint_cell_counts,
 )
-from bnscore.model import _mixed_radix
+from bnscore.model import _mixed_radix, _pair_count_tables
 from bnscore.rocstats import marginally_d_separated_pairs
 
 from .oracles import d_separated_brute, smallest_topological_order
@@ -246,6 +246,42 @@ class TestCounting:
         assert joint_cell_counts((0, 1), data).tolist() == [3, 2, 1, 4]
         # single-variable component is just that variable's marginal
         assert joint_cell_counts((1,), data).tolist() == [4, 6]
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_pair_count_tables_equal_joint_cell_counts(self, data):
+        """Counts from packed state bitsets, over case counts that cross the
+        8- and 64-bit word edges, equal the folded bincount."""
+        arities = data.draw(st.lists(st.integers(2, 5), min_size=2, max_size=5))
+        n_cases = data.draw(st.integers(0, 130))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        vs = tuple(Variable(f"V{i}", r) for i, r in enumerate(arities))
+        dataset = Dataset(vs, rng.integers(0, arities, size=(n_cases, len(arities))))
+        pairs = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, len(vs) - 1), st.integers(0, len(vs) - 1)).filter(
+                    lambda p: p[0] != p[1]
+                ),
+                min_size=1,
+                max_size=8,
+            )
+        )
+        pairs += [(y, x) for x, y in pairs]
+        got = {}
+        for positions, tables in _pair_count_tables(dataset, pairs):
+            assert tables.dtype == np.int64
+            got.update(zip(positions, tables.tolist()))
+        assert sorted(got) == list(range(len(pairs)))
+        for i, (x, y) in enumerate(pairs):
+            want = joint_cell_counts((x, y), dataset).reshape(arities[x], arities[y])
+            assert got[i] == want.tolist(), (x, y)
+
+    def test_pair_count_tables_validation(self):
+        vs = (Variable("X", 2), Variable("Y", 3))
+        data = Dataset(vs, [(0, 1)])
+        for pairs in ([(1, 1)], [(0, 1), (0, 0)], [(0, 2)], [(-1, 0)]):
+            with pytest.raises(SchemaMismatch):
+                _pair_count_tables(data, pairs)
 
     def test_joint_cell_counts_validation(self):
         vs = (Variable("X", 2),)

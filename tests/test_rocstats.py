@@ -21,6 +21,7 @@ from bnscore import (
     auc_from_pairs,
     auc_summary_csv,
     enumerate_pair_sets,
+    joint_cell_counts,
     mann_whitney_auc,
     marginally_d_separated_pairs,
     mean_roc,
@@ -30,7 +31,10 @@ from bnscore import (
     t_confidence_interval,
 )
 from bnscore import rocstats
+from bnscore.genbench import forward_sample
+from bnscore.model import _pair_count_tables
 from bnscore.rocstats import DEFAULT_FPR_GRID, DEFAULT_METRICS, DEFAULT_SIZES
+from bnscore.scoring import _arc_posteriors, arc_posterior_from_counts
 
 from .oracles import mean_roc_reference, roc_points_reference
 
@@ -347,6 +351,25 @@ class TestAlarmExperiment:
             "k2",
             "gu",
         ]
+
+
+class TestBatchedReplicate:
+    """A replicate counts its pairs in one pass and scores each metric in one
+    batched call; every posterior is the float the pair's own table gives."""
+
+    METRICS = (*DEFAULT_METRICS, MetricSpec.bdeu(1e-6), MetricSpec.bdeu(1e4))
+
+    @pytest.mark.parametrize("n_cases", [5, 160, 10007, 20000])
+    def test_batched_posteriors_equal_per_pair(self, alarm, n_cases):
+        sets = enumerate_pair_sets(alarm.net, seed=42)
+        pairs = [*sets.positives, *sets.negatives]
+        data = forward_sample(alarm.net, n_cases, n_cases)
+        arity = [v.arity for v in data.variables]
+        tables = [joint_cell_counts((x, y), data).reshape(arity[x], arity[y]) for x, y in pairs]
+        groups = _pair_count_tables(data, pairs)
+        for metric in self.METRICS:
+            want = [arc_posterior_from_counts(metric, table) for table in tables]
+            assert _arc_posteriors(metric, groups) == want, metric.label
 
 
 class TestCsvOutput:

@@ -417,8 +417,9 @@ class TestRatiosAndPosteriors:
             [[[1, 2], [3, 4]]],
             [[1.0, 2.0], [3.0, 4.0]],
             np.zeros((0, 2), dtype=np.int64),
+            np.array([[2**62, 2**62], [0, 0]], dtype=np.uint64),
         ],
-        ids=["negative", "1-D", "3-D", "float", "empty"],
+        ids=["negative", "1-D", "3-D", "float", "empty", "total-past-int64"],
     )
     @pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.label)
     def test_counts_path_rejects_bad_tables(self, metric, counts):

@@ -28,6 +28,9 @@ from pathlib import Path
 
 CLI = ["-m", "bnscore.cli"]
 LARGE_N = ["--sizes", "10000,20000", "--reps", "20", "--metrics", "k2,gu", "--seed", "11"]
+# Sizes that are not whole bytes of packed cases, with AUCs below 1 that a
+# moved count would shift; about 1 s, so it runs with the other rows.
+ODD_N = ["--sizes", "13,77,333", "--reps", "5", "--seed", "5"]
 SCORES = {
     "k2": ["--metric", "k2"],
     "bdeu1": ["--metric", "bdeu", "--alpha0", "1"],
@@ -63,6 +66,7 @@ def commands(alarm: str, structure: str) -> list[tuple[str, list[str]]]:
     out = [
         ("roc-default", [*CLI, "roc", "--out", "roc"]),
         ("roc-largen", [*CLI, "roc", *LARGE_N, "--out", "roc"]),
+        ("roc-oddn", [*CLI, "roc", *ODD_N, "--out", "roc"]),
     ]
     out += [(f"bench-{k:02d}", [*CLI, "bench", "--example", str(k)]) for k in range(1, 12)]
     out.append(
