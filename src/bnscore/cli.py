@@ -2,7 +2,7 @@
 
 Subcommands: score, bench, sample, roc, dsep.  Exit codes: 0 on success,
 2 when the command cannot read, parse or write a file, 3 on validation or
-usage errors.
+usage errors and on tables or samples too large for memory.
 """
 
 from __future__ import annotations
@@ -262,6 +262,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

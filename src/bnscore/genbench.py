@@ -14,21 +14,14 @@ shows up in the dependent/independent ratio.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .model import BayesNet, Dataset, Variable, _mixed_radix, _pair_count_tables
-from .scoring import (
-    DomainError,
-    MetricSpec,
-    RatioResult,
-    _pair_log_ratios,
-    _safe_exp,
-)
+from .netio import _csv_text, _fmt
+from .scoring import DomainError, MetricSpec, RatioResult, _pair_log_ratios, _safe_exp
 
 __all__ = [
     "JointTable",
@@ -208,13 +201,6 @@ class SweepResult:
     max_log_ratio: float
 
 
-def _pair_ratio(metric: MetricSpec, counts) -> RatioResult:
-    """The dependent/independent ratio from the (X, Y) count table, as
-    _pair_count_tables gives it: counted once per dataset, scored per metric."""
-    (log_ratio,) = _pair_log_ratios(metric, counts)
-    return RatioResult(_safe_exp(log_ratio), log_ratio)
-
-
 def alpha0_sweep(
     joint: JointTable, n_cases: int, grid: Sequence[float] = ALPHA0_GRID
 ) -> SweepResult:
@@ -225,12 +211,10 @@ def alpha0_sweep(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("alpha0 grid must be strictly increasing")
     counts = _pair_count_tables(noise_free_dataset(joint, n_cases), [(0, 1)])
-    points = []
-    for a0 in grid:
-        r = _pair_ratio(MetricSpec.bdeu(a0), counts)
-        points.append((a0, r.ratio, r.log_ratio))
+    log_ratios = _pair_log_ratios([MetricSpec.bdeu(a0) for a0 in grid], counts)
+    points = tuple((a0, _safe_exp(lr), lr) for a0, (lr,) in zip(grid, log_ratios))
     best = max(points, key=lambda p: p[2])
-    return SweepResult(tuple(points), best[0], best[1], best[2])
+    return SweepResult(points, best[0], best[1], best[2])
 
 
 def run_example(spec: ExampleSpec) -> list[RatioRow]:
@@ -241,17 +225,13 @@ def run_example(spec: ExampleSpec) -> list[RatioRow]:
     whose alpha0 column holds the maximising grid value.
     """
     joint = spec.joint()
+    metrics = [*map(MetricSpec.bdeu, spec.alpha0_values), MetricSpec.k2(), MetricSpec.gu()]
     rows: list[RatioRow] = []
     for n in spec.sizes:
+        # Counted once per dataset, scored by every metric in one kernel call.
         counts = _pair_count_tables(noise_free_dataset(joint, n), [(0, 1)])
-        for a0 in spec.alpha0_values:
-            r = _pair_ratio(MetricSpec.bdeu(a0), counts)
-            rows.append(RatioRow(r.ratio, r.log_ratio, spec.example, "bdeu", a0, n))
-        for metric in (MetricSpec.k2(), MetricSpec.gu()):
-            r = _pair_ratio(metric, counts)
-            rows.append(
-                RatioRow(r.ratio, r.log_ratio, spec.example, metric.kind, None, n)
-            )
+        for metric, (lr,) in zip(metrics, _pair_log_ratios(metrics, counts)):
+            rows.append(RatioRow(_safe_exp(lr), lr, spec.example, metric.kind, metric.alpha0, n))
     if spec.sweep is not None:
         for n in spec.sizes:
             sweep = alpha0_sweep(joint, n, spec.sweep)
@@ -272,26 +252,10 @@ def run_example(spec: ExampleSpec) -> list[RatioRow]:
     return rows
 
 
-def _fmt(value: float | None) -> str:
-    if value is None:
-        return ""
-    return format(value, ".12g")
-
-
 def ratio_table_csv(rows: Sequence[RatioRow]) -> str:
     """Render ratio rows as CSV: example,metric,alpha0,n,ratio,log10_ratio."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["example", "metric", "alpha0", "n", "ratio", "log10_ratio"])
-    for row in rows:
-        writer.writerow(
-            [
-                row.example,
-                row.metric,
-                _fmt(row.alpha0),
-                row.n,
-                _fmt(row.ratio),
-                _fmt(row.log10_ratio),
-            ]
-        )
-    return buf.getvalue()
+    return _csv_text(
+        ["example", "metric", "alpha0", "n", "ratio", "log10_ratio"],
+        ([r.example, r.metric, _fmt(r.alpha0), r.n, _fmt(r.ratio), _fmt(r.log10_ratio)]
+         for r in rows),
+    )

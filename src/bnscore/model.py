@@ -40,6 +40,10 @@ __all__ = [
 #: CPT rows must sum to one within this absolute tolerance.
 ROW_SUM_TOL = 1e-9
 
+# Cells a dense count table, and states a variable, may have: 128 MiB of
+# int64, where ALARM's largest family table has 108 cells.
+_MAX_CELLS = 1 << 24
+
 
 class ModelError(ValueError):
     """Base class for graph and data validation failures."""
@@ -84,9 +88,10 @@ class Variable:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise ModelError("variable name must be a non-empty string")
-        if self.arity < 2:
+        # Checked before the default labels are built.
+        if not 2 <= self.arity <= _MAX_CELLS:
             raise ModelError(
-                f"variable {self.name!r}: arity must be at least 2, got {self.arity}"
+                f"variable {self.name!r}: arity must be 2 to {_MAX_CELLS}, got {self.arity}"
             )
         labels = tuple(str(s) for s in self.state_labels)
         if not labels:
@@ -305,15 +310,20 @@ def _mixed_radix(cases: np.ndarray, cols: Sequence[int], arities: Sequence[int])
     return idx
 
 
-def count_sufficient_stats(structure: DagStructure, data: Dataset) -> tuple[np.ndarray, ...]:
-    """Count N_ijk for every (variable, parent config, state): each family's
-    joint cell counts as one read-only (parent configs, arity) table."""
+def _check_schema(structure: DagStructure, data: Dataset) -> None:
+    """Raise SchemaMismatch unless data holds exactly the structure's variables."""
     if data.variables != structure.variables:
         raise SchemaMismatch(
             "dataset schema does not match structure variables: "
             f"{[v.name for v in data.variables]} vs "
             f"{[v.name for v in structure.variables]}"
         )
+
+
+def count_sufficient_stats(structure: DagStructure, data: Dataset) -> tuple[np.ndarray, ...]:
+    """Count N_ijk for every (variable, parent config, state): each family's
+    joint cell counts as one read-only (parent configs, arity) table."""
+    _check_schema(structure, data)
     return tuple(
         joint_cell_counts((*structure.parents[i], i), data).reshape(-1, v.arity)
         for i, v in enumerate(structure.variables)
@@ -322,7 +332,8 @@ def count_sufficient_stats(structure: DagStructure, data: Dataset) -> tuple[np.n
 
 def _checked_component(component: Sequence[int], data: Dataset) -> list[int]:
     """The component's variable indices; raises SchemaMismatch unless they
-    are distinct variables of data, at least one."""
+    are distinct variables of data, at least one, and MemoryError when
+    their joint table would have more than _MAX_CELLS cells."""
     cols = list(component)
     if not cols:
         raise SchemaMismatch("component must name at least one variable")
@@ -333,6 +344,10 @@ def _checked_component(component: Sequence[int], data: Dataset) -> list[int]:
             )
     if len(set(cols)) != len(cols):
         raise SchemaMismatch("component lists a variable twice")
+    cells = math.prod(data.variables[c].arity for c in cols)
+    if cells > _MAX_CELLS:
+        names = ", ".join(data.variables[c].name for c in cols)
+        raise MemoryError(f"a count table over {names} would have {cells} cells, past {_MAX_CELLS}")
     return cols
 
 

@@ -391,15 +391,27 @@ def parse_dataset(text: str, schema: tuple[Variable, ...]) -> Dataset:
     return Dataset(schema, arr[:, [header.index(n) for n in names]])
 
 
-def write_dataset(data: Dataset) -> str:
-    """Render a dataset as CSV with state labels and LF line endings."""
+def _fmt(value: float | None) -> str:
+    """A float as the result CSVs write it: 12 significant digits, empty for None."""
+    return "" if value is None else format(value, ".12g")
+
+
+def _csv_text(header, rows) -> str:
+    """CSV text of a header and rows, with LF line endings."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([v.name for v in data.variables])
-    labels = [v.state_labels for v in data.variables]
-    for case in data.cases:
-        writer.writerow([labels[k][s] for k, s in enumerate(case)])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def write_dataset(data: Dataset) -> str:
+    """Render a dataset as CSV with state labels and LF line endings."""
+    columns = [
+        np.array(v.state_labels, dtype=object)[data.cases[:, k]].tolist()
+        for k, v in enumerate(data.variables)
+    ]
+    return _csv_text([v.name for v in data.variables], zip(*columns))
 
 
 def alarm_path() -> Path:

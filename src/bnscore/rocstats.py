@@ -10,8 +10,6 @@ with t-based confidence intervals on the areas.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import os
 from dataclasses import dataclass
@@ -20,8 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .genbench import _fmt, forward_sample
+from .genbench import forward_sample
 from .model import BayesNet, _pair_count_tables
+from .netio import _csv_text, _fmt
 from .scoring import MetricSpec, _arc_posteriors
 
 __all__ = [
@@ -286,7 +285,7 @@ def _replicate_curves(
     metrics: Sequence[MetricSpec],
 ) -> list[tuple[float, RocCurve]]:
     """One replicate: sample, count every pair's table, then score all pairs
-    by each metric, one (auc, curve) per metric.
+    by every metric in one kernel call, one (auc, curve) per metric.
 
     Positives are scored in the arc direction, negatives from the
     lower-indexed variable.
@@ -298,9 +297,9 @@ def _replicate_curves(
     return [
         auc_from_pairs([
             ScoredPair(x, y, label, posterior)
-            for (x, y, label), posterior in zip(labelled, _arc_posteriors(metric, groups))
+            for (x, y, label), posterior in zip(labelled, posteriors)
         ])
-        for metric in metrics
+        for posteriors in _arc_posteriors(metrics, groups)
     ]
 
 
@@ -359,23 +358,17 @@ def run_alarm_experiment(
 
 def auc_summary_csv(summaries: Sequence[AucSummary]) -> str:
     """CSV: metric,alpha0,n,mean_auc,ci_low,ci_high,reps."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["metric", "alpha0", "n", "mean_auc", "ci_low", "ci_high", "reps"])
-    for s in summaries:
-        writer.writerow(
-            [s.metric, _fmt(s.alpha0), s.n, _fmt(s.mean_auc), _fmt(s.ci_low),
-             _fmt(s.ci_high), s.reps]
-        )
-    return buf.getvalue()
+    return _csv_text(
+        ["metric", "alpha0", "n", "mean_auc", "ci_low", "ci_high", "reps"],
+        ([s.metric, _fmt(s.alpha0), s.n, _fmt(s.mean_auc), _fmt(s.ci_low), _fmt(s.ci_high),
+          s.reps] for s in summaries),
+    )
 
 
 def mean_roc_csv(mean_curves: dict[tuple[str, int], RocCurve]) -> str:
     """CSV: metric,n,fpr,tpr with one row per grid point, insertion order."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["metric", "n", "fpr", "tpr"])
-    for (label, n), curve in mean_curves.items():
-        for f, t in curve.points:
-            writer.writerow([label, n, _fmt(f), _fmt(t)])
-    return buf.getvalue()
+    return _csv_text(
+        ["metric", "n", "fpr", "tpr"],
+        ([label, n, _fmt(f), _fmt(t)] for (label, n), curve in mean_curves.items()
+         for f, t in curve.points),
+    )

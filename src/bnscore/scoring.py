@@ -30,8 +30,8 @@ import numpy as np
 from .model import (
     DagStructure,
     Dataset,
-    SchemaMismatch,
     Variable,
+    _check_schema,
     _pair_count_tables,
     clique_decomposition,
     count_sufficient_stats,
@@ -200,26 +200,29 @@ _LGAM = _LgamMemo()
 
 
 def _dm_sums(
-    metric: MetricSpec, blocks: Sequence[Sequence[tuple[float, np.ndarray]]]
+    blocks: Sequence[tuple[MetricSpec, Sequence[tuple[float, np.ndarray]]]]
 ) -> list[list[float]]:
     """The Dirichlet-multinomial kernel, for blocks of signed count tables.
 
-    A block lists (sign, counts) entries, each counts holding k stacked
-    (q, r) tables, with one k per block.  Table i of an entry has cell
-    terms lnG(a + N_jk) - lnG(a) and row terms lnG(r a) - lnG(r a + N_j),
-    at the metric's pseudo-count a: 1 for K2 and GU, alpha0 / (q r) for
-    BDeu; their sum is the table's log marginal likelihood.  For each block
-    this returns, for i < k, one math.fsum of the terms of every entry's
-    table i times its sign.  Empty cells and rows add exactly 0.  Each
-    distinct lnG argument, across all blocks, is looked up once.
+    A block is a metric and a list of (sign, counts) entries, each counts
+    holding k stacked (q, r) tables, with one k per block.  Table i of an
+    entry has cell terms lnG(a + N_jk) - lnG(a) and row terms
+    lnG(r a) - lnG(r a + N_j), at the block metric's pseudo-count a: 1 for
+    K2 and GU, alpha0 / (q r) for BDeu; their sum is the table's log
+    marginal likelihood.  For each block this returns, for i < k, one
+    math.fsum of the terms of every entry's table i times its sign.  Empty
+    cells and rows add exactly 0.  Each distinct lnG argument, across all
+    blocks, is looked up once.
     """
+    if not blocks:
+        return []
     parts = []
-    for block in blocks:
+    for metric, entries in blocks:
         # Column c of a block holds the count n and offset b of one term,
         # whose value is sign_c (lnG(b + n) - lnG(b)); a row term's sign is
         # flipped, which negates the difference exactly.
         counts, offsets, signs = [], [], []
-        for sign, tables in block:
+        for sign, tables in entries:
             k, q, r = tables.shape
             a = metric.alpha0 / (q * r) if metric.kind == "bdeu" else 1.0
             counts += [tables.reshape(k, q * r), np.add.reduce(tables, 2)]
@@ -253,10 +256,7 @@ def _structure_tables(metric: MetricSpec, structure: DagStructure, data: Dataset
     cells as one row for GU."""
     if metric.kind != "gu":
         return [t[None] for t in count_sufficient_stats(structure, data)]
-    if data.variables != structure.variables:
-        raise SchemaMismatch(
-            "dataset schema does not match structure variables"
-        )
+    _check_schema(structure, data)
     decomp = clique_decomposition(structure)
     if not decomp.is_clique_union:
         a, b = (structure.variables[i].name for i in decomp.non_adjacent_pair)
@@ -270,7 +270,7 @@ def _structure_tables(metric: MetricSpec, structure: DagStructure, data: Dataset
 def log_score(metric: MetricSpec, structure: DagStructure, data: Dataset) -> float:
     """Log marginal likelihood of the data given the structure under the metric."""
     tables = _structure_tables(metric, structure, data)
-    return _dm_sums(metric, [[(1.0, t) for t in tables]])[0][0]
+    return _dm_sums([(metric, [(1.0, t) for t in tables])])[0][0]
 
 
 def structure_ratio(
@@ -282,7 +282,7 @@ def structure_ratio(
     """Posterior-odds ratio of two structures under a uniform structure prior."""
     block = [(1.0, t) for t in _structure_tables(metric, dependent, data)]
     block += [(-1.0, t) for t in _structure_tables(metric, independent, data)]
-    log_ratio = _dm_sums(metric, [block])[0][0]
+    log_ratio = _dm_sums([(metric, block)])[0][0]
     return RatioResult(_safe_exp(log_ratio), log_ratio)
 
 
@@ -296,38 +296,41 @@ def pair_structures(vx: Variable, vy: Variable) -> tuple[DagStructure, DagStruct
 
 
 def _pair_log_ratios(
-    metric: MetricSpec, groups: Sequence[tuple[Sequence[int], np.ndarray]]
-) -> list[float]:
+    metrics: Sequence[MetricSpec], groups: Sequence[tuple[Sequence[int], np.ndarray]]
+) -> list[list[float]]:
     """Log posterior odds of x -> y against no arc for every pair of
-    _pair_count_tables groups, in pair order: (positions, k stacked (rx, ry)
-    count tables whose rows index x's states).
+    _pair_count_tables groups, one list in pair order per metric, from one
+    kernel call: groups are (positions, k stacked (rx, ry) count tables
+    whose rows index x's states).
 
     K2 and BDeu give x the same family in both structures, so it cancels and
     only y's family is compared; GU compares the joint cells with both
     marginals.
     """
-    blocks = []
+    entries = []  # per group: (K2 and BDeu entries, GU entries)
     for _, tables in groups:
         k, rx, ry = tables.shape
         y_tables = (-1.0, np.add.reduce(tables, 1)[:, None])
-        if metric.kind == "gu":
-            x_tables = (-1.0, np.add.reduce(tables, 2)[:, None])
-            blocks.append([(1.0, tables.reshape(k, 1, rx * ry)), x_tables, y_tables])
-        else:
-            blocks.append([(1.0, tables), y_tables])
-    out = [0.0] * sum(len(positions) for positions, _ in groups)
-    for (positions, _), log_ratios in zip(groups, _dm_sums(metric, blocks)):
-        for i, log_ratio in zip(positions, log_ratios):
-            out[i] = log_ratio
-    return out
+        x_tables = (-1.0, np.add.reduce(tables, 2)[:, None])
+        entries.append(
+            ([(1.0, tables), y_tables], [(1.0, tables.reshape(k, 1, rx * ry)), x_tables, y_tables])
+        )
+    # Blocks run metric by metric, each metric's in group order.
+    sums = iter(_dm_sums([(m, e[m.kind == "gu"]) for m in metrics for e in entries]))
+    where = np.argsort([i for positions, _ in groups for i in positions])
+    return [np.array([lr for _ in groups for lr in next(sums)])[where].tolist() for _ in metrics]
 
 
 def _arc_posteriors(
-    metric: MetricSpec, groups: Sequence[tuple[Sequence[int], np.ndarray]]
-) -> list[float]:
+    metrics: Sequence[MetricSpec], groups: Sequence[tuple[Sequence[int], np.ndarray]]
+) -> list[list[float]]:
     """Posterior of x -> y versus no arc, both with prior weight 1/2, for
-    every pair of _pair_count_tables groups, in pair order."""
-    return [1.0 / (1.0 + _safe_exp(-lr)) for lr in _pair_log_ratios(metric, groups)]
+    every pair of _pair_count_tables groups, one list in pair order per
+    metric."""
+    return [
+        [1.0 / (1.0 + _safe_exp(-lr)) for lr in log_ratios]
+        for log_ratios in _pair_log_ratios(metrics, groups)
+    ]
 
 
 def arc_posterior_from_counts(metric: MetricSpec, counts: np.ndarray) -> float:
@@ -344,10 +347,10 @@ def arc_posterior_from_counts(metric: MetricSpec, counts: np.ndarray) -> float:
     if counts.max() > (2**63 - 1) // counts.size:
         raise DomainError("counts must total less than 2**63")
     table = counts.astype(np.int64)
-    return _arc_posteriors(metric, [([0], table[None])])[0]
+    return _arc_posteriors([metric], [([0], table[None])])[0][0]
 
 
 def arc_posterior(metric: MetricSpec, x: int, y: int, data: Dataset) -> float:
     """Posterior probability of x -> y versus no arc, on the projected pair;
     raises SchemaMismatch unless x and y are distinct variables of data."""
-    return _arc_posteriors(metric, _pair_count_tables(data, [(x, y)]))[0]
+    return _arc_posteriors([metric], _pair_count_tables(data, [(x, y)]))[0][0]

@@ -60,6 +60,21 @@ arc B C
 """
 
 
+def run_in_1gib(argv, cwd=None):
+    """Run the CLI in a child limited to a 1 GiB address space."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "bnscore.cli", *argv],
+        capture_output=True, text=True, env=env, cwd=cwd, preexec_fn=limit_address_space,
+    )
+
+
 def run(capsys, argv):
     """Invoke the CLI in-process; normalize SystemExit to a return code."""
     try:
@@ -303,17 +318,7 @@ class TestDsep:
         # would take 7.28 TiB, far past the child's 1 GiB address space.
         net = tmp_path / "net.bn"
         net.write_text(text)
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-
-        def limit_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "bnscore.cli", "dsep", "--net", str(net), "--count-marginal"],
-            capture_output=True, text=True, env=env, preexec_fn=limit_address_space,
-        )
+        proc = run_in_1gib(["dsep", "--net", str(net), "--count-marginal"])
         assert proc.returncode == code
         assert expected in proc.stdout + proc.stderr
         assert "Traceback" not in proc.stderr
@@ -518,3 +523,44 @@ class TestFileErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named.format(**fields) in err
         assert "Traceback" not in err
+
+
+class TestMemoryBounds:
+    """A count table, variable or sample too large for memory ends in one
+    error line and exit 2 or 3, never a traceback, even in a 1 GiB child."""
+
+    FILES = {
+        "wide.bn": WIDE_NET,
+        "wide.csv": "A,B,C\n1,1,1\n",
+        "wider.bn": "".join(f"var {v} 100000\n" for v in "ABCDE")
+        + "".join(f"arc {v} E\n" for v in "ABCD"),
+        "wider.csv": "A,B,C,D,E\n1,1,1,1,1\n",
+        "huge-arity.bn": "var A 1000000000\nvar B 2\n",
+    }
+
+    @pytest.mark.parametrize(
+        "argv, code, expected",
+        [
+            # C's table has 10000**3 cells, 7.28 TiB of int64.
+            (["score", "--metric", "k2", "--structure", "wide.bn", "--data", "wide.csv"], 3,
+             "a count table over A, B, C would have 1000000000000 cells"),
+            # E's has 100000**5 cells, past int64 itself.
+            (["score", "--metric", "k2", "--structure", "wider.bn", "--data", "wider.csv"], 3,
+             "a count table over A, B, C, D, E would have 10000000000000000000000000 cells"),
+            (["score", "--metric", "k2", "--structure", "huge-arity.bn", "--data", "wide.csv"], 2,
+             "line 1: variable 'A': arity must be 2 to 16777216, got 1000000000"),
+            (["sample", "--net", str(alarm_path()), "--n", "1000000000000", "--out", "s.csv"], 3,
+             "out of memory"),
+            (["roc", "--sizes", "1000000000000", "--reps", "2", "--out", "roc"], 3,
+             "out of memory"),
+        ],
+        ids=["score-wide", "score-wider", "var-arity", "sample", "roc"],
+    )
+    def test_exits_with_one_error_line(self, tmp_path, argv, code, expected):
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text)
+        proc = run_in_1gib(argv, cwd=tmp_path)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert expected in proc.stderr
+        assert "Traceback" not in proc.stderr

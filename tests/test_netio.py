@@ -199,6 +199,13 @@ class TestDatasetCsv:
         text = write_dataset(Dataset(vs, [(1,), (0,)]))
         assert text == "X\nyes\nno\n"
 
+    def test_labels_with_commas_and_quotes_are_quoted(self):
+        vs = (Variable("X", 2, ("a,b", 'q"x')), Variable("Y", 2, ("c", "d")))
+        data = Dataset(vs, [(0, 1), (1, 0)])
+        text = write_dataset(data)
+        assert text == 'X,Y\n"a,b",d\n"q""x",c\n'
+        assert parse_dataset(text, vs) == data
+
     def test_header_reordered_to_schema(self):
         vs = (Variable("X", 2, ("a", "b")), Variable("Y", 2, ("c", "d")))
         data = parse_dataset("Y,X\nc,b\nd,a\n", vs)

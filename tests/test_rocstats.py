@@ -30,8 +30,8 @@ from bnscore import (
     run_alarm_experiment,
     t_confidence_interval,
 )
-from bnscore import rocstats
-from bnscore.genbench import forward_sample
+from bnscore import rocstats, scoring
+from bnscore.genbench import EXAMPLES, forward_sample, run_example
 from bnscore.model import _pair_count_tables
 from bnscore.rocstats import DEFAULT_FPR_GRID, DEFAULT_METRICS, DEFAULT_SIZES
 from bnscore.scoring import _arc_posteriors, arc_posterior_from_counts
@@ -354,7 +354,7 @@ class TestAlarmExperiment:
 
 
 class TestBatchedReplicate:
-    """A replicate counts its pairs in one pass and scores each metric in one
+    """A replicate counts its pairs in one pass and scores every metric in one
     batched call; every posterior is the float the pair's own table gives."""
 
     METRICS = (*DEFAULT_METRICS, MetricSpec.bdeu(1e-6), MetricSpec.bdeu(1e4))
@@ -366,10 +366,28 @@ class TestBatchedReplicate:
         data = forward_sample(alarm.net, n_cases, n_cases)
         arity = [v.arity for v in data.variables]
         tables = [joint_cell_counts((x, y), data).reshape(arity[x], arity[y]) for x, y in pairs]
-        groups = _pair_count_tables(data, pairs)
-        for metric in self.METRICS:
+        batched = _arc_posteriors(self.METRICS, _pair_count_tables(data, pairs))
+        assert len(batched) == len(self.METRICS)
+        for metric, posteriors in zip(self.METRICS, batched):
             want = [arc_posterior_from_counts(metric, table) for table in tables]
-            assert _arc_posteriors(metric, groups) == want, metric.label
+            assert posteriors == want, metric.label
+
+    def test_one_kernel_call_per_replicate_and_per_bench_size(self, alarm, monkeypatch):
+        calls = []
+        kernel = scoring._dm_sums
+
+        def counted(blocks):
+            calls.append(len(blocks))
+            return kernel(blocks)
+
+        monkeypatch.setattr(scoring, "_dm_sums", counted)
+        rocstats._replicate_curves(alarm.net, 20, 1, enumerate_pair_sets(alarm.net), DEFAULT_METRICS)
+        assert len(calls) == 1
+        calls.clear()
+        # Example 11: 4 sizes, each one call for 5 metrics and one for its
+        # 61-point alpha0 sweep.
+        run_example(EXAMPLES[11])
+        assert len(calls) == 8
 
 
 class TestCsvOutput:

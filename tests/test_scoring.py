@@ -426,6 +426,13 @@ class TestRatiosAndPosteriors:
         with pytest.raises(DomainError):
             arc_posterior_from_counts(metric, counts)
 
+    @pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.label)
+    def test_schema_mismatch_names_both_lists(self, metric):
+        data = make_pair_dataset([[1, 1], [1, 1]])
+        other = DagStructure((Variable("X", 2), Variable("Z", 2)), ((), ()))
+        with pytest.raises(SchemaMismatch, match=r"\['X', 'Y'\] vs \['X', 'Z'\]"):
+            log_score(metric, other, data)
+
     def test_arc_posterior_identity_rejected(self):
         data = make_pair_dataset([[1, 1], [1, 1]])
         with pytest.raises(SchemaMismatch):

@@ -8,10 +8,12 @@ Each command runs as ``python -m bnscore.cli ...`` in its own directory
 OUT/NAME, which receives the command's ``stdout``, ``stderr`` and
 ``exit_code`` next to any file the command writes; OUT/one-arc.bn is the
 ALARM variables with the single arc HYPOVOLEMIA -> LVEDVOLUME, the structure
-the ``score --structure`` rows read. OUT/outputs.sha256 lists the SHA-256
-of every file under the row directories, one ``DIGEST  NAME/FILE`` line per
-file sorted by path (``sha256sum -c`` reads it from OUT); a fresh OUT keeps
-stale files out of it. Relative PYTHONPATH entries are made absolute first,
+the ``score --structure`` rows read. OUT/wide.bn and its one-row OUT/wide.csv
+give a count table too large to hold, and OUT/huge-arity.bn a variable past
+the arity cap; both must end in one error line. OUT/outputs.sha256 lists the
+SHA-256 of every file under the row directories, one ``DIGEST  NAME/FILE``
+line per file sorted by path (``sha256sum -c`` reads it from OUT); a fresh
+OUT keeps stale files out of it. Relative PYTHONPATH entries are made absolute first,
 so the snapshot tests the tree the caller chose. ``tests/test_golden.py``
 checks this tree against the committed ``tests/golden/outputs.sha256``; to
 compare two trees, snapshot each and run ``diff -r OUT_PARENT OUT_CHANGE``.
@@ -55,14 +57,23 @@ SERIALIZE_ALARM = (
 )
 
 
+# C's family table would have 10000**3 cells: 7.28 TiB of int64.
+OVERSIZE_FILES = {
+    "wide.bn": "var A 10000\nvar B 10000\nvar C 10000\narc A C\narc B C\n",
+    "wide.csv": "A,B,C\n1,1,1\n",
+    "huge-arity.bn": "var A 1000000000\nvar B 2\n",
+}
+
+
 def one_arc_structure(alarm: str) -> str:
     """The var lines of the network file at ``alarm`` plus one arc."""
     lines = [line for line in Path(alarm).read_text().splitlines() if line.startswith("var ")]
     return "\n".join([*lines, "arc HYPOVOLEMIA LVEDVOLUME"]) + "\n"
 
 
-def commands(alarm: str, structure: str) -> list[tuple[str, list[str]]]:
-    """(directory name, arguments after ``python``), in the order they run."""
+def commands(alarm: str, structure: str, root: str) -> list[tuple[str, list[str]]]:
+    """(directory name, arguments after ``python``), in the order they run;
+    root holds the OVERSIZE_FILES."""
     out = [
         ("roc-default", [*CLI, "roc", "--out", "roc"]),
         ("roc-largen", [*CLI, "roc", *LARGE_N, "--out", "roc"]),
@@ -82,6 +93,11 @@ def commands(alarm: str, structure: str) -> list[tuple[str, list[str]]]:
         for name in ("k2", "bdeu4", "gu")
     ]
     out += [
+        (f"score-{name}", [*CLI, "score", "--metric", "k2", "--structure", f"{root}/{bn}",
+                           "--data", f"{root}/wide.csv"])
+        for name, bn in (("wide-structure", "wide.bn"), ("huge-arity", "huge-arity.bn"))
+    ]
+    out += [
         ("dsep-query", [*CLI, "dsep", "--net", alarm, "--x", "HRBP", "--y", "HREKG", "--given", "HR"]),
         ("dsep-count", [*CLI, "dsep", "--net", alarm, "--count-marginal"]),
     ]
@@ -95,8 +111,8 @@ def commands(alarm: str, structure: str) -> list[tuple[str, list[str]]]:
 
 
 def prepare(root: Path, env: dict[str, str]) -> list[tuple[str, list[str]]]:
-    """Write root/one-arc.bn and return the rows, for the bnscore that env
-    puts on the path."""
+    """Write root/one-arc.bn and the OVERSIZE_FILES and return the rows, for
+    the bnscore that env puts on the path."""
     alarm = subprocess.run(
         [sys.executable, "-c", "from bnscore.netio import alarm_path; print(alarm_path())"],
         env=env, capture_output=True, text=True, check=True,
@@ -104,7 +120,9 @@ def prepare(root: Path, env: dict[str, str]) -> list[tuple[str, list[str]]]:
     root.mkdir(parents=True, exist_ok=True)
     structure = root / "one-arc.bn"
     structure.write_text(one_arc_structure(alarm))
-    return commands(alarm, str(structure))
+    for name, text in OVERSIZE_FILES.items():
+        (root / name).write_text(text)
+    return commands(alarm, str(structure), str(root))
 
 
 def run_rows(root: Path, rows: list[tuple[str, list[str]]], env: dict[str, str]) -> list[str]:
