@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -227,7 +226,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--seed", type=_non_negative_int, default=42)
     p.add_argument(
-        "--jobs", type=_positive_int, default=max(1, os.cpu_count() or 1),
+        "--jobs", type=_positive_int, default=rocstats._usable_cpus(),
         help="worker processes; results do not depend on this",
     )
     p.add_argument("--out", required=True, help="output directory for CSVs")
@@ -264,7 +263,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        # A MemoryError raised by the interpreter itself has no message.
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 3
 
 

@@ -303,6 +303,14 @@ def _replicate_curves(
     ]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, so a taskset or cpuset pin is honoured, else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_alarm_experiment(
     net: BayesNet,
     sizes: Sequence[int] = DEFAULT_SIZES,
@@ -317,8 +325,8 @@ def run_alarm_experiment(
     sees identical data and reruns are bit-for-bit reproducible; ``jobs``
     only spreads replicates across processes without changing results.
     The pool starts every worker at once, so it never gets more workers
-    than there are tasks or CPUs. Results are keyed by metric label and
-    size, so a repeated label or size is rejected.
+    than there are tasks or CPUs the process may run on. Results are keyed
+    by metric label and size, so a repeated label or size is rejected.
     """
     if reps < 2:
         raise DegenerateInput(f"need at least 2 replicates, got {reps}")
@@ -331,7 +339,7 @@ def run_alarm_experiment(
     pairs = enumerate_pair_sets(net, 46, seed)
 
     tasks = [(net, n, seed + rep, pairs, metrics) for n in sizes for rep in range(reps)]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(jobs, len(tasks), _usable_cpus())
     if workers > 1:
         # Imported here: only a parallel roc needs the pool, not import bnscore.
         from concurrent.futures import ProcessPoolExecutor

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bnscore import MetricSpec, log_score, parse_dataset, parse_network, rocstats
+from bnscore import MetricSpec, cli, log_score, parse_dataset, parse_network, rocstats
 from bnscore.cli import _build_parser, main
 from bnscore.netio import alarm_path
 
@@ -409,12 +409,26 @@ class TestRoc:
         metrics = [m.label for m in rocstats.DEFAULT_METRICS]
         assert args.metrics.split(",") == metrics
 
+    def test_jobs_default_counts_only_cpus_the_process_may_use(self, monkeypatch):
+        # Pinned to one CPU of a 64-CPU host, as by taskset.
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _build_parser().parse_args(["roc", "--out", "x"]).jobs == 1
+
 
 # Runs the CLI with the given arguments (none: only imports bnscore), then
-# reports the scipy and process-pool modules the command loaded.
+# reports the scipy and process-pool modules the command loaded, whether
+# import bnscore left os.environ as it was, and the process's thread count
+# (None where there is no /proc) after the import and at exit.
 STARTUP_PROBE = """
+import os
 import sys
+def threads():
+    return len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+environ = dict(os.environ)
 import bnscore
+print("environ unchanged:", dict(os.environ) == environ)
+print("threads after import:", threads())
 code = 0
 if sys.argv[1:]:
     from bnscore.cli import main
@@ -422,21 +436,38 @@ if sys.argv[1:]:
 print("scipy modules:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 pool = ("concurrent", "multiprocessing")
 print("pool modules:", sorted(m for m in sys.modules if m.split(".")[0] in pool))
+print("threads at exit:", threads())
 sys.exit(code)
 """
+
+# The thread count numpy alone starts with, for comparison.
+NUMPY_PROBE = """
+import os
+import numpy
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print("threads after import:", tasks)
+"""
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class TestStartUp:
     """Only roc's aggregation needs scipy, and only a parallel roc the process
-    pool; every other command, and import bnscore itself, loads neither."""
+    pool; every other command, and import bnscore itself, loads neither.
+    bnscore calls no BLAS routine, so unless the caller set a BLAS thread
+    count the process runs on one thread, and the import leaves os.environ
+    as it found it."""
 
     @staticmethod
-    def probe(argv):
-        env = dict(os.environ)
+    def probe(argv, code=STARTUP_PROBE, **blas_env):
+        """Run code in a fresh interpreter whose environment has none of the
+        BLAS thread variables but those in blas_env."""
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        env.update(blas_env)
         src = str(Path(__file__).resolve().parent.parent / "src")
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         return subprocess.run(
-            [sys.executable, "-c", STARTUP_PROBE, *argv],
+            [sys.executable, "-c", code, *argv],
             capture_output=True, text=True, env=env, timeout=300,
         )
 
@@ -459,6 +490,19 @@ class TestStartUp:
         assert proc.returncode == 0, proc.stderr
         assert "scipy modules: []" in proc.stdout
         assert "pool modules: []" in proc.stdout
+        assert "environ unchanged: True" in proc.stdout
+        if Path("/proc/self/task").is_dir():
+            assert "threads after import: 1\n" in proc.stdout
+            assert "threads at exit: 1\n" in proc.stdout
+
+    @pytest.mark.parametrize("var", BLAS_THREAD_VARS)
+    def test_caller_thread_setting_is_kept(self, var):
+        proc = self.probe([], **{var: "2"})
+        assert proc.returncode == 0, proc.stderr
+        assert "environ unchanged: True" in proc.stdout
+        plain = self.probe([], code=NUMPY_PROBE, **{var: "2"})
+        assert plain.returncode == 0, plain.stderr
+        assert plain.stdout in proc.stdout
 
     def test_small_roc_still_writes_its_csvs(self, tmp_path):
         out_dir = tmp_path / "roc"
@@ -472,6 +516,15 @@ class TestTopLevel:
     def test_no_subcommand(self, capsys):
         code, _, _ = run(capsys, [])
         assert code == 3
+
+    def test_bare_memory_error_is_one_line(self, capsys, monkeypatch):
+        # The interpreter's own MemoryError has no message to print after ": ".
+        def cmd_bench(parser, args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "cmd_bench", cmd_bench)
+        code, out, err = run(capsys, ["bench", "--example", "1"])
+        assert (code, out, err) == (3, "", "error: out of memory\n")
 
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, ["frobnicate"])

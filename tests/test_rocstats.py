@@ -307,6 +307,8 @@ class TestAlarmExperiment:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        # The host count, as on a platform with no affinity mask.
+        monkeypatch.delattr(rocstats.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(rocstats.os, "cpu_count", lambda: cpus)
         metrics = (MetricSpec.k2(),)
         small = dict(self.SMALL, reps=2)  # 2 sizes x 2 reps: 4 tasks
@@ -315,6 +317,18 @@ class TestAlarmExperiment:
         assert started == ([] if workers is None else [workers])
         assert result.summaries == serial.summaries
         assert result.mean_curves == serial.mean_curves
+
+    def test_pool_counts_only_cpus_the_process_may_use(self, alarm, monkeypatch):
+        def no_pool(max_workers):
+            raise AssertionError(f"started {max_workers} workers with one usable CPU")
+
+        # Pinned to one CPU of a 64-CPU host, as by taskset.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(rocstats.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(rocstats.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        small = dict(self.SMALL, reps=2)
+        result = run_alarm_experiment(alarm.net, metrics=(MetricSpec.k2(),), jobs=64, **small)
+        assert [s.reps for s in result.summaries] == [2, 2]
 
     def test_reruns_identical(self, alarm):
         metrics = (MetricSpec.gu(),)
