@@ -22,85 +22,11 @@ if not any(v in _os.environ for v in _BLAS_THREAD_VARS):
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
 
-from .model import (
-    BayesNet,
-    CliqueDecomposition,
-    CycleDetected,
-    DagStructure,
-    Dataset,
-    DuplicateParent,
-    IndexOutOfRange,
-    ModelError,
-    SchemaMismatch,
-    SelfLoop,
-    StateOutOfRange,
-    Variable,
-    clique_decomposition,
-    count_sufficient_stats,
-    d_separated,
-    joint_cell_counts,
-    validate_dag,
-)
-from .netio import (
-    HeaderMismatch,
-    MissingCptRow,
-    MissingValue,
-    NetworkDocument,
-    NetworkSyntaxError,
-    RowSumNotOne,
-    UnknownStateLabel,
-    UnknownVariable,
-    alarm_path,
-    load_alarm,
-    parse_dataset,
-    parse_network,
-    parse_structure,
-    serialize_network,
-    write_dataset,
-)
-from .scoring import (
-    DomainError,
-    MetricSpec,
-    NotCliqueDecomposable,
-    RatioResult,
-    arc_posterior,
-    log_score,
-    pair_structures,
-    structure_ratio,
-)
-from .genbench import (
-    ALPHA0_GRID,
-    EXAMPLES,
-    ExampleSpec,
-    JointTable,
-    RatioRow,
-    SweepResult,
-    alpha0_sweep,
-    forward_sample,
-    independent_joint,
-    noise_free_dataset,
-    ratio_table_csv,
-    run_example,
-)
-from .rocstats import (
-    AucSummary,
-    DegenerateInput,
-    ExperimentResult,
-    InsufficientNegatives,
-    PairSets,
-    RocCurve,
-    ScoredPair,
-    auc,
-    auc_from_pairs,
-    auc_summary_csv,
-    enumerate_pair_sets,
-    mann_whitney_auc,
-    marginally_d_separated_pairs,
-    mean_roc,
-    mean_roc_csv,
-    roc_points,
-    run_alarm_experiment,
-    t_confidence_interval,
-)
+# Each module's __all__ is the one list of its public names.
+from .model import *
+from .netio import *
+from .scoring import *
+from .genbench import *
+from .rocstats import *
 
 __version__ = "0.1.0"

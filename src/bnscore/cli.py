@@ -251,11 +251,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(parser, args)
-    except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        # Reads are reported by _read_text; what is left is a file or
+    except (*_PARSE_ERRORS, OSError) as exc:
+        # Reads are reported by _read_text; an OSError left is a file or
         # directory the command could not write.
         print(f"error: {exc}", file=sys.stderr)
         return 2

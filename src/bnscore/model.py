@@ -29,7 +29,6 @@ __all__ = [
     "Dataset",
     "BayesNet",
     "CliqueDecomposition",
-    "validate_dag",
     "count_sufficient_stats",
     "joint_cell_counts",
     "d_separated",
@@ -114,10 +113,13 @@ class Variable:
             ) from None
 
 
-def validate_dag(parents: Sequence[Sequence[int]], names: Sequence[str]) -> tuple[int, ...]:
+def _validate_dag(
+    parents: Sequence[Sequence[int]], names: Sequence[str]
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Check parent sets for range, self-loops, duplicates, and acyclicity.
 
-    Returns the topological order that takes the smallest ready index first.
+    Returns the topological order that takes the smallest ready index first,
+    and each variable's children, ascending.
     Raises IndexOutOfRange, SelfLoop, DuplicateParent, or CycleDetected.
     """
     n = len(parents)
@@ -141,7 +143,10 @@ def validate_dag(parents: Sequence[Sequence[int]], names: Sequence[str]) -> tupl
     # Kahn's algorithm.  Forward sampling draws in this order, so the
     # smallest-index tie rule fixes every dataset.
     indeg = [len(ps) for ps in parents]
-    children = _children_of(parents)
+    children: list[list[int]] = [[] for _ in parents]
+    for v, ps in enumerate(parents):
+        for p in ps:
+            children[p].append(v)
     ready = [v for v in range(n) if indeg[v] == 0]
     order: list[int] = []
     while ready:
@@ -163,16 +168,7 @@ def validate_dag(parents: Sequence[Sequence[int]], names: Sequence[str]) -> tupl
         raise CycleDetected(
             "cycle detected: " + " -> ".join(names[u] for u in reversed(loop))
         )
-    return tuple(order)
-
-
-def _children_of(parents: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Each variable's children, ascending."""
-    children: list[list[int]] = [[] for _ in parents]
-    for v, ps in enumerate(parents):
-        for p in ps:
-            children[p].append(v)
-    return tuple(map(tuple, children))
+    return tuple(order), tuple(map(tuple, children))
 
 
 @dataclass(frozen=True)
@@ -202,8 +198,9 @@ class DagStructure:
             raise ModelError(
                 f"{len(parents)} parent sets for {len(variables)} variables"
             )
-        object.__setattr__(self, "_order", validate_dag(parents, names))
-        object.__setattr__(self, "_children", _children_of(parents))
+        order, children = _validate_dag(parents, names)
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_children", children)
 
     @property
     def n(self) -> int:

@@ -30,6 +30,7 @@ from .model import (
     BayesNet,
     DagStructure,
     Dataset,
+    ModelError,
     Variable,
 )
 
@@ -135,8 +136,8 @@ def _tokenize(text: str):
 
 
 def _parse_lines(text: str):
-    """First pass: declarations and arcs in order, cpt lines collected."""
-    order: list[str] = []
+    """First pass: the structure from var and arc lines, its name -> index
+    map, each variable's var line number, and the cpt lines, collected."""
     variables: dict[str, Variable] = {}
     var_lines: dict[str, int] = {}
     parents: dict[str, list[str]] = {}
@@ -166,7 +167,6 @@ def _parse_lines(text: str):
             except ValueError as exc:
                 raise NetworkSyntaxError(lineno, str(exc)) from None
             var_lines[name] = lineno
-            order.append(name)
             parents[name] = []
         elif kind == "arc":
             if len(tokens) != 3:
@@ -193,23 +193,19 @@ def _parse_lines(text: str):
         else:
             raise NetworkSyntaxError(lineno, f"unknown directive {kind!r}")
 
-    return order, variables, var_lines, parents, cpt_lines
-
-
-def _build_structure(order, variables, parents) -> DagStructure:
-    index = {name: i for i, name in enumerate(order)}
-    return DagStructure(
-        tuple(variables[name] for name in order),
-        tuple(tuple(index[p] for p in parents[name]) for name in order),
+    if not variables:
+        raise NetworkSyntaxError(0, "no variables declared")
+    index = {name: i for i, name in enumerate(variables)}
+    structure = DagStructure(
+        tuple(variables.values()),
+        tuple(tuple(index[p] for p in ps) for ps in parents.values()),
     )
+    return structure, index, var_lines, cpt_lines
 
 
 def parse_structure(text: str) -> DagStructure:
     """Parse only var and arc lines; cpt lines are ignored if present."""
-    order, variables, _, parents, _ = _parse_lines(text)
-    if not order:
-        raise NetworkSyntaxError(0, "no variables declared")
-    return _build_structure(order, variables, parents)
+    return _parse_lines(text)[0]
 
 
 def _parse_cpt_row(lineno, tokens, structure, index):
@@ -270,11 +266,7 @@ def _parse_cpt_row(lineno, tokens, structure, index):
 
 def parse_network(text: str) -> NetworkDocument:
     """Parse a full network file into a validated BayesNet."""
-    order, variables, var_lines, parents, cpt_lines = _parse_lines(text)
-    if not order:
-        raise NetworkSyntaxError(0, "no variables declared")
-    structure = _build_structure(order, variables, parents)
-    index = {name: i for i, name in enumerate(order)}
+    structure, index, var_lines, cpt_lines = _parse_lines(text)
 
     rows: dict[tuple[int, int], np.ndarray] = {}
     for lineno, tokens in cpt_lines:
@@ -315,10 +307,21 @@ def _format_prob(p: float) -> str:
 
 
 def serialize_network(net: BayesNet) -> str:
-    """Render a network in the line format; parse(serialize(net)) == net."""
+    """Render a network in the line format; parse(serialize(net)) == net.
+
+    Raises ModelError for a name or state label the format cannot hold: one
+    that is empty or has whitespace, or a parent's name with '='.
+    """
     structure = net.structure
     out: list[str] = []
-    for v in structure.variables:
+    for i, v in enumerate(structure.variables):
+        for token in (v.name, *v.state_labels):
+            if token.split() != [token]:
+                raise ModelError(
+                    f"variable {v.name!r}: {token!r} is empty or holds whitespace"
+                )
+        if "=" in v.name and structure.children(i):
+            raise ModelError(f"variable {v.name!r}: a parent's name cannot hold '='")
         out.append(f"var {v.name} {v.arity} " + " ".join(v.state_labels))
     for i, v in enumerate(structure.variables):
         for p in structure.parents[i]:
