@@ -134,7 +134,10 @@ def cmd_bench(parser, args) -> int:
 def cmd_sample(parser, args) -> int:
     doc = netio.parse_network(_read_text(args.net))
     data = genbench.forward_sample(doc.net, args.n, args.seed)
-    Path(args.out).write_text(netio.write_dataset(data))
+    # Block by block, so the whole CSV text is never held: the same text
+    # write_dataset(data) joins.
+    with open(args.out, "w") as out:
+        out.writelines(netio._dataset_csv_blocks(data))
     print(f"wrote {data.n_cases} cases to {args.out}")
     return 0
 

@@ -92,15 +92,22 @@ class Variable:
             raise ModelError(
                 f"variable {self.name!r}: arity must be 2 to {_MAX_CELLS}, got {self.arity}"
             )
-        labels = tuple(str(s) for s in self.state_labels)
-        if not labels:
-            labels = tuple(str(k + 1) for k in range(self.arity))
+        try:
+            labels = tuple(str(s) for s in self.state_labels)
+            if not labels:
+                labels = tuple(str(k + 1) for k in range(self.arity))
+            distinct = len(set(labels)) == len(labels)
+        except MemoryError:
+            raise MemoryError(
+                f"variable {self.name!r}: the state labels of arity {self.arity} "
+                "do not fit in memory"
+            ) from None
         object.__setattr__(self, "state_labels", labels)
         if len(labels) != self.arity:
             raise ModelError(
                 f"variable {self.name!r}: {len(labels)} state labels for arity {self.arity}"
             )
-        if len(set(labels)) != len(labels):
+        if not distinct:
             raise ModelError(f"variable {self.name!r}: state labels must be distinct")
 
     def state_index(self, label: str) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
@@ -340,16 +341,107 @@ def serialize_network(net: BayesNet) -> str:
     return "\n".join(out) + "\n"
 
 
+# Dataset CSVs are read and written this many rows at a time, so the
+# Python objects of one block, not of the whole table, are alive at once.
+_BLOCK_ROWS = 1024
+
+
+def _lines(text: str):
+    """Yield the lines of text, each with its line feed, split as io.StringIO
+    splits them: at line feeds only, so a CRLF reaches the csv reader whole."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)  # the last may have none
+        yield text[start:end]
+        start = end
+
+
+class _CellStates(dict):
+    """One column's raw cell -> state map, filled on first sight of each cell.
+
+    The rule: strip the cell; an empty cell is missing; a state label is
+    that state; a cell of decimal digits (str.isdecimal, the digits int()
+    reads) is a 0-based state index only when none of the variable's labels
+    is itself one.  A cell the rule rejects maps to -1.
+    """
+
+    def __init__(self, variable: Variable):
+        super().__init__()
+        self.variable = variable
+        self.numeric_ok = not any(lab.isdecimal() for lab in variable.state_labels)
+
+    def __missing__(self, raw: str) -> int:
+        cell = raw.strip()
+        labels = self.variable.state_labels
+        state = -1
+        if cell and cell in labels:
+            state = labels.index(cell)
+        elif self.numeric_ok and cell.isdecimal():
+            try:
+                index = int(cell)
+            except ValueError:  # more digits than int() reads
+                index = self.variable.arity
+            if index < self.variable.arity:
+                state = index
+        self[raw] = state
+        return state
+
+    def error(self, row: int, raw: str) -> DatasetFormatError:
+        """The error for a cell that maps to -1."""
+        cell = raw.strip()
+        if not cell:
+            return MissingValue(row, self.variable.name)
+        return UnknownStateLabel(row, self.variable.name, cell)
+
+
+def _raise_first_error(records, first_row: int, columns: list[_CellStates]):
+    """Raise the first bad row or cell of a block, in row order: a row with
+    too many cells, else the first cell of the row that its column rejects."""
+    width = len(columns)
+    for row, cells in enumerate(records, start=first_row):
+        if not cells:
+            continue
+        if len(cells) > width:
+            raise DatasetFormatError(f"row {row}: {len(cells)} cells for {width} columns")
+        for k, states in enumerate(columns):
+            raw = cells[k] if k < len(cells) else ""
+            if states[raw] < 0:
+                raise states.error(row, raw)
+
+
+def _read_block(reader, first_row, columns, sources, cases, filled) -> tuple[int, int]:
+    """Read up to _BLOCK_ROWS records into cases[filled:, :]; return the
+    records read, blank ones included, and the rows stored."""
+    records = list(itertools.islice(reader, _BLOCK_ROWS))
+    rows = [cells for cells in records if cells]
+    n = len(rows)
+    if not n:
+        return len(records), 0
+    width = len(columns)
+    if any(len(cells) != width for cells in rows):
+        _raise_first_error(records, first_row, columns)
+    states = [
+        np.fromiter(map(column.__getitem__, cells), dtype=np.int64, count=n)
+        for column, cells in zip(columns, zip(*rows))
+    ]
+    if any(s.min() < 0 for s in states):
+        _raise_first_error(records, first_row, columns)
+    for j, k in enumerate(sources):
+        cases[filled:filled + n, j] = states[k]
+    return len(records), n
+
+
 def parse_dataset(text: str, schema: tuple[Variable, ...]) -> Dataset:
-    """Read a dataset CSV against a known schema.
+    """Read a dataset CSV against a known schema, _BLOCK_ROWS rows at a time.
 
     The header must name exactly the schema's variables (any order; columns
     are reordered to match).  Cells hold state labels; a cell of decimal
     digits (str.isdecimal, the digits int() reads) is read as a 0-based
     state index only when none of that variable's labels is itself one.
+    Blank lines are skipped and cells are stripped.
     """
     schema = tuple(schema)
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(_lines(text))
     try:
         header = next(reader)
     except StopIteration:
@@ -360,38 +452,22 @@ def parse_dataset(text: str, schema: tuple[Variable, ...]) -> Dataset:
             f"header {header!r} does not match schema variables {names!r}"
         )
     by_name = {v.name: v for v in schema}
-    columns = [by_name[h] for h in header]
-    numeric_ok = {
-        v.name: not any(lab.isdecimal() for lab in v.state_labels)
-        for v in schema
-    }
+    columns = [_CellStates(by_name[h]) for h in header]
+    sources = [header.index(n) for n in names]
 
-    rows: list[list[int]] = []
-    for rownum, cells in enumerate(reader, start=1):
-        if not cells:
-            continue
-        if len(cells) > len(header):
-            raise DatasetFormatError(
-                f"row {rownum}: {len(cells)} cells for {len(header)} columns"
-            )
-        row = []
-        for k, v in enumerate(columns):
-            cell = cells[k].strip() if k < len(cells) else ""
-            if not cell:
-                raise MissingValue(rownum, v.name)
-            if cell in v.state_labels:
-                row.append(v.state_labels.index(cell))
-            elif numeric_ok[v.name] and cell.isdecimal():
-                state = int(cell)
-                if not 0 <= state < v.arity:
-                    raise UnknownStateLabel(rownum, v.name, cell)
-                row.append(state)
-            else:
-                raise UnknownStateLabel(rownum, v.name, cell)
-        rows.append(row)
-
-    arr = np.array(rows, dtype=np.int64).reshape(len(rows), len(header))
-    return Dataset(schema, arr[:, [header.index(n) for n in names]])
+    # Every row after the header takes at least one line.
+    bound = text.count("\n") + (not text.endswith("\n")) - 1
+    cases = np.empty((bound, len(names)), dtype=np.int64, order="F")
+    row, filled = 1, 0
+    while True:
+        read, stored = _read_block(reader, row, columns, sources, cases, filled)
+        if not read:
+            break
+        row += read
+        filled += stored
+    if filled < bound:  # blank lines, or newlines inside quoted cells
+        cases = np.array(cases[:filled], order="F")
+    return Dataset._adopt(schema, cases)
 
 
 def _fmt(value: float | None) -> str:
@@ -399,22 +475,31 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else format(value, ".12g")
 
 
+def _csv_rows(rows) -> str:
+    """CSV text of rows, with LF line endings."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def _csv_text(header, rows) -> str:
     """CSV text of a header and rows, with LF line endings."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    return _csv_rows(itertools.chain([header], rows))
+
+
+def _dataset_csv_blocks(data: Dataset):
+    """Yield a dataset's CSV text: the header line, then _BLOCK_ROWS rows at a
+    time, each state written as its label, with LF line endings."""
+    labels = [np.array(v.state_labels, dtype=object) for v in data.variables]
+    yield _csv_rows([[v.name for v in data.variables]])
+    for start in range(0, data.n_cases, _BLOCK_ROWS):
+        block = data.cases[start:start + _BLOCK_ROWS]
+        yield _csv_rows(zip(*(lab[block[:, k]].tolist() for k, lab in enumerate(labels))))
 
 
 def write_dataset(data: Dataset) -> str:
     """Render a dataset as CSV with state labels and LF line endings."""
-    columns = [
-        np.array(v.state_labels, dtype=object)[data.cases[:, k]].tolist()
-        for k, v in enumerate(data.variables)
-    ]
-    return _csv_text([v.name for v in data.variables], zip(*columns))
+    return "".join(_dataset_csv_blocks(data))
 
 
 def alarm_path() -> Path:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from statistics import fmean, stdev
 from typing import Sequence
 
 import numpy as np
@@ -185,11 +184,13 @@ def t_confidence_interval(values: Sequence[float]) -> tuple[float, float, float]
     vals = [float(v) for v in values]
     if len(vals) < 2:
         raise DegenerateInput(f"need at least 2 values, got {len(vals)}")
+    # Imported here: only roc's aggregation needs them, not import bnscore.
+    from statistics import fmean, stdev
+
     m = fmean(vals)
     s = stdev(vals)
     if s == 0.0:
         return m, m, m
-    # Imported here: only roc's aggregation needs scipy, not import bnscore.
     from scipy.special import stdtrit
 
     half = float(stdtrit(len(vals) - 1, 0.975)) * s / math.sqrt(len(vals))

@@ -7,9 +7,20 @@ from pathlib import Path
 
 import pytest
 
-from bnscore import MetricSpec, cli, log_score, parse_dataset, parse_network, rocstats
+from bnscore import (
+    MetricSpec,
+    cli,
+    forward_sample,
+    log_score,
+    parse_dataset,
+    parse_network,
+    rocstats,
+    write_dataset,
+)
 from bnscore.cli import _build_parser, main
 from bnscore.netio import alarm_path
+
+from .helpers import traced_peak
 
 PAIR_NET = """\
 var X 2 x1 x2
@@ -222,6 +233,18 @@ class TestSample:
         assert lines[0] == "X,Y"
         assert len(lines) == 51
         assert set("".join(lines[1:]).replace(",", "")) <= set("xy12")
+
+    def test_writes_csv_block_by_block(self, capsys, tmp_path, alarm):
+        # The file is write_dataset's text, yet never held whole: beside the
+        # cases, the command's peak stays below the file's size.
+        out_path = tmp_path / "s.csv"
+        argv = ["sample", "--net", str(alarm_path()), "--n", "20000", "--seed", "5",
+                "--out", str(out_path)]
+        (code, _, _), peak = traced_peak(run, capsys, argv)
+        assert code == 0
+        data = forward_sample(alarm.net, 20000, 5)
+        assert out_path.read_text() == write_dataset(data)
+        assert peak - data.cases.nbytes < out_path.stat().st_size
 
     def test_n_zero_gives_header_only(self, capsys, tmp_path, pair_files):
         net, _ = pair_files
@@ -436,6 +459,8 @@ if sys.argv[1:]:
 print("scipy modules:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 pool = ("concurrent", "multiprocessing")
 print("pool modules:", sorted(m for m in sys.modules if m.split(".")[0] in pool))
+stats = ("statistics", "fractions", "decimal")
+print("statistics modules:", sorted(m for m in sys.modules if m.split(".")[0] in stats))
 print("threads at exit:", threads())
 sys.exit(code)
 """
@@ -452,8 +477,9 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS
 
 
 class TestStartUp:
-    """Only roc's aggregation needs scipy, and only a parallel roc the process
-    pool; every other command, and import bnscore itself, loads neither.
+    """Only roc's aggregation needs scipy and statistics, and only a parallel
+    roc the process pool; every other command, and import bnscore itself,
+    loads none of them.
     bnscore calls no BLAS routine, so unless the caller set a BLAS thread
     count the process runs on one thread, and the import leaves os.environ
     as it found it."""
@@ -490,6 +516,7 @@ class TestStartUp:
         assert proc.returncode == 0, proc.stderr
         assert "scipy modules: []" in proc.stdout
         assert "pool modules: []" in proc.stdout
+        assert "statistics modules: []" in proc.stdout
         assert "environ unchanged: True" in proc.stdout
         if Path("/proc/self/task").is_dir():
             assert "threads after import: 1\n" in proc.stdout
@@ -589,6 +616,8 @@ class TestMemoryBounds:
         + "".join(f"arc {v} E\n" for v in "ABCD"),
         "wider.csv": "A,B,C,D,E\n1,1,1,1,1\n",
         "huge-arity.bn": "var A 1000000000\nvar B 2\n",
+        # Its default labels "1".."16777216" take more than 1 GiB as str.
+        "max-arity.bn": "var A 16777216\nvar B 2\n",
     }
 
     @pytest.mark.parametrize(
@@ -606,8 +635,11 @@ class TestMemoryBounds:
              "out of memory"),
             (["roc", "--sizes", "1000000000000", "--reps", "2", "--out", "roc"], 3,
              "out of memory"),
+            (["dsep", "--net", "max-arity.bn", "--count-marginal"], 3,
+             "out of memory: variable 'A': the state labels of arity 16777216"
+             " do not fit in memory"),
         ],
-        ids=["score-wide", "score-wider", "var-arity", "sample", "roc"],
+        ids=["score-wide", "score-wider", "var-arity", "sample", "roc", "var-labels"],
     )
     def test_exits_with_one_error_line(self, tmp_path, argv, code, expected):
         for name, text in self.FILES.items():

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from bnscore import (
     UnknownStateLabel,
     UnknownVariable,
     Variable,
+    forward_sample,
     parse_dataset,
     parse_network,
     parse_structure,
@@ -23,6 +26,8 @@ from bnscore import (
     write_dataset,
 )
 from bnscore.netio import DatasetFormatError
+
+from .helpers import traced_peak
 
 TOY = """\
 # two binary variables with one arc
@@ -188,6 +193,10 @@ class TestSerializeNetwork:
         assert parse_network(serialize_network(net)).net == net
 
 
+# More rows than two blocks of the dataset reader and writer.
+MANY = 2500
+
+
 class TestDatasetCsv:
     def test_write_then_parse_round_trip(self):
         vs = (Variable("X", 2, ("x1", "x2")), Variable("Y", 2, ("y1", "y2")))
@@ -205,12 +214,31 @@ class TestDatasetCsv:
         text = write_dataset(data)
         assert text == 'X,Y\n"a,b",d\n"q""x",c\n'
         assert parse_dataset(text, vs) == data
+        # A quoted newline takes two lines, over several blocks.
+        vs = (Variable("X", 2, ("a,b", "n\nl")), Variable("Y", 2, ("c", "d")))
+        data = Dataset(vs, [(0, 1), (1, 0)] * MANY)
+        text = write_dataset(data)
+        assert text == "X,Y\n" + '"a,b",d\n"n\nl",c\n' * MANY
+        assert parse_dataset(text, vs) == data
 
     def test_header_reordered_to_schema(self):
         vs = (Variable("X", 2, ("a", "b")), Variable("Y", 2, ("c", "d")))
         data = parse_dataset("Y,X\nc,b\nd,a\n", vs)
         assert data.variables == vs
         assert data.cases.tolist() == [[1, 0], [0, 1]]
+        # CRLF line ends, blank lines, no final line end, quoted and padded
+        # cells, and the same over several blocks, read alike.
+        for text, reps in [
+            ("Y,X\r\nc,b\r\nd,a\r\n", 1),
+            ("Y,X\n\nc,b\n\n\nd,a", 1),
+            ('Y,X\n"c", b \n d ,"a"\n', 1),
+            ("Y,X\n" + "c,b\nd,a\n" * MANY, MANY),
+            ("Y,X\r\n" + "c,b\r\n\r\nd,a\r\n" * MANY, MANY),
+        ]:
+            data = parse_dataset(text, vs)
+            assert data.variables == vs
+            assert data.cases.tolist() == [[1, 0], [0, 1]] * reps, text[:20]
+            assert data.cases.flags.f_contiguous
 
     def test_header_mismatch(self):
         vs = (Variable("X", 2), Variable("Y", 2))
@@ -227,8 +255,9 @@ class TestDatasetCsv:
         assert data.cases.tolist() == [[2], [0]]
         with pytest.raises(UnknownStateLabel):
             parse_dataset("X\n3\n", vs)
-        # str.isdigit accepts superscripts, which int() rejects
-        for cell in ("²", "³"):
+        # str.isdigit accepts superscripts, which int() rejects; int() also
+        # rejects more digits than sys.get_int_max_str_digits() allows
+        for cell in ("²", "³", "1" * 5000):
             with pytest.raises(UnknownStateLabel):
                 parse_dataset(f"X\n{cell}\n", vs)
 
@@ -247,11 +276,41 @@ class TestDatasetCsv:
         assert exc.value.column == "Y"
         with pytest.raises(MissingValue):
             parse_dataset("X,Y\na,\n", vs)
+        # past the first block
+        with pytest.raises(MissingValue) as exc:
+            parse_dataset("X,Y\n" + "a,c\n" * MANY + "b, \n", vs)
+        assert exc.value.row == MANY + 1
+        assert exc.value.column == "Y"
+
+    @pytest.mark.parametrize(
+        "body, error, row, column",
+        [
+            # an unknown label wins over a short row later in its block
+            ("a,c\na,e\nb\n", UnknownStateLabel, 2, "Y"),
+            # a short row wins over an unknown label later in its block
+            ("a,c\nb\na,e\n", MissingValue, 2, "Y"),
+            # the first bad cell in row order, past the first block
+            ("a,c\n" * MANY + "a,d\nz,d\nb,z\n", UnknownStateLabel, MANY + 2, "X"),
+            ("a,c\n" * MANY + "a,d\nb,z\nz,d\n", UnknownStateLabel, MANY + 2, "Y"),
+            # blank lines count as rows
+            ("\n" * MANY + "a,c\nb,z\n", UnknownStateLabel, MANY + 2, "Y"),
+        ],
+        ids=["label-before-short-row", "short-row-before-label", "past-first-block-x",
+             "past-first-block-y", "after-blank-lines"],
+    )
+    def test_first_bad_cell_in_row_order_wins(self, body, error, row, column):
+        vs = (Variable("X", 2, ("a", "b")), Variable("Y", 2, ("c", "d")))
+        with pytest.raises(error) as exc:
+            parse_dataset("X,Y\n" + body, vs)
+        assert type(exc.value) is error
+        assert (exc.value.row, exc.value.column) == (row, column)
 
     def test_overlong_row(self):
         vs = (Variable("X", 2, ("a", "b")),)
         with pytest.raises(DatasetFormatError):
             parse_dataset("X\na,b\n", vs)
+        with pytest.raises(DatasetFormatError, match=f"^row {MANY + 1}: 2 cells for 1 columns$"):
+            parse_dataset("X\n" + "a\n" * MANY + "a,b\nc\n", vs)
 
     def test_header_only_round_trip(self):
         vs = (Variable("X", 2), Variable("Y", 2))
@@ -274,3 +333,20 @@ class TestDatasetCsv:
         )
         data = Dataset(vs, cases)
         assert parse_dataset(write_dataset(data), vs) == data
+
+
+class TestDatasetCsvMemory:
+    """Dataset CSV I/O holds one block of rows as Python objects, never the
+    whole table.  Peaks are tracemalloc's, so they repeat exactly."""
+
+    def test_parse_peaks_below_three_case_arrays(self, alarm):
+        data = forward_sample(alarm.net, 20000, 5)
+        text = write_dataset(data)
+        parsed, peak = traced_peak(parse_dataset, text, alarm.structure.variables)
+        assert parsed == data
+        assert peak < 3 * data.cases.nbytes
+
+    def test_write_peaks_below_two_and_a_half_texts(self, alarm):
+        data = forward_sample(alarm.net, 20000, 5)
+        text, peak = traced_peak(write_dataset, data)
+        assert peak < 2.5 * sys.getsizeof(text)
