@@ -8,6 +8,7 @@ usage errors and on tables or samples too large for memory.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from pathlib import Path
@@ -250,6 +251,11 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        # The command owns the process, and what the import made lives until
+        # exit: move it where no collection walks it, at exit or in a forked
+        # roc worker.  A caller passing argv keeps its own collector state.
+        gc.freeze()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

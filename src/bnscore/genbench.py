@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import BayesNet, Dataset, Variable, _mixed_radix, _pair_count_tables
+from .model import BayesNet, Dataset, Variable, _mixed_radix, _pair_count_tables, _state_dtype
 from .netio import _csv_text, _fmt
 from .scoring import DomainError, MetricSpec, RatioResult, _pair_log_ratios, _safe_exp
 
@@ -131,10 +131,11 @@ def forward_sample(net: BayesNet, n_cases: int, seed: int) -> Dataset:
         raise DomainError(f"n_cases must be non-negative, got {n_cases}")
     structure = net.structure
     rng = np.random.default_rng(seed)
-    cases = np.zeros((n_cases, structure.n), dtype=np.int64, order="F")
+    cases = np.zeros((n_cases, structure.n), dtype=_state_dtype(structure.variables), order="F")
     for i in structure.topological_order():
         ps = structure.parents[i]
-        config = _mixed_radix(cases, ps, [structure.variables[p].arity for p in ps])
+        # A root has one parent configuration, 0: each case meets the same thresholds.
+        config = _mixed_radix(cases, ps, [structure.variables[p].arity for p in ps]) if ps else 0
         cdf = np.cumsum(net.cpts[i], axis=1)
         u = rng.random(n_cases)
         state = cases[:, i]

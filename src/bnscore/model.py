@@ -256,12 +256,31 @@ def _as_case_array(variables: tuple[Variable, ...], cases) -> np.ndarray:
     return arr
 
 
+def _state_dtype(variables: Sequence[Variable]) -> np.dtype:
+    """The dtype of every case array: the narrowest unsigned integer type that
+    holds every state, uint8 up to arity 256 (ALARM's largest arity is 4)."""
+    return np.min_scalar_type(max((v.arity for v in variables), default=1) - 1)
+
+
+def _check_states(variables: tuple[Variable, ...], arr: np.ndarray) -> None:
+    """Raise StateOutOfRange for the first column holding a state outside 0..arity-1."""
+    for col, v in enumerate(variables):
+        column = arr[:, col]
+        if column.size and (column.min() < 0 or column.max() >= v.arity):
+            bad = column[(column < 0) | (column >= v.arity)][0]
+            raise StateOutOfRange(
+                f"variable {v.name!r}: state {int(bad)} outside 0..{v.arity - 1}"
+            )
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Complete discrete data: one row per case, one column per variable.
 
-    ``cases`` is copied column-major: sampling and counting read it by variable.
-    Forward sampling builds its array in that layout and hands it over uncopied."""
+    ``cases`` is copied column-major, as the narrowest unsigned integer type
+    that holds every state (_state_dtype): sampling and counting read it by
+    variable.  Forward sampling builds its array in that layout and type and
+    hands it over uncopied."""
 
     variables: tuple[Variable, ...]
     cases: np.ndarray
@@ -269,26 +288,24 @@ class Dataset:
     def __post_init__(self) -> None:
         variables = tuple(self.variables)
         object.__setattr__(self, "variables", variables)
-        self._own(np.array(_as_case_array(variables, self.cases), order="F"))
+        cases = _as_case_array(variables, self.cases)
+        # Checked in int64, so no state outside its range wraps into it.
+        _check_states(variables, cases)
+        self._own(np.array(cases, dtype=_state_dtype(variables), order="F"))
 
     @classmethod
     def _adopt(cls, variables: tuple[Variable, ...], cases: np.ndarray) -> "Dataset":
-        """A Dataset over ``cases`` itself, not a copy: for a fresh int64
-        (cases, variables) Fortran-order array that its maker then drops."""
+        """A Dataset over ``cases`` itself, not a copy: for a fresh
+        (cases, variables) Fortran-order array of _state_dtype(variables)
+        that its maker then drops."""
         data = object.__new__(cls)
         object.__setattr__(data, "variables", tuple(variables))
+        _check_states(data.variables, cases)
         data._own(cases)
         return data
 
     def _own(self, arr: np.ndarray) -> None:
-        """Range-check every column, then keep arr read-only as the cases."""
-        for col, v in enumerate(self.variables):
-            column = arr[:, col]
-            if column.size and (column.min() < 0 or column.max() >= v.arity):
-                bad = column[(column < 0) | (column >= v.arity)][0]
-                raise StateOutOfRange(
-                    f"variable {v.name!r}: state {int(bad)} outside 0..{v.arity - 1}"
-                )
+        """Keep arr read-only as the cases."""
         arr.setflags(write=False)
         object.__setattr__(self, "cases", arr)
 
@@ -305,10 +322,12 @@ class Dataset:
 
 
 def _mixed_radix(cases: np.ndarray, cols: Sequence[int], arities: Sequence[int]) -> np.ndarray:
-    """Fold the listed state columns into flat indices, first most significant.
-    Same C order as np.ravel_multi_index, but faster on the sampling and counting paths."""
-    idx = np.zeros(cases.shape[0], dtype=np.int64)
-    for c, r in zip(cols, arities):
+    """Fold the listed state columns, at least one, into flat indices, first most
+    significant.  Same C order as np.ravel_multi_index, but faster on the sampling
+    and counting paths."""
+    # In int64 from the first digit on: an index can pass the cases' own type.
+    idx = cases[:, cols[0]].astype(np.int64)
+    for c, r in zip(cols[1:], arities[1:]):
         idx *= r
         idx += cases[:, c]
     return idx
@@ -390,7 +409,8 @@ def _pair_count_tables(
     words = np.zeros((sum(arities), -(-cases.shape[0] // 64)), np.uint64)
     as_bytes = words.view(np.uint8)
     for v, r in zip(used, arities):
-        packed = np.packbits(cases[:, v] == np.arange(r)[:, None], axis=-1, bitorder="little")
+        states = np.arange(r, dtype=cases.dtype)[:, None]  # an int64 arange would cast every case
+        packed = np.packbits(cases[:, v] == states, axis=-1, bitorder="little")
         as_bytes[first_row[v] : first_row[v] + r, : packed.shape[1]] = packed
 
     shapes: dict[tuple[int, int], list[int]] = {}

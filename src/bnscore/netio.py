@@ -16,6 +16,7 @@ silently; beyond that the file is rejected.  Probabilities are written with
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
@@ -33,6 +34,7 @@ from .model import (
     Dataset,
     ModelError,
     Variable,
+    _state_dtype,
 )
 
 __all__ = [
@@ -438,9 +440,34 @@ def parse_dataset(text: str, schema: tuple[Variable, ...]) -> Dataset:
     are reordered to match).  Cells hold state labels; a cell of decimal
     digits (str.isdecimal, the digits int() reads) is read as a 0-based
     state index only when none of that variable's labels is itself one.
-    Blank lines are skipped and cells are stripped.
+    Blank lines are skipped and cells are stripped.  A record the csv
+    module cannot read, such as a cell past its field size limit, raises
+    DatasetFormatError naming the row.
     """
     schema = tuple(schema)
+    try:
+        cases = _read_cases(text, schema)
+    except csv.Error as exc:
+        row = _unreadable_row(text)
+        where = f"row {row}" if row else "header row"
+        raise DatasetFormatError(f"{where}: {exc}") from None
+    return Dataset._adopt(schema, cases)
+
+
+def _unreadable_row(text: str) -> int:
+    """The row of the first record the csv reader fails on, the header being
+    row 0.  The text is read again: counting records on every read would
+    cost each read for the rare one that fails."""
+    row = 0
+    with contextlib.suppress(csv.Error):
+        for row, _ in enumerate(csv.reader(_lines(text)), start=1):
+            pass
+    return row
+
+
+def _read_cases(text: str, schema: tuple[Variable, ...]) -> np.ndarray:
+    """The states of parse_dataset, as a fresh Fortran-order array of
+    _state_dtype(schema); csv.Error passes through."""
     reader = csv.reader(_lines(text))
     try:
         header = next(reader)
@@ -457,7 +484,7 @@ def parse_dataset(text: str, schema: tuple[Variable, ...]) -> Dataset:
 
     # Every row after the header takes at least one line.
     bound = text.count("\n") + (not text.endswith("\n")) - 1
-    cases = np.empty((bound, len(names)), dtype=np.int64, order="F")
+    cases = np.empty((bound, len(names)), dtype=_state_dtype(schema), order="F")
     row, filled = 1, 0
     while True:
         read, stored = _read_block(reader, row, columns, sources, cases, filled)
@@ -467,7 +494,7 @@ def parse_dataset(text: str, schema: tuple[Variable, ...]) -> Dataset:
         filled += stored
     if filled < bound:  # blank lines, or newlines inside quoted cells
         cases = np.array(cases[:filled], order="F")
-    return Dataset._adopt(schema, cases)
+    return cases
 
 
 def _fmt(value: float | None) -> str:

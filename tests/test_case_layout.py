@@ -26,7 +26,7 @@ from .oracles import forward_sample_reference
 
 
 def assert_same_cases(data: Dataset, reference: np.ndarray) -> None:
-    assert data.cases.dtype == np.int64
+    assert data.cases.dtype == np.min_scalar_type(max(v.arity for v in data.variables) - 1)
     assert data.cases.shape == reference.shape
     assert (data.cases == reference).all()
 
@@ -110,7 +110,7 @@ def test_dataset_layout_does_not_matter():
     for name, cases in layouts(base).items():
         data = Dataset(variables, cases)
         assert data == reference, name
-        assert data.cases.dtype == np.int64, name
+        assert data.cases.dtype == np.uint8, name
         assert not data.cases.flags.writeable, name
         assert data.cases.flags.f_contiguous, name
         stats = count_sufficient_stats(structure, data)
@@ -123,10 +123,10 @@ def test_dataset_layout_does_not_matter():
 
 
 def test_dataset_copies_its_input():
-    # A Fortran-ordered int64 array already has the stored layout; it must
-    # still be copied, not aliased.
+    # A Fortran-ordered uint8 array already has the stored layout and type;
+    # it must still be copied, not aliased.
     variables = (Variable("A", 2), Variable("B", 2))
-    cases = np.asfortranarray([[0, 1], [1, 0]], dtype=np.int64)
+    cases = np.asfortranarray([[0, 1], [1, 0]], dtype=np.uint8)
     data = Dataset(variables, cases)
     cases[0, 0] = 1
     assert data.cases.tolist() == [[0, 1], [1, 0]]

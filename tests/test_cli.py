@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import resource
@@ -539,6 +540,42 @@ class TestStartUp:
             assert len((out_dir / name).read_text().splitlines()) > 1, name
 
 
+# Runs bnscore.cli as ``python -m`` does, or calls main() as the console
+# script does, and prints the collector's freeze count at exit.
+FREEZE_PROBE = """
+import atexit
+import gc
+import runpy
+import sys
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count()))
+if sys.argv[1] == "module":
+    sys.argv[1:2] = []
+    runpy.run_module("bnscore.cli", run_name="__main__", alter_sys=True)
+else:
+    from bnscore.cli import main
+    del sys.argv[1]
+    sys.exit(main())
+"""
+
+
+class TestGcFreeze:
+    """Run as the program, the CLI freezes the import-time heap, so the
+    collections at exit and in forked roc workers skip it; main(argv)
+    called in-process leaves the caller's collector alone."""
+
+    @pytest.mark.parametrize("how", ["module", "console-script"])
+    def test_program_freezes_the_import_heap(self, how):
+        proc = TestStartUp.probe([how, "bench", "--example", "3"], code=FREEZE_PROBE)
+        assert proc.returncode == 0, proc.stderr
+        frozen = int(proc.stdout.rsplit("frozen at exit: ", 1)[1])
+        assert frozen > 1000
+
+    def test_in_process_main_keeps_the_callers_collector(self, capsys):
+        before = gc.get_freeze_count()
+        assert main(["bench", "--example", "3"]) == 0
+        assert gc.get_freeze_count() == before
+
+
 class TestTopLevel:
     def test_no_subcommand(self, capsys):
         code, _, _ = run(capsys, [])
@@ -578,11 +615,16 @@ class TestFileErrors:
             ),
             (["score", "--metric", "k2", "--net", "{net}", "--data", "{sup2}"], "'²'"),
             (["score", "--metric", "k2", "--net", "{net}", "--data", "{sup3}"], "'³'"),
+            # Cells past the csv module's field size limit (131,072 characters)
+            (["score", "--metric", "k2", "--net", "{net}", "--data", "{long_cell}"],
+             "row 2: field larger than field limit"),
+            (["score", "--metric", "k2", "--net", "{net}", "--data", "{long_name}"],
+             "header row: field larger than field limit"),
         ],
         ids=[
             "score-undecodable-data", "dsep-undecodable-net", "sample-out-missing-dir",
             "bench-out-missing-dir", "roc-out-is-a-file", "score-superscript-2",
-            "score-superscript-3",
+            "score-superscript-3", "score-cell-past-csv-limit", "score-header-past-csv-limit",
         ],
     )
     def test_exits_2_with_one_error_line(self, capsys, tmp_path, pair_files, argv, named):
@@ -594,6 +636,8 @@ class TestFileErrors:
             # str.isdigit accepts superscripts, which int() rejects
             ("sup2", "X,Y\nx1,y1\n²,y2\n".encode()),
             ("sup3", "X,Y\n³,y1\n".encode()),
+            ("long_cell", b'X,Y\nx1,y1\n"' + b"x" * 200_000 + b'",y1\n'),
+            ("long_name", b'"' + b"X" * 200_000 + b'",Y\nx1,y1\n'),
         ):
             fields[name] = str(tmp_path / name)
             (tmp_path / name).write_bytes(content)

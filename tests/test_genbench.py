@@ -138,9 +138,9 @@ class TestForwardSample:
     def test_zero_cases(self, alarm):
         assert forward_sample(alarm.net, 0, 1).n_cases == 0
 
-    def test_sample_is_read_only_column_major_int64(self, alarm):
+    def test_sample_is_read_only_column_major_uint8(self, alarm):
         cases = forward_sample(alarm.net, 50, 4).cases
-        assert cases.dtype == np.int64 and cases.shape == (50, 37)
+        assert cases.dtype == np.uint8 and cases.shape == (50, 37)
         assert cases.flags.f_contiguous and cases.flags.owndata
         assert not cases.flags.writeable
 

@@ -18,7 +18,9 @@ from bnscore import (
     clique_decomposition,
     count_sufficient_stats,
     d_separated,
+    forward_sample,
     joint_cell_counts,
+    parse_dataset,
 )
 from bnscore.model import _mixed_radix, _pair_count_tables
 from bnscore.rocstats import marginally_d_separated_pairs
@@ -166,11 +168,59 @@ def test_mixed_radix_is_numpy_c_order(data):
     assert np.array_equal(_mixed_radix(cases, cols, picked), expected)
 
 
+@pytest.mark.parametrize(
+    "dtype, arities", [(np.uint8, (256, 256, 3)), (np.uint16, (300, 2, 300))], ids=["uint8", "uint16"]
+)
+def test_mixed_radix_of_narrow_columns_counts_in_int64(dtype, arities):
+    """Flat indices pass 2**16, past both column types: the fold must not wrap."""
+    rng = np.random.default_rng(7)
+    cases = np.asfortranarray(rng.integers(0, arities, size=(500, 3)).astype(dtype))
+    cases[0] = [r - 1 for r in arities]
+    cols = (2, 0, 1)
+    picked = [arities[c] for c in cols]
+    expected = np.ravel_multi_index(tuple(cases[:, c] for c in cols), picked)
+    got = _mixed_radix(cases, cols, picked)
+    assert got.dtype == np.int64
+    assert got.max() >= 2**16
+    assert np.array_equal(got, expected)
+
+
 class TestDataset:
     def test_state_bounds_checked(self):
         vs = (Variable("X", 2),)
         with pytest.raises(StateOutOfRange):
             Dataset(vs, [(2,)])
+
+    @pytest.mark.parametrize(
+        "arity, dtype",
+        [(2, np.uint8), (256, np.uint8), (257, np.uint16), (65537, np.uint32)],
+    )
+    def test_cases_take_the_narrowest_unsigned_type(self, arity, dtype):
+        """Each producer stores states as the narrowest unsigned type that
+        holds the largest, arity - 1."""
+        vs = (Variable("X", arity), Variable("Y", 2))
+        given = [[arity - 1, 1], [0, 0], [arity // 2, 1]]
+        net = BayesNet(
+            DagStructure(vs, ((), (0,))),
+            (np.full((1, arity), 1 / arity), np.full((arity, 2), 0.5)),
+        )
+        for data in (
+            Dataset(vs, given),
+            Dataset(vs, np.array(given, dtype=dtype)),
+            parse_dataset(f"X,Y\n{arity},2\n1,1\n{arity // 2 + 1},2\n", vs),
+            forward_sample(net, 40, 3),
+        ):
+            assert data.cases.dtype == dtype
+            assert data.cases.flags.f_contiguous and not data.cases.flags.writeable
+        assert Dataset(vs, given).cases.tolist() == given
+
+    @pytest.mark.parametrize("bad", [-1, 4, 256, 260, 2**32 + 1])
+    def test_states_checked_before_narrowing(self, bad):
+        """A state outside 0..arity-1 raises, whatever it would wrap to in uint8."""
+        vs = (Variable("Y", 2), Variable("X", 4))
+        for cases in ([[0, 1], [1, bad]], np.array([[0, 1], [1, bad]], dtype=np.int64, order="F")):
+            with pytest.raises(StateOutOfRange, match=rf"^variable 'X': state {bad} outside 0\.\.3$"):
+                Dataset(vs, cases)
 
     def test_empty_dataset(self):
         vs = (Variable("X", 2), Variable("Y", 2))
@@ -185,7 +235,7 @@ class TestDataset:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_caller_array_is_copied(self, order):
-        """An int64 Fortran-order array needs no conversion, but is copied too."""
+        """The caller's array is copied, never aliased, whatever its order."""
         vs = (Variable("X", 2), Variable("Y", 3))
         cases = np.array([[0, 2], [1, 1]], dtype=np.int64, order=order)
         d = Dataset(vs, cases)
@@ -275,6 +325,21 @@ class TestCounting:
         for i, (x, y) in enumerate(pairs):
             want = joint_cell_counts((x, y), dataset).reshape(arities[x], arities[y])
             assert got[i] == want.tolist(), (x, y)
+
+    def test_pair_count_tables_of_uint16_cases(self):
+        """States past 255 pack into the same bitsets as any other."""
+        rng = np.random.default_rng(3)
+        vs = (Variable("A", 300), Variable("B", 3), Variable("C", 2))
+        cases = rng.integers(0, (300, 3, 2), size=(200, 3))
+        cases[0] = (299, 2, 1)
+        data = Dataset(vs, cases)
+        assert data.cases.dtype == np.uint16
+        pairs = [(0, 1), (2, 0), (1, 2)]
+        for positions, tables in _pair_count_tables(data, pairs):
+            for i, table in zip(positions, tables):
+                x, y = pairs[i]
+                want = joint_cell_counts((x, y), data).reshape(vs[x].arity, vs[y].arity)
+                assert np.array_equal(table, want), (x, y)
 
     def test_pair_count_tables_validation(self):
         vs = (Variable("X", 2), Variable("Y", 3))

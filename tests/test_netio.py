@@ -261,6 +261,29 @@ class TestDatasetCsv:
             with pytest.raises(UnknownStateLabel):
                 parse_dataset(f"X\n{cell}\n", vs)
 
+    @pytest.mark.parametrize("cell", ["-1", "4", "256", "260"])
+    def test_state_index_out_of_range_is_an_unknown_state(self, cell):
+        """A cell read as a state index outside 0..arity-1 is rejected with
+        the cell as written, whatever it would wrap to in the uint8 cases."""
+        vs = (Variable("X", 4, ("lo", "mid", "hi", "max")),)
+        with pytest.raises(UnknownStateLabel, match=rf"^row 2, column 'X': unknown state '{cell}'$"):
+            parse_dataset(f"X\nlo\n{cell}\n", vs)
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ('"' + "X" * 200_000 + '",Y\na,c\n', "header row"),
+            ('X,Y\na,c\n"' + "a" * 200_000 + '",c\n', "row 2"),
+            ("X,Y\n" + "a,c\n" * MANY + 'b,"' + "c" * 200_000 + '"\n', f"row {MANY + 1}"),
+        ],
+        ids=["header", "data-row", "past-first-block"],
+    )
+    def test_cell_past_the_csv_field_limit_names_its_row(self, text, where):
+        vs = (Variable("X", 2, ("a", "b")), Variable("Y", 2, ("c", "d")))
+        with pytest.raises(DatasetFormatError, match=f"^{where}: field larger than field limit") as exc:
+            parse_dataset(text, vs)
+        assert type(exc.value) is DatasetFormatError
+
     def test_numeric_labels_disable_index_reading(self):
         # default labels are "1".."arity", so "0" matches nothing
         vs = (Variable("X", 2),)
@@ -344,7 +367,10 @@ class TestDatasetCsvMemory:
         text = write_dataset(data)
         parsed, peak = traced_peak(parse_dataset, text, alarm.structure.variables)
         assert parsed == data
-        assert peak < 3 * data.cases.nbytes
+        assert peak < 3 * 8 * data.cases.size  # three int64 case arrays
+        # The uint8 cases and one block's Python objects: 4.9 bytes a cell,
+        # where int64 cases took 11.9.
+        assert peak < 6 * data.cases.size
 
     def test_write_peaks_below_two_and_a_half_texts(self, alarm):
         data = forward_sample(alarm.net, 20000, 5)

@@ -8,7 +8,9 @@ Each command runs as ``python -m bnscore.cli ...`` in its own directory
 OUT/NAME, which receives the command's ``stdout``, ``stderr`` and
 ``exit_code`` next to any file the command writes; OUT/one-arc.bn is the
 ALARM variables with the single arc HYPOVOLEMIA -> LVEDVOLUME, the structure
-the ``score --structure`` rows read. OUT/wide.bn and its one-row OUT/wide.csv
+the ``score --structure`` rows read. OUT/wide-states.bn has a 300-state
+variable, past what uint8 cases hold, for a ``sample`` row and a ``score`` row
+on its output. OUT/wide.bn and its one-row OUT/wide.csv
 give a count table too large to hold, and OUT/huge-arity.bn a variable past
 the arity cap; both must end in one error line. OUT/outputs.sha256 lists the
 SHA-256 of every file under the row directories, one ``DIGEST  NAME/FILE``
@@ -65,6 +67,13 @@ OVERSIZE_FILES = {
 }
 
 
+def wide_states_network() -> str:
+    """W, of 300 states, the later ones likelier, and its binary child V."""
+    w = " ".join(format((k + 1) / 45150, ".17g") for k in range(300))  # 45150 = 1 + ... + 300
+    v = "".join(f"cpt V | W={k + 1} : {(k % 7 + 1) / 8} {1 - (k % 7 + 1) / 8}\n" for k in range(300))
+    return f"var W 300\nvar V 2\narc W V\ncpt W | : {w}\n{v}"
+
+
 def one_arc_structure(alarm: str) -> str:
     """The var lines of the network file at ``alarm`` plus one arc."""
     lines = [line for line in Path(alarm).read_text().splitlines() if line.startswith("var ")]
@@ -93,6 +102,12 @@ def commands(alarm: str, structure: str, root: str) -> list[tuple[str, list[str]
         for name in ("k2", "bdeu4", "gu")
     ]
     out += [
+        ("sample-wide-states", [*CLI, "sample", "--net", f"{root}/wide-states.bn", "--n", "2000",
+                                "--seed", "4", "--out", "cases.csv"]),
+        ("score-wide-states", [*CLI, "score", "--metric", "k2", "--net", f"{root}/wide-states.bn",
+                               "--data", "../sample-wide-states/cases.csv"]),
+    ]
+    out += [
         (f"score-{name}", [*CLI, "score", "--metric", "k2", "--structure", f"{root}/{bn}",
                            "--data", f"{root}/wide.csv"])
         for name, bn in (("wide-structure", "wide.bn"), ("huge-arity", "huge-arity.bn"))
@@ -111,7 +126,7 @@ def commands(alarm: str, structure: str, root: str) -> list[tuple[str, list[str]
 
 
 def prepare(root: Path, env: dict[str, str]) -> list[tuple[str, list[str]]]:
-    """Write root/one-arc.bn and the OVERSIZE_FILES and return the rows, for
+    """Write root/one-arc.bn, root/wide-states.bn and the OVERSIZE_FILES and return the rows, for
     the bnscore that env puts on the path."""
     alarm = subprocess.run(
         [sys.executable, "-c", "from bnscore.netio import alarm_path; print(alarm_path())"],
@@ -120,6 +135,7 @@ def prepare(root: Path, env: dict[str, str]) -> list[tuple[str, list[str]]]:
     root.mkdir(parents=True, exist_ok=True)
     structure = root / "one-arc.bn"
     structure.write_text(one_arc_structure(alarm))
+    (root / "wide-states.bn").write_text(wide_states_network())
     for name, text in OVERSIZE_FILES.items():
         (root / name).write_text(text)
     return commands(alarm, str(structure), str(root))
