@@ -127,11 +127,15 @@ def forward_sample(net: BayesNet, n_cases: int, seed: int) -> Dataset:
     A state is the number of the first r - 1 cumulative CPT entries of its
     parent configuration below u ~ U[0, 1): the inverse CDF, as rows never decrease.
     """
-    if n_cases < 0:
-        raise DomainError(f"n_cases must be non-negative, got {n_cases}")
+    if n_cases < 0 or seed < 0:
+        raise DomainError(f"n_cases and seed must be non-negative, got {n_cases} and {seed}")
     structure = net.structure
+    dtype = _state_dtype(structure.variables)
+    # Past np.intp bytes numpy raises a bare ValueError, not a MemoryError.
+    if n_cases * structure.n * dtype.itemsize > np.iinfo(np.intp).max:
+        raise MemoryError(f"{n_cases} cases of {structure.n} variables do not fit in memory")
     rng = np.random.default_rng(seed)
-    cases = np.zeros((n_cases, structure.n), dtype=_state_dtype(structure.variables), order="F")
+    cases = np.zeros((n_cases, structure.n), dtype=dtype, order="F")
     for i in structure.topological_order():
         ps = structure.parents[i]
         # A root has one parent configuration, 0: each case meets the same thresholds.

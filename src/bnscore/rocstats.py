@@ -33,9 +33,6 @@ __all__ = [
     "DEFAULT_FPR_GRID",
     "DEFAULT_SIZES",
     "DEFAULT_METRICS",
-    "roc_points",
-    "auc",
-    "mann_whitney_auc",
     "auc_from_pairs",
     "mean_roc",
     "t_confidence_interval",
@@ -81,7 +78,7 @@ class ScoredPair:
 
 @dataclass(frozen=True)
 class RocCurve:
-    """ROC points from (0, 0) to (1, 1), both rates non-decreasing.
+    """ROC points from (0, 0) to (1, 1), both rates non-decreasing in [0, 1].
 
     Tied scores are swept together, so ties show up as single diagonal
     segments rather than staircase artefacts.
@@ -97,18 +94,21 @@ class RocCurve:
         if not pts or pts[0][0] != 0.0 or pts[-1] != (1.0, 1.0):
             raise DegenerateInput("curve must run from fpr 0 to (1, 1)")
         for (f0, t0), (f1, t1) in zip(pts, pts[1:]):
-            if f1 < f0 or t1 < t0:
-                raise DegenerateInput("ROC points must be non-decreasing")
+            # Chained, so a NaN rate fails too.
+            if not (0.0 <= f0 <= f1 <= 1.0 and 0.0 <= t0 <= t1 <= 1.0):
+                raise DegenerateInput("ROC points must be non-decreasing rates in [0, 1]")
 
 
-def roc_points(pairs: Sequence[ScoredPair]) -> RocCurve:
-    """Sweep a decision threshold down through the scores.
+def _sweep(labels: np.ndarray, scores: np.ndarray) -> tuple[float, RocCurve]:
+    """Area and curve from bool labels (True marks a positive) and scores.
 
-    After each group of tied scores in one stable descending sort, the
-    running (fpr, tpr) is emitted (Fawcett 2006, Algorithm 2).
+    A decision threshold sweeps down through the scores: after each group
+    of tied scores in one stable descending sort, the running (fpr, tpr)
+    is emitted (Fawcett 2006, Algorithm 2). The trapezoidal area must agree
+    with the Mann-Whitney statistic, the probability a random positive
+    outscores a random negative with ties counting 1/2, to 1e-12; a
+    disagreement means the sweep itself is broken.
     """
-    labels = np.array([p.label for p in pairs], dtype=bool)
-    scores = np.array([p.score for p in pairs], dtype=float)
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -121,42 +121,26 @@ def roc_points(pairs: Sequence[ScoredPair]) -> RocCurve:
     ranked = scores[order]
     ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
     tp = np.cumsum(labels[order])[ends]
-    fp = ends + 1 - tp
-    return RocCurve(((0.0, 0.0), *zip((fp / n_neg).tolist(), (tp / n_pos).tolist())))
-
-
-def auc(curve: RocCurve) -> float:
-    """Trapezoidal area under the curve."""
-    total = 0.0
-    for (f0, t0), (f1, t1) in zip(curve.points, curve.points[1:]):
-        total += (f1 - f0) * (t0 + t1) / 2.0
-    return total
-
-
-def mann_whitney_auc(pairs: Sequence[ScoredPair]) -> float:
-    """Probability a random positive outscores a random negative, ties 1/2."""
-    pos = np.array([p.score for p in pairs if p.label])
-    neg = np.array([p.score for p in pairs if not p.label])
-    if pos.size == 0 or neg.size == 0:
-        raise DegenerateInput("need at least one positive and one negative")
+    fpr = np.append(0.0, (ends + 1 - tp) / n_neg)
+    tpr = np.append(0.0, tp / n_pos)
+    # add.accumulate adds the trapezoids in order, as a loop over the
+    # points does; np.sum's pairwise order would move digits.
+    area = float(np.add.accumulate(np.diff(fpr) * (tpr[:-1] + tpr[1:]) / 2.0)[-1])
+    pos, neg = scores[labels], scores[~labels]
     wins = np.greater.outer(pos, neg).sum() + 0.5 * np.equal.outer(pos, neg).sum()
-    return float(wins) / (pos.size * neg.size)
-
-
-def auc_from_pairs(pairs: Sequence[ScoredPair]) -> tuple[float, RocCurve]:
-    """AUC and curve from scored pairs, cross-checked two ways.
-
-    The trapezoidal area must agree with the Mann-Whitney statistic to
-    1e-12; a disagreement means the sweep itself is broken.
-    """
-    curve = roc_points(pairs)
-    area = auc(curve)
-    rank_area = mann_whitney_auc(pairs)
+    rank_area = float(wins) / (n_pos * n_neg)
     if abs(area - rank_area) > 1e-12:
         raise AssertionError(
             f"trapezoid {area!r} and rank statistic {rank_area!r} disagree"
         )
-    return area, curve
+    return area, RocCurve(tuple(zip(fpr.tolist(), tpr.tolist())))
+
+
+def auc_from_pairs(pairs: Sequence[ScoredPair]) -> tuple[float, RocCurve]:
+    """AUC and curve from scored pairs, cross-checked two ways (see _sweep)."""
+    labels = np.array([p.label for p in pairs], dtype=bool)
+    scores = np.array([p.score for p in pairs], dtype=float)
+    return _sweep(labels, scores)
 
 
 def mean_roc(curves: Sequence[RocCurve]) -> RocCurve:
@@ -256,6 +240,10 @@ def enumerate_pair_sets(net: BayesNet, negatives: int = 46, seed: int = 42) -> P
     d-separated unordered pairs, then sorted. The default of 46 is ALARM's
     arc count, a constant rather than a size read from ``net``.
     """
+    if negatives < 0 or seed < 0:
+        raise DegenerateInput(
+            f"negatives and seed must be non-negative, got {negatives} and {seed}"
+        )
     positives = net.structure.arcs()
     candidates = marginally_d_separated_pairs(net)
     if len(candidates) < negatives:
@@ -292,16 +280,10 @@ def _replicate_curves(
     lower-indexed variable.
     """
     data = forward_sample(net, n_cases, seed)
-    labelled = [(x, y, True) for x, y in pairs.positives]
-    labelled += [(x, y, False) for x, y in pairs.negatives]
-    groups = _pair_count_tables(data, [(x, y) for x, y, _ in labelled])
-    return [
-        auc_from_pairs([
-            ScoredPair(x, y, label, posterior)
-            for (x, y, label), posterior in zip(labelled, posteriors)
-        ])
-        for posteriors in _arc_posteriors(metrics, groups)
-    ]
+    keys = [*pairs.positives, *pairs.negatives]
+    labels = np.arange(len(keys)) < len(pairs.positives)
+    groups = _pair_count_tables(data, keys)
+    return [_sweep(labels, np.array(posteriors)) for posteriors in _arc_posteriors(metrics, groups)]
 
 
 def _usable_cpus() -> int:

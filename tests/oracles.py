@@ -206,6 +206,23 @@ def roc_points_reference(pairs) -> tuple[tuple[float, float], ...]:
     return tuple(points)
 
 
+def trapezoid_reference(points) -> float:
+    """Trapezoidal area under ROC points, one segment at a time in order."""
+    total = 0.0
+    for (f0, t0), (f1, t1) in zip(points, points[1:]):
+        total += (f1 - f0) * (t0 + t1) / 2.0
+    return total
+
+
+def mann_whitney_reference(pairs) -> float:
+    """Share of (positive, negative) pairs the positive outscores, ties
+    counting 1/2, by comparing every such pair."""
+    pos = [p.score for p in pairs if p.label]
+    neg = [p.score for p in pairs if not p.label]
+    wins = sum(1.0 if a > b else 0.5 if a == b else 0.0 for a in pos for b in neg)
+    return wins / (len(pos) * len(neg))
+
+
 def mean_roc_reference(curves, grid) -> tuple[tuple[float, float], ...]:
     """Vertical average by rescanning every curve's points at each grid fpr,
     adding the curves' tprs in order."""

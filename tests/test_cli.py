@@ -682,8 +682,16 @@ class TestMemoryBounds:
             (["dsep", "--net", "max-arity.bn", "--count-marginal"], 3,
              "out of memory: variable 'A': the state labels of arity 16777216"
              " do not fit in memory"),
+            # Past np.intp, where numpy raises a ValueError, not a MemoryError.
+            (["sample", "--net", str(alarm_path()), "--n", "9223372036854775808",
+              "--out", "s.csv"], 3,
+             "out of memory: 9223372036854775808 cases of 37 variables do not fit in memory"),
+            (["roc", "--sizes", "1000000000000000000", "--reps", "2", "--metrics", "k2",
+              "--jobs", "1", "--out", "roc"], 3,
+             "out of memory: 1000000000000000000 cases of 37 variables do not fit in memory"),
         ],
-        ids=["score-wide", "score-wider", "var-arity", "sample", "roc", "var-labels"],
+        ids=["score-wide", "score-wider", "var-arity", "sample", "roc", "var-labels",
+             "sample-past-intp", "roc-past-intp"],
     )
     def test_exits_with_one_error_line(self, tmp_path, argv, code, expected):
         for name, text in self.FILES.items():

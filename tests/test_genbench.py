@@ -138,6 +138,11 @@ class TestForwardSample:
     def test_zero_cases(self, alarm):
         assert forward_sample(alarm.net, 0, 1).n_cases == 0
 
+    @pytest.mark.parametrize("n_cases, seed", [(-1, 5), (5, -1)])
+    def test_negative_inputs_rejected(self, alarm, n_cases, seed):
+        with pytest.raises(DomainError, match="must be non-negative"):
+            forward_sample(alarm.net, n_cases, seed)
+
     def test_sample_is_read_only_column_major_uint8(self, alarm):
         cases = forward_sample(alarm.net, 50, 4).cases
         assert cases.dtype == np.uint8 and cases.shape == (50, 37)

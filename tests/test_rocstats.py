@@ -17,16 +17,13 @@ from bnscore import (
     RocCurve,
     ScoredPair,
     Variable,
-    auc,
     auc_from_pairs,
     auc_summary_csv,
     enumerate_pair_sets,
     joint_cell_counts,
-    mann_whitney_auc,
     marginally_d_separated_pairs,
     mean_roc,
     mean_roc_csv,
-    roc_points,
     run_alarm_experiment,
     t_confidence_interval,
 )
@@ -36,7 +33,12 @@ from bnscore.model import _pair_count_tables
 from bnscore.rocstats import DEFAULT_FPR_GRID, DEFAULT_METRICS, DEFAULT_SIZES
 from bnscore.scoring import _arc_posteriors, arc_posterior_from_counts
 
-from .oracles import mean_roc_reference, roc_points_reference
+from .oracles import (
+    mann_whitney_reference,
+    mean_roc_reference,
+    roc_points_reference,
+    trapezoid_reference,
+)
 
 # Integer-valued scores tie often; -0.0 must share a tie group with 0.0.
 tie_heavy_scores = st.one_of(st.integers(-4, 4).map(float), st.just(-0.0))
@@ -51,7 +53,7 @@ def scored(pos, neg):
 class TestRocPoints:
     def test_interleaved_example(self):
         """Positives {0.9, 0.4} against negatives {0.6, 0.1}."""
-        curve = roc_points(scored([0.9, 0.4], [0.6, 0.1]))
+        area, curve = auc_from_pairs(scored([0.9, 0.4], [0.6, 0.1]))
         assert curve.points == (
             (0.0, 0.0),
             (0.0, 0.5),
@@ -59,39 +61,45 @@ class TestRocPoints:
             (0.5, 1.0),
             (1.0, 1.0),
         )
-        assert auc(curve) == pytest.approx(0.75, abs=1e-15)
+        assert area == pytest.approx(0.75, abs=1e-15)
 
     def test_perfect_separation(self):
-        curve = roc_points(scored([3.0, 2.0], [1.0, 0.0]))
-        assert auc(curve) == pytest.approx(1.0, abs=1e-15)
+        area, curve = auc_from_pairs(scored([3.0, 2.0], [1.0, 0.0]))
+        assert area == pytest.approx(1.0, abs=1e-15)
         assert (0.0, 1.0) in curve.points
 
     def test_all_scores_tied_gives_diagonal(self):
-        curve = roc_points(scored([0.5, 0.5], [0.5, 0.5, 0.5]))
+        area, curve = auc_from_pairs(scored([0.5, 0.5], [0.5, 0.5, 0.5]))
         assert curve.points == ((0.0, 0.0), (1.0, 1.0))
-        assert auc(curve) == pytest.approx(0.5, abs=1e-15)
+        assert area == pytest.approx(0.5, abs=1e-15)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_scores_rejected(self, bad):
         with pytest.raises(DegenerateInput):
-            roc_points(scored([0.9, bad], [0.6, 0.1]))
+            auc_from_pairs(scored([0.9, bad], [0.6, 0.1]))
 
     def test_single_label_rejected(self):
         with pytest.raises(DegenerateInput):
-            roc_points([ScoredPair(0, 1, True, 0.2)])
+            auc_from_pairs([ScoredPair(0, 1, True, 0.2)])
         with pytest.raises(DegenerateInput):
-            roc_points(scored([0.3, 0.2], []))
+            auc_from_pairs(scored([0.3, 0.2], []))
 
     def test_curve_shape_validated(self):
-        with pytest.raises(DegenerateInput):
-            RocCurve(((0.2, 0.0), (1.0, 1.0)))
-        with pytest.raises(DegenerateInput):
-            RocCurve(((0.0, 0.0), (0.5, 0.9)))
-        with pytest.raises(DegenerateInput):
-            RocCurve(((0.0, 0.5), (0.5, 0.2), (1.0, 1.0)))
+        # Rates must rise from fpr 0 to (1, 1) and stay in [0, 1]; NaN fails.
+        for points in [
+            ((0.2, 0.0), (1.0, 1.0)),
+            ((0.0, 0.0), (0.5, 0.9)),
+            ((0.0, 0.5), (0.5, 0.2), (1.0, 1.0)),
+            ((0.0, math.nan), (1.0, 1.0)),
+            ((0.0, 0.0), (math.nan, 0.5), (1.0, 1.0)),
+            ((0.0, -5.0), (1.0, 1.0)),
+            ((0.0, 0.0), (1.5, 1.0), (1.0, 1.0)),
+        ]:
+            with pytest.raises(DegenerateInput):
+                RocCurve(points)
 
     def test_signed_zeros_are_one_tie_group(self):
-        curve = roc_points(scored([0.0, 1.0], [-0.0]))
+        _, curve = auc_from_pairs(scored([0.0, 1.0], [-0.0]))
         assert curve.points == ((0.0, 0.0), (0.0, 0.5), (1.0, 1.0))
 
     @given(
@@ -101,15 +109,19 @@ class TestRocPoints:
     @settings(max_examples=200, deadline=None)
     def test_sweep_equals_dict_reference(self, pos, neg):
         pairs = scored(pos, neg)
-        assert roc_points(pairs).points == roc_points_reference(pairs)
+        assert auc_from_pairs(pairs)[1].points == roc_points_reference(pairs)
 
 
 class TestAucCrossChecks:
     def test_mann_whitney_matches_example(self):
-        assert mann_whitney_auc(scored([0.9, 0.4], [0.6, 0.1])) == pytest.approx(0.75)
+        pairs = scored([0.9, 0.4], [0.6, 0.1])
+        assert mann_whitney_reference(pairs) == pytest.approx(0.75)
+        assert auc_from_pairs(pairs)[0] == pytest.approx(0.75)
 
     def test_ties_count_half(self):
-        assert mann_whitney_auc(scored([0.5], [0.5])) == pytest.approx(0.5)
+        pairs = scored([0.5], [0.5])
+        assert mann_whitney_reference(pairs) == pytest.approx(0.5)
+        assert auc_from_pairs(pairs)[0] == pytest.approx(0.5)
 
     def test_label_swap_reflects_auc(self):
         pairs = scored([0.9, 0.4, 0.3], [0.6, 0.1])
@@ -127,9 +139,21 @@ class TestAucCrossChecks:
         # Integer scores force plenty of ties, the hard case for the sweep.
         pairs = scored([float(s) for s in pos], [float(s) for s in neg])
         area, curve = auc_from_pairs(pairs)
-        assert abs(area - mann_whitney_auc(pairs)) <= 1e-12
+        assert abs(area - mann_whitney_reference(pairs)) <= 1e-12
         assert 0.0 <= area <= 1.0
         assert curve.points[0] == (0.0, 0.0)
+
+    @given(
+        st.lists(tie_heavy_scores, min_size=1, max_size=46),
+        st.lists(tie_heavy_scores, min_size=1, max_size=46),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_area_equals_loop_trapezoid(self, pos, neg):
+        # The vectorised trapezoid adds in the loop's order, so no digit moves.
+        pairs = scored(pos, neg)
+        area, _ = auc_from_pairs(pairs)
+        assert area == trapezoid_reference(roc_points_reference(pairs))
+        assert abs(area - mann_whitney_reference(pairs)) <= 1e-12
 
 
 class TestMeanRoc:
@@ -140,7 +164,7 @@ class TestMeanRoc:
         assert mean.points == tuple((g, 0.5) for g in DEFAULT_FPR_GRID[:-1]) + ((1.0, 1.0),)
 
     def test_average_of_identical_curves_is_the_curve(self):
-        curve = roc_points(scored([0.9, 0.4], [0.6, 0.1]))
+        _, curve = auc_from_pairs(scored([0.9, 0.4], [0.6, 0.1]))
         mean = mean_roc([curve, curve])
         assert DEFAULT_FPR_GRID[23] == 0.5
         assert mean.points == tuple((g, 0.5 if g < 0.5 else 1.0) for g in DEFAULT_FPR_GRID)
@@ -149,12 +173,12 @@ class TestMeanRoc:
         assert len(DEFAULT_FPR_GRID) == 47
         assert DEFAULT_FPR_GRID[0] == 0.0
         assert DEFAULT_FPR_GRID[-1] == 1.0
-        curve = roc_points(scored([0.9], [0.1]))
+        _, curve = auc_from_pairs(scored([0.9], [0.1]))
         mean = mean_roc([curve])
         assert len(mean.points) == 47
 
     def test_grid_validation(self):
-        curve = roc_points(scored([0.9], [0.1]))
+        _, curve = auc_from_pairs(scored([0.9], [0.1]))
         assert [f for f, _ in mean_roc([curve]).points] == list(DEFAULT_FPR_GRID)
         with pytest.raises(DegenerateInput):
             mean_roc([])
@@ -173,7 +197,7 @@ class TestMeanRoc:
     def test_mean_equals_rescan_reference(self, draws):
         # Past 8 curves numpy's pairwise sum along a contiguous axis would
         # reorder the additions; the sum must add one curve at a time.
-        curves = [roc_points(scored(pos, neg)) for pos, neg in draws]
+        curves = [auc_from_pairs(scored(pos, neg))[1] for pos, neg in draws]
         assert mean_roc(curves).points == mean_roc_reference(curves, DEFAULT_FPR_GRID)
 
 
@@ -259,6 +283,11 @@ class TestPairEnumeration:
         with pytest.raises(InsufficientNegatives):
             enumerate_pair_sets(tiny_collider_net(), negatives=46)
 
+    @pytest.mark.parametrize("negatives, seed", [(46, -1), (-1, 1)])
+    def test_negative_count_or_seed_rejected(self, alarm, negatives, seed):
+        with pytest.raises(DegenerateInput, match="must be non-negative"):
+            enumerate_pair_sets(alarm.net, negatives, seed)
+
 
 class TestAlarmExperiment:
     SMALL = dict(sizes=(5, 10), reps=3, seed=7)
@@ -341,6 +370,10 @@ class TestAlarmExperiment:
         with pytest.raises(DegenerateInput):
             run_alarm_experiment(alarm.net, sizes=(5,), reps=1)
 
+    def test_negative_seed_rejected(self, alarm):
+        with pytest.raises(DegenerateInput, match="must be non-negative"):
+            run_alarm_experiment(alarm.net, sizes=(5,), reps=2, seed=-3)
+
     @pytest.mark.parametrize(
         "sizes, metrics, named",
         [
@@ -385,6 +418,24 @@ class TestBatchedReplicate:
         for metric, posteriors in zip(self.METRICS, batched):
             want = [arc_posterior_from_counts(metric, table) for table in tables]
             assert posteriors == want, metric.label
+
+    @pytest.mark.parametrize("n_cases", [5, 160, 20000])
+    def test_replicate_equals_scored_pair_path(self, alarm, n_cases):
+        """The array sweep gives, with ==, the area and points of
+        auc_from_pairs over ScoredPairs of the same posteriors, and of the
+        dict sweep and the loop trapezoid."""
+        sets = enumerate_pair_sets(alarm.net, seed=42)
+        keys = [*sets.positives, *sets.negatives]
+        got = rocstats._replicate_curves(alarm.net, n_cases, n_cases, sets, DEFAULT_METRICS)
+        data = forward_sample(alarm.net, n_cases, n_cases)
+        posteriors = _arc_posteriors(DEFAULT_METRICS, _pair_count_tables(data, keys))
+        assert len(got) == len(DEFAULT_METRICS)
+        for metric, (area, curve), posts in zip(DEFAULT_METRICS, got, posteriors):
+            pairs = [ScoredPair(x, y, i < len(sets.positives), p)
+                     for i, ((x, y), p) in enumerate(zip(keys, posts))]
+            assert (area, curve) == auc_from_pairs(pairs), metric.label
+            assert curve.points == roc_points_reference(pairs), metric.label
+            assert area == trapezoid_reference(curve.points), metric.label
 
     def test_one_kernel_call_per_replicate_and_per_bench_size(self, alarm, monkeypatch):
         calls = []
