@@ -208,13 +208,13 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("bench", help="ratio table for one benchmark example")
-    p.add_argument("--example", type=int, required=True)
+    p.add_argument("--example", type=_positive_int, required=True)
     p.add_argument("--out", help="CSV output path (default: stdout)")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("sample", help="forward-sample a dataset from a network")
     p.add_argument("--net", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_non_negative_int, required=True)
     p.add_argument("--seed", type=_non_negative_int, default=42)
     p.add_argument("--out", required=True, help="dataset CSV output path")
     p.set_defaults(func=cmd_sample)
@@ -222,7 +222,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("roc", help="arc-detection ROC study on a known network")
     p.add_argument("--net", help="network file (default: bundled ALARM)")
     p.add_argument("--sizes", type=_size_list, default=list(rocstats.DEFAULT_SIZES))
-    p.add_argument("--reps", type=int, default=100)
+    p.add_argument("--reps", type=_positive_int, default=100)
     p.add_argument(
         "--metrics",
         default=",".join(m.label for m in rocstats.DEFAULT_METRICS),

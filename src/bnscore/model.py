@@ -130,8 +130,6 @@ def _validate_dag(
     Raises IndexOutOfRange, SelfLoop, DuplicateParent, or CycleDetected.
     """
     n = len(parents)
-    if len(names) != n:
-        raise ModelError(f"{len(names)} names for {n} parent sets")
     for v, ps in enumerate(parents):
         seen: set[int] = set()
         for p in ps:
@@ -562,10 +560,6 @@ class BayesNet:
             for i, (v, cpt) in enumerate(zip(self.structure.variables, cpts))
         )
         object.__setattr__(self, "cpts", checked)
-
-    @property
-    def variables(self) -> tuple[Variable, ...]:
-        return self.structure.variables
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BayesNet):

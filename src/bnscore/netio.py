@@ -160,13 +160,8 @@ def _parse_lines(text: str):
                 raise NetworkSyntaxError(
                     lineno, f"arity must be an integer, got {tokens[2]!r}"
                 ) from None
-            labels = tuple(tokens[3:])
-            if labels and len(labels) != arity:
-                raise NetworkSyntaxError(
-                    lineno, f"{len(labels)} labels for arity {arity}"
-                )
             try:
-                variables[name] = Variable(name, arity, labels)
+                variables[name] = Variable(name, arity, tuple(tokens[3:]))
             except ValueError as exc:
                 raise NetworkSyntaxError(lineno, str(exc)) from None
             var_lines[name] = lineno
@@ -388,49 +383,71 @@ class _CellStates(dict):
         self[raw] = state
         return state
 
-    def error(self, row: int, raw: str) -> DatasetFormatError:
-        """The error for a cell that maps to -1."""
-        cell = raw.strip()
-        if not cell:
-            return MissingValue(row, self.variable.name)
-        return UnknownStateLabel(row, self.variable.name, cell)
+
+def _columns(header: list[str], schema: tuple[Variable, ...]) -> list[_CellStates] | None:
+    """One _CellStates per header cell, or None unless the header names
+    exactly the schema's variables."""
+    if sorted(header) != sorted(v.name for v in schema):
+        return None
+    by_name = {v.name: v for v in schema}
+    return [_CellStates(by_name[h]) for h in header]
 
 
-def _raise_first_error(records, first_row: int, columns: list[_CellStates]):
-    """Raise the first bad row or cell of a block, in row order: a row with
-    too many cells, else the first cell of the row that its column rejects."""
-    width = len(columns)
-    for row, cells in enumerate(records, start=first_row):
-        if not cells:
-            continue
-        if len(cells) > width:
-            raise DatasetFormatError(f"row {row}: {len(cells)} cells for {width} columns")
-        for k, states in enumerate(columns):
-            raw = cells[k] if k < len(cells) else ""
-            if states[raw] < 0:
-                raise states.error(row, raw)
-
-
-def _read_block(reader, first_row, columns, sources, cases, filled) -> tuple[int, int]:
-    """Read up to _BLOCK_ROWS records into cases[filled:, :]; return the
-    records read, blank ones included, and the rows stored."""
-    records = list(itertools.islice(reader, _BLOCK_ROWS))
-    rows = [cells for cells in records if cells]
-    n = len(rows)
+def _read_block(rows, columns, sources, cases, filled) -> int | None:
+    """Store the states of up to _BLOCK_ROWS rows in cases[filled:, :] and
+    return how many, 0 past the last; None at the first sign of a fault: a
+    record the csv module cannot read, a row of the wrong width or a cell
+    that its column maps to -1."""
+    try:
+        block = list(itertools.islice(rows, _BLOCK_ROWS))
+    except csv.Error:
+        return None
+    n = len(block)
     if not n:
-        return len(records), 0
-    width = len(columns)
-    if any(len(cells) != width for cells in rows):
-        _raise_first_error(records, first_row, columns)
+        return 0
+    if any(len(cells) != len(columns) for cells in block):
+        return None
     states = [
         np.fromiter(map(column.__getitem__, cells), dtype=np.int64, count=n)
-        for column, cells in zip(columns, zip(*rows))
+        for column, cells in zip(columns, zip(*block))
     ]
     if any(s.min() < 0 for s in states):
-        _raise_first_error(records, first_row, columns)
+        return None
     for j, k in enumerate(sources):
         cases[filled:filled + n, j] = states[k]
-    return len(records), n
+    return n
+
+
+def _first_fault(text: str, schema: tuple[Variable, ...]) -> DatasetFormatError:
+    """The first fault of a dataset CSV in row order, the header being row 0,
+    read again one record at a time: a record the csv module cannot read, a
+    header that does not name the schema's variables, a row of too many
+    cells, or the first cell of a row that its column rejects (a short row's
+    missing cells are empty).  Called only on a text that has a fault."""
+    row = -1  # the last record read
+    try:
+        for row, cells in enumerate(csv.reader(_lines(text))):
+            if not row:
+                columns = _columns(cells, schema)
+                if columns is None:
+                    names = [v.name for v in schema]
+                    return HeaderMismatch(
+                        f"header {cells!r} does not match schema variables {names!r}"
+                    )
+            elif len(cells) > len(columns):
+                return DatasetFormatError(
+                    f"row {row}: {len(cells)} cells for {len(columns)} columns"
+                )
+            elif cells:
+                cells += [""] * (len(columns) - len(cells))  # a short row ends in empty cells
+                states = list(map(_CellStates.__getitem__, columns, cells))
+                if -1 in states:
+                    k = states.index(-1)
+                    name, cell = columns[k].variable.name, cells[k].strip()
+                    return UnknownStateLabel(row, name, cell) if cell else MissingValue(row, name)
+    except csv.Error as exc:
+        return DatasetFormatError(f"{f'row {row + 1}' if row >= 0 else 'header row'}: {exc}")
+    return HeaderMismatch("dataset has no header row")  # the text holds no record
 
 
 def parse_dataset(text: str, schema: tuple[Variable, ...]) -> Dataset:
@@ -440,61 +457,32 @@ def parse_dataset(text: str, schema: tuple[Variable, ...]) -> Dataset:
     are reordered to match).  Cells hold state labels; a cell of decimal
     digits (str.isdecimal, the digits int() reads) is read as a 0-based
     state index only when none of that variable's labels is itself one.
-    Blank lines are skipped and cells are stripped.  A record the csv
-    module cannot read, such as a cell past its field size limit, raises
-    DatasetFormatError naming the row.
+    Blank lines are skipped and cells are stripped.  The first fault in row
+    order, a record the csv module cannot read (such as a cell past its
+    field size limit) included, raises a DatasetFormatError naming its row.
     """
     schema = tuple(schema)
-    try:
-        cases = _read_cases(text, schema)
-    except csv.Error as exc:
-        row = _unreadable_row(text)
-        where = f"row {row}" if row else "header row"
-        raise DatasetFormatError(f"{where}: {exc}") from None
-    return Dataset._adopt(schema, cases)
-
-
-def _unreadable_row(text: str) -> int:
-    """The row of the first record the csv reader fails on, the header being
-    row 0.  The text is read again: counting records on every read would
-    cost each read for the rare one that fails."""
-    row = 0
-    with contextlib.suppress(csv.Error):
-        for row, _ in enumerate(csv.reader(_lines(text)), start=1):
-            pass
-    return row
-
-
-def _read_cases(text: str, schema: tuple[Variable, ...]) -> np.ndarray:
-    """The states of parse_dataset, as a fresh Fortran-order array of
-    _state_dtype(schema); csv.Error passes through."""
-    reader = csv.reader(_lines(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise HeaderMismatch("dataset has no header row") from None
-    names = [v.name for v in schema]
-    if sorted(header) != sorted(names):
-        raise HeaderMismatch(
-            f"header {header!r} does not match schema variables {names!r}"
-        )
-    by_name = {v.name: v for v in schema}
-    columns = [_CellStates(by_name[h]) for h in header]
-    sources = [header.index(n) for n in names]
+    records = csv.reader(_lines(text))
+    columns = None
+    with contextlib.suppress(StopIteration, csv.Error):
+        header = next(records)
+        columns = _columns(header, schema)
+    if columns is None:
+        raise _first_fault(text, schema)
+    sources = [header.index(v.name) for v in schema]
 
     # Every row after the header takes at least one line.
     bound = text.count("\n") + (not text.endswith("\n")) - 1
-    cases = np.empty((bound, len(names)), dtype=_state_dtype(schema), order="F")
-    row, filled = 1, 0
-    while True:
-        read, stored = _read_block(reader, row, columns, sources, cases, filled)
-        if not read:
-            break
-        row += read
+    cases = np.empty((bound, len(schema)), dtype=_state_dtype(schema), order="F")
+    rows = filter(None, records)  # a blank line is no row
+    filled = 0
+    while stored := _read_block(rows, columns, sources, cases, filled):
         filled += stored
+    if stored is None:
+        raise _first_fault(text, schema)
     if filled < bound:  # blank lines, or newlines inside quoted cells
         cases = np.array(cases[:filled], order="F")
-    return cases
+    return Dataset._adopt(schema, cases)
 
 
 def _fmt(value: float | None) -> str:

@@ -416,6 +416,27 @@ class TestRoc:
         assert code == 3
         assert message in err
 
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (argv, kind)
+            for argv, kind in [
+                (["sample", "--n"], "a non-negative integer"),
+                (["roc", "--reps"], "a positive integer"),
+                (["bench", "--example"], "a positive integer"),
+            ]
+            for argv in ([*argv, "1_0"], [*argv, "²"])
+        ],
+        ids=["n-underscore", "n-superscript", "reps-underscore", "reps-superscript",
+             "example-underscore", "example-superscript"],
+    )
+    def test_count_options_read_decimal_digits_only(self, capsys, argv, kind):
+        # int() accepts "1_0" as 10 and str.isdigit accepts superscripts
+        code, out, err = run(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert f"expected {kind}, got {argv[-1]!r}" in err
+
     def test_unusable_out_fails_before_the_study(self, capsys, tmp_path, monkeypatch):
         def study_must_not_run(*args, **kwargs):
             raise AssertionError("the study ran before --out was made")

@@ -20,7 +20,7 @@ from bnscore import (
     ratio_table_csv,
     run_example,
 )
-from bnscore.genbench import DEFAULT_ALPHA0S
+from bnscore.genbench import DEFAULT_ALPHA0S, JointTable
 
 
 class TestIndependentJoint:
@@ -42,6 +42,33 @@ class TestIndependentJoint:
     def test_negative_entries_rejected(self):
         with pytest.raises(DomainError):
             independent_joint([(1.1, -0.1)])
+
+
+BINARY = (Variable("X", 2), Variable("Y", 2))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: JointTable(BINARY, [0.5, 0.5]), "2 cells for a 4-cell joint"),
+        (lambda: JointTable(BINARY, [0.5, 0.5, 0.5, -0.5]),
+         "joint probabilities must be non-negative"),
+        (lambda: JointTable(BINARY, [0.25, 0.25, 0.25, 0.5]), "joint sums to "),
+        (lambda: independent_joint([]), "need at least one marginal"),
+        (lambda: independent_joint([(0.5, 0.5)], names=("X", "Y")), "2 names for 1 marginals"),
+        (lambda: independent_joint([(1.0,)], names=("X",)),
+         "marginal for 'X' must be a vector of length >= 2"),
+        (lambda: noise_free_dataset(independent_joint([(0.5, 0.5)]), -1),
+         "n_cases must be non-negative, got -1"),
+    ],
+    ids=["joint-size", "joint-negative", "joint-sum", "no-marginals", "name-count",
+         "marginal-length-1", "negative-cases"],
+)
+def test_invalid_joint_input_raises_domain_error(build, message):
+    with pytest.raises(DomainError) as exc:
+        build()
+    assert type(exc.value) is DomainError
+    assert str(exc.value).startswith(message)
 
 
 class TestNoiseFreeDataset:

@@ -506,6 +506,29 @@ class TestBayesNet:
             BayesNet(s, (np.array([row]),))
 
 
+BINARY = (Variable("X", 2), Variable("Y", 2))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Variable("", 2), ModelError, "variable name must be a non-empty string"),
+        (lambda: DagStructure((), ()), ModelError, "structure needs at least one variable"),
+        (lambda: DagStructure(BINARY, ((),)), ModelError, "1 parent sets for 2 variables"),
+        (lambda: Dataset(BINARY, [(0, 1, 0)]), SchemaMismatch,
+         "case array must have 2 columns, got shape (1, 3)"),
+        (lambda: BayesNet(DagStructure(BINARY, ((), ())), (np.array([[0.5, 0.5]]),)),
+         ModelError, "1 CPTs for 2 variables"),
+    ],
+    ids=["empty-name", "no-variables", "parent-set-count", "dataset-width", "cpt-count"],
+)
+def test_invalid_model_input_raises_its_error(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
 class TestAlarmTranscription:
     def test_size(self, alarm):
         assert alarm.structure.n == 37

@@ -1,4 +1,5 @@
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from bnscore import (
     serialize_network,
     write_dataset,
 )
+from bnscore import netio
+from bnscore.cli import main
 from bnscore.netio import DatasetFormatError
 
 from .helpers import traced_peak
@@ -80,6 +83,50 @@ class TestParseNetwork:
     def test_label_count_mismatch(self):
         with pytest.raises(NetworkSyntaxError):
             parse_structure("var X 3 a b\n")
+
+    def test_label_count_names_line_and_variable(self):
+        with pytest.raises(NetworkSyntaxError) as exc:
+            parse_structure("var X 2\nvar A 2 x y z\n")
+        assert str(exc.value) == "line 2: variable 'A': 3 state labels for arity 2"
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize(
+        "text, error, line, words",
+        [
+            ("var A\n", NetworkSyntaxError, 1, "needs a name and an arity"),
+            ("var A two\n", NetworkSyntaxError, 1, "arity must be an integer"),
+            ("var A 2\narc A\n", NetworkSyntaxError, 2, "exactly two names"),
+            ("var A 2\nvar B 2\narc A B\narc A B\n", NetworkSyntaxError, 4, "duplicate arc"),
+            ("var A 2\ncpt\n", NetworkSyntaxError, 2, "needs a variable name"),
+            ("var A 2\ncpt B | : 0.5 0.5\n", UnknownVariable, 2, "undeclared variable 'B'"),
+            ("var A 2\ncpt A : 0.5 0.5\n", NetworkSyntaxError, 2, "must read"),
+            ("var A 2\nvar B 2\narc A B\ncpt A | : 0.5 0.5\ncpt B | A1 : 0.5 0.5\n",
+             NetworkSyntaxError, 5, "is not NAME=label"),
+            ("var A 2\nvar B 2\narc A B\ncpt A | : 0.5 0.5\ncpt B | C=1 : 0.5 0.5\n",
+             UnknownVariable, 5, "undeclared variable 'C'"),
+            ("var A 2\nvar B 2\narc A B\ncpt A | : 0.5 0.5\ncpt B | A=1 A=2 : 0.5 0.5\n",
+             NetworkSyntaxError, 5, "assigned twice"),
+            ("var A 2\nvar B 2\narc A B\ncpt A | : 0.5 0.5\ncpt B | : 0.5 0.5\n",
+             NetworkSyntaxError, 5, "leaves A unassigned"),
+            ("var A 2\ncpt A | : 0.25 0.25 0.5\n", NetworkSyntaxError, 2, "3 probabilities"),
+        ],
+        ids=["var-no-arity", "var-word-arity", "arc-one-name", "arc-repeated", "cpt-bare",
+             "cpt-undeclared", "cpt-no-bar", "condition-no-equals", "condition-undeclared",
+             "parent-twice", "parent-unassigned", "probability-count"],
+    )
+    def test_bad_line_is_named(self, capsys, tmp_path, text, error, line, words):
+        with pytest.raises(error) as exc:
+            parse_network(text)
+        assert type(exc.value) is error
+        assert exc.value.line == line
+        assert words in exc.value.message
+        path = tmp_path / "net.bn"
+        path.write_text(text)
+        assert main(["dsep", "--net", str(path), "--count-marginal"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {exc.value}\n"
+        assert captured.err.startswith(f"error: line {line}: ")
 
     def test_cycle_via_arcs(self):
         text = "var X 2\nvar Y 2\narc X Y\narc Y X\n"
@@ -195,6 +242,9 @@ class TestSerializeNetwork:
 
 # More rows than two blocks of the dataset reader and writer.
 MANY = 2500
+
+# A row whose quoted cell is past the csv module's field size limit.
+UNREADABLE = 'a,"' + "c" * 200_000 + '"\n'
 
 
 class TestDatasetCsv:
@@ -317,16 +367,54 @@ class TestDatasetCsv:
             ("a,c\n" * MANY + "a,d\nb,z\nz,d\n", UnknownStateLabel, MANY + 2, "Y"),
             # blank lines count as rows
             ("\n" * MANY + "a,c\nb,z\n", UnknownStateLabel, MANY + 2, "Y"),
+            # a bad row wins over a record the csv module cannot read later
+            ("a,z\n" + UNREADABLE, UnknownStateLabel, 1, "Y"),
+            ("a\n" + UNREADABLE, MissingValue, 1, "Y"),
+            ("a,c,d\n" + UNREADABLE, DatasetFormatError, 1, None),
         ],
         ids=["label-before-short-row", "short-row-before-label", "past-first-block-x",
-             "past-first-block-y", "after-blank-lines"],
+             "past-first-block-y", "after-blank-lines", "label-before-unreadable",
+             "short-row-before-unreadable", "long-row-before-unreadable"],
     )
     def test_first_bad_cell_in_row_order_wins(self, body, error, row, column):
         vs = (Variable("X", 2, ("a", "b")), Variable("Y", 2, ("c", "d")))
         with pytest.raises(error) as exc:
             parse_dataset("X,Y\n" + body, vs)
         assert type(exc.value) is error
-        assert (exc.value.row, exc.value.column) == (row, column)
+        if column is None:  # a row of too many cells names no column
+            assert str(exc.value) == f"row {row}: 3 cells for 2 columns"
+        else:
+            assert (exc.value.row, exc.value.column) == (row, column)
+
+    # Cells of a faulty CSV: labels padded or quoted, a label holding a line
+    # feed, an unknown label, an empty cell, and <long>, a cell past the csv
+    # module's field size limit of 131,072 characters, quoted or not.
+    CELLS = ["a", "a", "b", " b ", '"a"', "c", "c", "d", '"e\nf"', "z", "", '"<long>"', "<long>"]
+
+    @given(
+        header=st.sampled_from(["X,Y", "Y,X"]),
+        rows=st.lists(st.lists(st.sampled_from(CELLS), max_size=3), max_size=8),
+        end=st.sampled_from(["\n", "\r\n"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_outcome_does_not_depend_on_the_block_size(self, header, rows, end):
+        """Blank lines, short and long rows, bad labels and unreadable cells
+        give the same Dataset or the same error at any block size."""
+        vs = (Variable("X", 2, ("a", "b")), Variable("Y", 3, ("c", "d", "e\nf")))
+        text = end.join([header, *(",".join(cells) for cells in rows)]) + end
+        text = text.replace("<long>", "c" * 131_073)
+
+        def outcome():
+            try:
+                return parse_dataset(text, vs)
+            except DatasetFormatError as exc:
+                return type(exc), str(exc)
+
+        outcomes = []
+        for size in (1, 2, 3, 1024):
+            with mock.patch.object(netio, "_BLOCK_ROWS", size):
+                outcomes.append(outcome())
+        assert all(o == outcomes[0] for o in outcomes)
 
     def test_overlong_row(self):
         vs = (Variable("X", 2, ("a", "b")),)

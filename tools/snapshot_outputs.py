@@ -12,7 +12,10 @@ the ``score --structure`` rows read. OUT/wide-states.bn has a 300-state
 variable, past what uint8 cases hold, for a ``sample`` row and a ``score`` row
 on its output. OUT/wide.bn and its one-row OUT/wide.csv
 give a count table too large to hold, and OUT/huge-arity.bn a variable past
-the arity cap; both must end in one error line. OUT/outputs.sha256 lists the
+the arity cap; both must end in one error line. OUT/first-fault.csv, over
+the two binary variables of OUT/two-binary.bn, has an unknown label in row 1
+and a cell past the ``csv`` module's field size limit in row 2; ``score``
+must report row 1. OUT/outputs.sha256 lists the
 SHA-256 of every file under the row directories, one ``DIGEST  NAME/FILE``
 line per file sorted by path (``sha256sum -c`` reads it from OUT); a fresh
 OUT keeps stale files out of it. Relative PYTHONPATH entries are made absolute first,
@@ -65,6 +68,11 @@ OVERSIZE_FILES = {
     "wide.csv": "A,B,C\n1,1,1\n",
     "huge-arity.bn": "var A 1000000000\nvar B 2\n",
 }
+# The first fault in row order, whatever the reader's block size.
+FIRST_FAULT_FILES = {
+    "two-binary.bn": "var X 2\nvar Y 2\n",
+    "first-fault.csv": 'X,Y\n1,zz\n1,"' + "a" * 200_000 + '"\n',
+}
 
 
 def wide_states_network() -> str:
@@ -82,7 +90,7 @@ def one_arc_structure(alarm: str) -> str:
 
 def commands(alarm: str, structure: str, root: str) -> list[tuple[str, list[str]]]:
     """(directory name, arguments after ``python``), in the order they run;
-    root holds the OVERSIZE_FILES."""
+    root holds the OVERSIZE_FILES and the FIRST_FAULT_FILES."""
     out = [
         ("roc-default", [*CLI, "roc", "--out", "roc"]),
         ("roc-largen", [*CLI, "roc", *LARGE_N, "--out", "roc"]),
@@ -112,6 +120,10 @@ def commands(alarm: str, structure: str, root: str) -> list[tuple[str, list[str]
                            "--data", f"{root}/wide.csv"])
         for name, bn in (("wide-structure", "wide.bn"), ("huge-arity", "huge-arity.bn"))
     ]
+    out.append(
+        ("score-first-fault", [*CLI, "score", "--metric", "k2", "--structure", f"{root}/two-binary.bn",
+                               "--data", f"{root}/first-fault.csv"])
+    )
     out += [
         ("dsep-query", [*CLI, "dsep", "--net", alarm, "--x", "HRBP", "--y", "HREKG", "--given", "HR"]),
         ("dsep-count", [*CLI, "dsep", "--net", alarm, "--count-marginal"]),
@@ -126,8 +138,8 @@ def commands(alarm: str, structure: str, root: str) -> list[tuple[str, list[str]
 
 
 def prepare(root: Path, env: dict[str, str]) -> list[tuple[str, list[str]]]:
-    """Write root/one-arc.bn, root/wide-states.bn and the OVERSIZE_FILES and return the rows, for
-    the bnscore that env puts on the path."""
+    """Write root/one-arc.bn, root/wide-states.bn, the OVERSIZE_FILES and the FIRST_FAULT_FILES
+    and return the rows, for the bnscore that env puts on the path."""
     alarm = subprocess.run(
         [sys.executable, "-c", "from bnscore.netio import alarm_path; print(alarm_path())"],
         env=env, capture_output=True, text=True, check=True,
@@ -136,7 +148,7 @@ def prepare(root: Path, env: dict[str, str]) -> list[tuple[str, list[str]]]:
     structure = root / "one-arc.bn"
     structure.write_text(one_arc_structure(alarm))
     (root / "wide-states.bn").write_text(wide_states_network())
-    for name, text in OVERSIZE_FILES.items():
+    for name, text in {**OVERSIZE_FILES, **FIRST_FAULT_FILES}.items():
         (root / name).write_text(text)
     return commands(alarm, str(structure), str(root))
 
