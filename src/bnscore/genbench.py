@@ -70,7 +70,7 @@ class JointTable:
         if probs.min() < 0.0:
             raise DomainError("joint probabilities must be non-negative")
         if abs(float(probs.sum()) - 1.0) > _JOINT_SUM_TOL:
-            raise DomainError(f"joint sums to {probs.sum()!r}, not 1")
+            raise DomainError(f"joint sums to {float(probs.sum())!r}, not 1")
         probs = probs.copy()
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
@@ -94,7 +94,7 @@ def independent_joint(
         if m.min() < 0.0:
             raise DomainError(f"marginal for {name!r} has negative entries")
         if abs(float(m.sum()) - 1.0) > _JOINT_SUM_TOL:
-            raise DomainError(f"marginal for {name!r} sums to {m.sum()!r}, not 1")
+            raise DomainError(f"marginal for {name!r} sums to {float(m.sum())!r}, not 1")
         variables.append(Variable(str(name), m.size))
     joint = margs[0]
     for m in margs[1:]:

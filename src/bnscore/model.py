@@ -531,7 +531,7 @@ def _check_cpt(v: Variable, q: int, cpt: np.ndarray) -> np.ndarray:
     if bad.size:
         j = int(bad[0])
         raise ModelError(
-            f"variable {v.name!r}: CPT row {j} sums to {sums[j]!r}, not 1"
+            f"variable {v.name!r}: CPT row {j} sums to {float(sums[j])!r}, not 1"
         )
     arr = arr.copy()
     arr.setflags(write=False)

@@ -89,18 +89,22 @@ class RocCurve:
     def __post_init__(self) -> None:
         pts = tuple((float(f), float(t)) for f, t in self.points)
         object.__setattr__(self, "points", pts)
-        # Threshold sweeps start at (0, 0); vertically averaged curves may
-        # start higher, but always at fpr 0, and every curve ends at (1, 1).
-        if not pts or pts[0][0] != 0.0 or pts[-1] != (1.0, 1.0):
-            raise DegenerateInput("curve must run from fpr 0 to (1, 1)")
-        for (f0, t0), (f1, t1) in zip(pts, pts[1:]):
-            # Chained, so a NaN rate fails too.
-            if not (0.0 <= f0 <= f1 <= 1.0 and 0.0 <= t0 <= t1 <= 1.0):
-                raise DegenerateInput("ROC points must be non-decreasing rates in [0, 1]")
+        _check_rates(*np.array(pts).reshape(-1, 2).T)
 
 
-def _sweep(labels: np.ndarray, scores: np.ndarray) -> tuple[float, RocCurve]:
-    """Area and curve from bool labels (True marks a positive) and scores.
+def _check_rates(fpr: np.ndarray, tpr: np.ndarray) -> None:
+    """Raise DegenerateInput unless fpr runs 0 to 1, tpr to 1, both non-decreasing in [0, 1]."""
+    # Threshold sweeps start at (0, 0); vertically averaged curves may
+    # start higher, but always at fpr 0, and every curve ends at (1, 1).
+    if not fpr.size or fpr[0] != 0.0 or fpr[-1] != 1.0 or tpr[-1] != 1.0:
+        raise DegenerateInput("curve must run from fpr 0 to (1, 1)")
+    # Each comparison is False for a NaN, so a NaN rate fails too.
+    if not (tpr[0] >= 0.0 and (np.diff(fpr) >= 0.0).all() and (np.diff(tpr) >= 0.0).all()):
+        raise DegenerateInput("ROC points must be non-decreasing rates in [0, 1]")
+
+
+def _sweep(labels: np.ndarray, scores: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Area, fpr and tpr from bool labels (True marks a positive) and scores.
 
     A decision threshold sweeps down through the scores: after each group
     of tied scores in one stable descending sort, the running (fpr, tpr)
@@ -133,30 +137,34 @@ def _sweep(labels: np.ndarray, scores: np.ndarray) -> tuple[float, RocCurve]:
         raise AssertionError(
             f"trapezoid {area!r} and rank statistic {rank_area!r} disagree"
         )
-    return area, RocCurve(tuple(zip(fpr.tolist(), tpr.tolist())))
+    _check_rates(fpr, tpr)
+    return area, fpr, tpr
 
 
 def auc_from_pairs(pairs: Sequence[ScoredPair]) -> tuple[float, RocCurve]:
     """AUC and curve from scored pairs, cross-checked two ways (see _sweep)."""
     labels = np.array([p.label for p in pairs], dtype=bool)
     scores = np.array([p.score for p in pairs], dtype=float)
-    return _sweep(labels, scores)
+    area, fpr, tpr = _sweep(labels, scores)
+    return area, RocCurve(tuple(zip(fpr.tolist(), tpr.tolist())))
+
+
+def _grid_row(fpr: np.ndarray, tpr: np.ndarray) -> np.ndarray:
+    """The best tpr reachable at or below each fpr of DEFAULT_FPR_GRID."""
+    return tpr[np.searchsorted(fpr, np.add(DEFAULT_FPR_GRID, 1e-15), side="right") - 1]
+
+
+def _mean_curve(rows: np.ndarray) -> RocCurve:
+    """Vertical average of grid rows. Axis 0 of a C-ordered array adds one row
+    at a time, in order, as a loop does; a pairwise sum would move CSV digits."""
+    return RocCurve(tuple(zip(DEFAULT_FPR_GRID, (rows.sum(axis=0) / len(rows)).tolist())))
 
 
 def mean_roc(curves: Sequence[RocCurve]) -> RocCurve:
-    """Vertical average: at each fpr of DEFAULT_FPR_GRID, the mean of the
-    curves' best tpr reachable at or below that fpr."""
+    """Vertical average: per DEFAULT_FPR_GRID fpr, the mean best tpr reachable at or below it."""
     if not curves:
         raise DegenerateInput("need at least one curve")
-    reach = np.add(DEFAULT_FPR_GRID, 1e-15)
-    best = np.empty((len(curves), len(DEFAULT_FPR_GRID)))
-    for row, curve in zip(best, curves):
-        f, t = np.array(curve.points).T
-        row[:] = t[np.searchsorted(f, reach, side="right") - 1]
-    # Axis 0 of a C-ordered array adds one curve at a time, in order, as
-    # a loop does; a pairwise sum would move mean_roc.csv digits.
-    means = best.sum(axis=0) / len(curves)
-    return RocCurve(tuple(zip(DEFAULT_FPR_GRID, means.tolist())))
+    return _mean_curve(np.array([_grid_row(*np.array(c.points).T) for c in curves]))
 
 
 def t_confidence_interval(values: Sequence[float]) -> tuple[float, float, float]:
@@ -272,9 +280,9 @@ def _replicate_curves(
     seed: int,
     pairs: PairSets,
     metrics: Sequence[MetricSpec],
-) -> list[tuple[float, RocCurve]]:
+) -> list[tuple[float, np.ndarray]]:
     """One replicate: sample, count every pair's table, then score all pairs
-    by every metric in one kernel call, one (auc, curve) per metric.
+    by every metric in one kernel call, one (auc, grid row) per metric.
 
     Positives are scored in the arc direction, negatives from the
     lower-indexed variable.
@@ -283,7 +291,8 @@ def _replicate_curves(
     keys = [*pairs.positives, *pairs.negatives]
     labels = np.arange(len(keys)) < len(pairs.positives)
     groups = _pair_count_tables(data, keys)
-    return [_sweep(labels, np.array(posteriors)) for posteriors in _arc_posteriors(metrics, groups)]
+    sweeps = (_sweep(labels, np.array(post)) for post in _arc_posteriors(metrics, groups))
+    return [(area, _grid_row(fpr, tpr)) for area, fpr, tpr in sweeps]
 
 
 def _usable_cpus() -> int:
@@ -337,13 +346,9 @@ def run_alarm_experiment(
     for si, n in enumerate(sizes):
         per_rep = results[si * reps : (si + 1) * reps]
         for mi, metric in enumerate(metrics):
-            aucs = [rep[mi][0] for rep in per_rep]
-            curves = [rep[mi][1] for rep in per_rep]
-            mean, lo, hi = t_confidence_interval(aucs)
-            summaries.append(
-                AucSummary(metric.kind, metric.alpha0, n, mean, lo, hi, reps)
-            )
-            mean_curves[(metric.label, n)] = mean_roc(curves)
+            mean, lo, hi = t_confidence_interval([rep[mi][0] for rep in per_rep])
+            summaries.append(AucSummary(metric.kind, metric.alpha0, n, mean, lo, hi, reps))
+            mean_curves[(metric.label, n)] = _mean_curve(np.array([rep[mi][1] for rep in per_rep]))
     return ExperimentResult(tuple(summaries), mean_curves, pairs)
 
 

@@ -53,22 +53,23 @@ BINARY = (Variable("X", 2), Variable("Y", 2))
         (lambda: JointTable(BINARY, [0.5, 0.5]), "2 cells for a 4-cell joint"),
         (lambda: JointTable(BINARY, [0.5, 0.5, 0.5, -0.5]),
          "joint probabilities must be non-negative"),
-        (lambda: JointTable(BINARY, [0.25, 0.25, 0.25, 0.5]), "joint sums to "),
+        (lambda: JointTable(BINARY, [0.25, 0.25, 0.25, 0.5]), "joint sums to 1.25, not 1"),
         (lambda: independent_joint([]), "need at least one marginal"),
         (lambda: independent_joint([(0.5, 0.5)], names=("X", "Y")), "2 names for 1 marginals"),
         (lambda: independent_joint([(1.0,)], names=("X",)),
          "marginal for 'X' must be a vector of length >= 2"),
+        (lambda: independent_joint([(0.9, 0.2)]), "marginal for 'X1' sums to 1.1, not 1"),
         (lambda: noise_free_dataset(independent_joint([(0.5, 0.5)]), -1),
          "n_cases must be non-negative, got -1"),
     ],
     ids=["joint-size", "joint-negative", "joint-sum", "no-marginals", "name-count",
-         "marginal-length-1", "negative-cases"],
+         "marginal-length-1", "marginal-sum", "negative-cases"],
 )
 def test_invalid_joint_input_raises_domain_error(build, message):
     with pytest.raises(DomainError) as exc:
         build()
     assert type(exc.value) is DomainError
-    assert str(exc.value).startswith(message)
+    assert str(exc.value) == message
 
 
 class TestNoiseFreeDataset:

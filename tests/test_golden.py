@@ -4,10 +4,10 @@
 lists the SHA-256 of every file it writes.  These tests run those rows
 against this tree's ``src`` and compare the digests with the committed
 manifest, so a moved output digit fails the suite.  The default ``roc``
-study, about 5 s on 2 cores against about 10 s for every other row
-together, runs under the ``full`` marker.  A change that moves an output
-regenerates the golden files in the same commit (see README) and explains
-every moved digit.
+study, about 5 s on 2 cores against 4-5 s for every other row together
+(the rows run side by side), runs under the ``full`` marker.  A change
+that moves an output regenerates the golden files in the same commit (see
+README) and explains every moved digit.
 """
 
 import hashlib
@@ -68,3 +68,15 @@ def test_committed_outputs_are_the_manifests():
     for path in kept:
         name = path.relative_to(GOLDEN).as_posix()
         assert recorded[name] == hashlib.sha256(path.read_bytes()).hexdigest(), name
+
+
+def test_a_row_starts_after_the_row_it_reads(tmp_path, monkeypatch):
+    """Rows run side by side, but one whose argv reads ../OTHER/ waits for
+    row OTHER to finish."""
+    monkeypatch.setattr(snapshot, "usable_cpus", lambda: 2)
+    rows = [
+        ("slow", ["-c", "import time; time.sleep(0.5); open('out', 'w').write('done')"]),
+        ("reader", ["-c", "import sys; sys.stdout.write(open(sys.argv[1]).read())", "../slow/out"]),
+    ]
+    snapshot.run_rows(tmp_path, rows, dict(os.environ))
+    assert (tmp_path / "reader" / "stdout").read_text() == "done"

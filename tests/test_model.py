@@ -519,8 +519,12 @@ BINARY = (Variable("X", 2), Variable("Y", 2))
          "case array must have 2 columns, got shape (1, 3)"),
         (lambda: BayesNet(DagStructure(BINARY, ((), ())), (np.array([[0.5, 0.5]]),)),
          ModelError, "1 CPTs for 2 variables"),
+        (lambda: BayesNet(DagStructure(BINARY, ((), ())),
+                          (np.array([[0.5, 0.5]]), np.array([[0.5, 0.4]]))),
+         ModelError, "variable 'Y': CPT row 0 sums to 0.9, not 1"),
     ],
-    ids=["empty-name", "no-variables", "parent-set-count", "dataset-width", "cpt-count"],
+    ids=["empty-name", "no-variables", "parent-set-count", "dataset-width", "cpt-count",
+         "cpt-row-sum"],
 )
 def test_invalid_model_input_raises_its_error(build, error, message):
     with pytest.raises(error) as exc:

@@ -33,6 +33,7 @@ from bnscore.model import _pair_count_tables
 from bnscore.rocstats import DEFAULT_FPR_GRID, DEFAULT_METRICS, DEFAULT_SIZES
 from bnscore.scoring import _arc_posteriors, arc_posterior_from_counts
 
+from .helpers import traced_peak
 from .oracles import (
     mann_whitney_reference,
     mean_roc_reference,
@@ -359,6 +360,16 @@ class TestAlarmExperiment:
         result = run_alarm_experiment(alarm.net, metrics=(MetricSpec.k2(),), jobs=64, **small)
         assert [s.reps for s in result.summaries] == [2, 2]
 
+    def test_replicates_keep_grid_rows_not_curves(self, alarm):
+        """A replicate keeps, per metric, its AUC and 47 grid values: the
+        study's tracemalloc peak grows by under 8 KB a replicate of 5 metrics."""
+
+        def peak(reps):
+            return traced_peak(lambda: run_alarm_experiment(alarm.net, (5,), reps, jobs=1))[1]
+
+        peak(2)  # imports and memos fill outside the measured runs
+        assert (peak(50) - peak(10)) / 40 < 8_000
+
     def test_reruns_identical(self, alarm):
         metrics = (MetricSpec.gu(),)
         a = run_alarm_experiment(alarm.net, metrics=metrics, **self.SMALL)
@@ -421,19 +432,22 @@ class TestBatchedReplicate:
 
     @pytest.mark.parametrize("n_cases", [5, 160, 20000])
     def test_replicate_equals_scored_pair_path(self, alarm, n_cases):
-        """The array sweep gives, with ==, the area and points of
-        auc_from_pairs over ScoredPairs of the same posteriors, and of the
-        dict sweep and the loop trapezoid."""
+        """A replicate's area is, with ==, the area of auc_from_pairs over
+        ScoredPairs of the same posteriors, and its grid row is the tpr of
+        mean_roc over that one curve; the curve is the dict sweep's and the
+        area the loop trapezoid's."""
         sets = enumerate_pair_sets(alarm.net, seed=42)
         keys = [*sets.positives, *sets.negatives]
         got = rocstats._replicate_curves(alarm.net, n_cases, n_cases, sets, DEFAULT_METRICS)
         data = forward_sample(alarm.net, n_cases, n_cases)
         posteriors = _arc_posteriors(DEFAULT_METRICS, _pair_count_tables(data, keys))
         assert len(got) == len(DEFAULT_METRICS)
-        for metric, (area, curve), posts in zip(DEFAULT_METRICS, got, posteriors):
+        for metric, (area, row), posts in zip(DEFAULT_METRICS, got, posteriors):
             pairs = [ScoredPair(x, y, i < len(sets.positives), p)
                      for i, ((x, y), p) in enumerate(zip(keys, posts))]
-            assert (area, curve) == auc_from_pairs(pairs), metric.label
+            pair_area, curve = auc_from_pairs(pairs)
+            assert area == pair_area, metric.label
+            assert row.tolist() == [t for _, t in mean_roc([curve]).points], metric.label
             assert curve.points == roc_points_reference(pairs), metric.label
             assert area == trapezoid_reference(curve.points), metric.label
 

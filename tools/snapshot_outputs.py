@@ -6,7 +6,9 @@ Usage (from a checkout, with the bnscore to snapshot on PYTHONPATH):
 
 Each command runs as ``python -m bnscore.cli ...`` in its own directory
 OUT/NAME, which receives the command's ``stdout``, ``stderr`` and
-``exit_code`` next to any file the command writes; OUT/one-arc.bn is the
+``exit_code`` next to any file the command writes. The commands run side by
+side on the CPUs this process may use; one that reads ../OTHER/ starts after
+row OTHER has finished. OUT/one-arc.bn is the
 ALARM variables with the single arc HYPOVOLEMIA -> LVEDVOLUME, the structure
 the ``score --structure`` rows read. OUT/wide-states.bn has a 300-state
 variable, past what uint8 cases hold, for a ``sample`` row and a ``score`` row
@@ -31,6 +33,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 CLI = ["-m", "bnscore.cli"]
@@ -153,23 +156,47 @@ def prepare(root: Path, env: dict[str, str]) -> list[tuple[str, list[str]]]:
     return commands(alarm, str(structure), str(root))
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_row(root: Path, name: str, args: list[str], env: dict[str, str],
+            after: list[Future]) -> list[str]:
+    """Wait for the rows in after, run one row in root/NAME and return the
+    manifest lines of every file under that directory."""
+    for row in after:
+        row.result()
+    cwd = root / name
+    cwd.mkdir(parents=True, exist_ok=True)
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True)
+    (cwd / "stdout").write_bytes(proc.stdout)
+    (cwd / "stderr").write_bytes(proc.stderr)
+    (cwd / "exit_code").write_text(f"{proc.returncode}\n")
+    print(f"{name}: exit {proc.returncode}")
+    return [
+        f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(root).as_posix()}"
+        for path in cwd.rglob("*")
+        if path.is_file()
+    ]
+
+
 def run_rows(root: Path, rows: list[tuple[str, list[str]]], env: dict[str, str]) -> list[str]:
-    """Run each row in root/NAME; return the sorted manifest lines of every
-    file under those directories."""
-    lines = []
-    for name, args in rows:
-        cwd = root / name
-        cwd.mkdir(parents=True, exist_ok=True)
-        proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True)
-        (cwd / "stdout").write_bytes(proc.stdout)
-        (cwd / "stderr").write_bytes(proc.stderr)
-        (cwd / "exit_code").write_text(f"{proc.returncode}\n")
-        print(f"{name}: exit {proc.returncode}")
-        lines += [
-            f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(root).as_posix()}"
-            for path in cwd.rglob("*")
-            if path.is_file()
-        ]
+    """Run the rows on the usable CPUs, each in root/NAME; return the sorted
+    manifest lines of every file under those directories.
+
+    A row whose argv reads ../OTHER/ starts once the earlier row OTHER has
+    finished. The pool takes rows in list order, so a row only ever waits
+    for rows that already run, and the waits cannot deadlock.
+    """
+    started: dict[str, Future] = {}
+    with ThreadPoolExecutor(max_workers=usable_cpus()) as pool:
+        for name, args in rows:
+            after = [row for dep, row in started.items() if any(f"../{dep}/" in a for a in args)]
+            started[name] = pool.submit(run_row, root, name, args, env, after)
+    lines = [line for row in started.values() for line in row.result()]
     return sorted(lines, key=lambda line: line.split("  ", 1)[1])
 
 
