@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import BayesNet, Dataset, Variable, _mixed_radix, _pair_count_tables, _state_dtype
+from .model import BayesNet, Dataset, Variable, _checked_component, _mixed_radix, _state_dtype
 from .netio import _csv_text, _fmt
 from .scoring import DomainError, MetricSpec, RatioResult, _pair_log_ratios, _safe_exp
 
@@ -79,7 +79,7 @@ class JointTable:
 def independent_joint(
     marginals: Sequence[Sequence[float]], names: Sequence[str] | None = None
 ) -> JointTable:
-    """Product joint of independent marginals, one variable per marginal."""
+    """Product joint of independent marginals, each divided by its sum; one variable each."""
     margs = [np.asarray(m, dtype=float) for m in marginals]
     if not margs:
         raise DomainError("need at least one marginal")
@@ -96,10 +96,19 @@ def independent_joint(
         if abs(float(m.sum()) - 1.0) > _JOINT_SUM_TOL:
             raise DomainError(f"marginal for {name!r} sums to {float(m.sum())!r}, not 1")
         variables.append(Variable(str(name), m.size))
-    joint = margs[0]
-    for m in margs[1:]:
-        joint = np.outer(joint, m).reshape(-1)
+    joint = np.ones(1)
+    for m in margs:
+        joint = np.outer(joint, m / m.sum()).reshape(-1)
     return JointTable(tuple(variables), joint)
+
+
+def _noise_free_counts(joint: JointTable, n_cases: int) -> np.ndarray:
+    """round(p * n_cases) per joint cell, rounding half away from zero."""
+    if n_cases < 0:
+        raise DomainError(f"n_cases must be non-negative, got {n_cases}")
+    if n_cases >= 2**62:  # past it a table's total can overflow the kernel's int64 sums
+        raise DomainError(f"n_cases must be below 2**62, got {n_cases}")
+    return np.floor(joint.probs * n_cases + 0.5).astype(np.int64)
 
 
 def noise_free_dataset(joint: JointTable, n_cases: int) -> Dataset:
@@ -110,13 +119,9 @@ def noise_free_dataset(joint: JointTable, n_cases: int) -> Dataset:
     from n_cases by at most half the number of cells.  Cases appear in
     mixed-radix cell order.
     """
-    if n_cases < 0:
-        raise DomainError(f"n_cases must be non-negative, got {n_cases}")
-    counts = np.floor(joint.probs * n_cases + 0.5).astype(np.int64)
-    arities = [v.arity for v in joint.variables]
-    cells = np.stack(np.unravel_index(np.arange(counts.size), arities), axis=1)
-    cases = np.repeat(cells, counts, axis=0)
-    return Dataset(joint.variables, cases)
+    counts = _noise_free_counts(joint, n_cases)
+    cells = np.argwhere(np.ones([v.arity for v in joint.variables], bool))  # every cell, in order
+    return Dataset(joint.variables, np.repeat(cells, counts, axis=0))
 
 
 def forward_sample(net: BayesNet, n_cases: int, seed: int) -> Dataset:
@@ -206,6 +211,13 @@ class SweepResult:
     max_log_ratio: float
 
 
+def _noise_free_log_ratios(metrics: Sequence[MetricSpec], joint: JointTable, n: int) -> list:
+    """Each metric's log ratio on the noise-free table of variables 0 and 1, the rest summed out."""
+    counts = _noise_free_counts(joint, n).reshape(1, *(v.arity for v in joint.variables[:2]), -1)
+    _checked_component((0, 1), joint.variables)
+    return _pair_log_ratios(metrics, [([0], counts.sum(-1))])
+
+
 def alpha0_sweep(
     joint: JointTable, n_cases: int, grid: Sequence[float] = ALPHA0_GRID
 ) -> SweepResult:
@@ -215,8 +227,7 @@ def alpha0_sweep(
         raise DomainError("alpha0 grid must be non-empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("alpha0 grid must be strictly increasing")
-    counts = _pair_count_tables(noise_free_dataset(joint, n_cases), [(0, 1)])
-    log_ratios = _pair_log_ratios([MetricSpec.bdeu(a0) for a0 in grid], counts)
+    log_ratios = _noise_free_log_ratios([MetricSpec.bdeu(a0) for a0 in grid], joint, n_cases)
     points = tuple((a0, _safe_exp(lr), lr) for a0, (lr,) in zip(grid, log_ratios))
     best = max(points, key=lambda p: p[2])
     return SweepResult(points, best[0], best[1], best[2])
@@ -233,9 +244,7 @@ def run_example(spec: ExampleSpec) -> list[RatioRow]:
     metrics = [*map(MetricSpec.bdeu, spec.alpha0_values), MetricSpec.k2(), MetricSpec.gu()]
     rows: list[RatioRow] = []
     for n in spec.sizes:
-        # Counted once per dataset, scored by every metric in one kernel call.
-        counts = _pair_count_tables(noise_free_dataset(joint, n), [(0, 1)])
-        for metric, (lr,) in zip(metrics, _pair_log_ratios(metrics, counts)):
+        for metric, (lr,) in zip(metrics, _noise_free_log_ratios(metrics, joint, n)):
             rows.append(RatioRow(_safe_exp(lr), lr, spec.example, metric.kind, metric.alpha0, n))
     if spec.sweep is not None:
         for n in spec.sizes:

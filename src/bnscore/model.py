@@ -351,23 +351,21 @@ def count_sufficient_stats(structure: DagStructure, data: Dataset) -> tuple[np.n
     )
 
 
-def _checked_component(component: Sequence[int], data: Dataset) -> list[int]:
+def _checked_component(component: Sequence[int], variables: Sequence[Variable]) -> list[int]:
     """The component's variable indices; raises SchemaMismatch unless they
-    are distinct variables of data, at least one, and MemoryError when
+    are distinct indices into variables, at least one, and MemoryError when
     their joint table would have more than _MAX_CELLS cells."""
     cols = list(component)
     if not cols:
         raise SchemaMismatch("component must name at least one variable")
     for c in cols:
-        if not 0 <= c < len(data.variables):
-            raise SchemaMismatch(
-                f"component index {c} out of range 0..{len(data.variables) - 1}"
-            )
+        if not 0 <= c < len(variables):
+            raise SchemaMismatch(f"component index {c} out of range 0..{len(variables) - 1}")
     if len(set(cols)) != len(cols):
         raise SchemaMismatch("component lists a variable twice")
-    cells = math.prod(data.variables[c].arity for c in cols)
+    cells = math.prod(variables[c].arity for c in cols)
     if cells > _MAX_CELLS:
-        names = ", ".join(data.variables[c].name for c in cols)
+        names = ", ".join(variables[c].name for c in cols)
         raise MemoryError(f"a count table over {names} would have {cells} cells, past {_MAX_CELLS}")
     return cols
 
@@ -378,7 +376,7 @@ def joint_cell_counts(component: Sequence[int], data: Dataset) -> np.ndarray:
     The first listed variable is the most significant digit; the result has
     one entry per joint cell and sums to the number of cases.
     """
-    cols = _checked_component(component, data)
+    cols = _checked_component(component, data.variables)
     arities = [data.variables[c].arity for c in cols]
     flat = _mixed_radix(data.cases, cols, arities)
     out = np.bincount(flat, minlength=math.prod(arities))
@@ -395,9 +393,8 @@ def _pair_count_tables(
     shape, each table equal to joint_cell_counts((x, y), data) reshaped.
     The cases where a variable takes a state are packed into a bitset, so
     a cell count is the population count of two bitsets' intersection.
+    Its pairs come in checked, each once per study by run_alarm_experiment.
     """
-    for pair in pairs:
-        _checked_component(pair, data)
     variables, cases = data.variables, data.cases
     used = sorted({v for pair in pairs for v in pair})
     arities = [variables[v].arity for v in used]

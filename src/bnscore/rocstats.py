@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .genbench import forward_sample
-from .model import BayesNet, _pair_count_tables
+from .model import BayesNet, _checked_component, _pair_count_tables
 from .netio import _csv_text, _fmt
 from .scoring import MetricSpec, _arc_posteriors
 
@@ -329,6 +329,8 @@ def run_alarm_experiment(
         if repeated:
             raise DegenerateInput(f"{kind} {repeated[0]!r} is given more than once")
     pairs = enumerate_pair_sets(net, 46, seed)
+    for pair in (*pairs.positives, *pairs.negatives):
+        _checked_component(pair, net.structure.variables)
 
     tasks = [(net, n, seed + rep, pairs, metrics) for n in sizes for rep in range(reps)]
     workers = min(jobs, len(tasks), _usable_cpus())

@@ -32,7 +32,6 @@ from .model import (
     Dataset,
     Variable,
     _check_schema,
-    _pair_count_tables,
     clique_decomposition,
     count_sufficient_stats,
     joint_cell_counts,
@@ -353,4 +352,5 @@ def arc_posterior_from_counts(metric: MetricSpec, counts: np.ndarray) -> float:
 def arc_posterior(metric: MetricSpec, x: int, y: int, data: Dataset) -> float:
     """Posterior probability of x -> y versus no arc, on the projected pair;
     raises SchemaMismatch unless x and y are distinct variables of data."""
-    return _arc_posteriors([metric], _pair_count_tables(data, [(x, y)]))[0][0]
+    counts = joint_cell_counts((x, y), data)
+    return arc_posterior_from_counts(metric, counts.reshape(data.variables[x].arity, -1))

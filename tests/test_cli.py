@@ -72,6 +72,17 @@ arc B C
 """
 
 
+# Nine roots B1..B9 of 4097 states and the arc P -> Q: 54 marginally
+# d-separated pairs, 36 of two roots, so every draw of 46 negatives holds a
+# pair whose table has 4097**2 = 16785409 cells, past the 2**24 cap.
+WIDE_PAIR_NET = (
+    "".join(f"var B{i} 4097\n" for i in range(1, 10))
+    + "var P 2\nvar Q 2\narc P Q\n"
+    + "".join(f"cpt B{i} | : 1{' 0' * 4096}\n" for i in range(1, 10))
+    + "cpt P | : 0.5 0.5\ncpt Q | P=1 : 0.9 0.1\ncpt Q | P=2 : 0.2 0.8\n"
+)
+
+
 def run_in_1gib(argv, cwd=None):
     """Run the CLI in a child limited to a 1 GiB address space."""
     env = dict(os.environ)
@@ -683,6 +694,7 @@ class TestMemoryBounds:
         "huge-arity.bn": "var A 1000000000\nvar B 2\n",
         # Its default labels "1".."16777216" take more than 1 GiB as str.
         "max-arity.bn": "var A 16777216\nvar B 2\n",
+        "wide-pair.bn": WIDE_PAIR_NET,
     }
 
     @pytest.mark.parametrize(
@@ -710,9 +722,13 @@ class TestMemoryBounds:
             (["roc", "--sizes", "1000000000000000000", "--reps", "2", "--metrics", "k2",
               "--jobs", "1", "--out", "roc"], 3,
              "out of memory: 1000000000000000000 cases of 37 variables do not fit in memory"),
+            # A ROC pair past the count-table cap, caught by the study's pair check.
+            (["roc", "--net", "wide-pair.bn", "--sizes", "5", "--reps", "2", "--metrics", "k2",
+              "--jobs", "1", "--out", "roc"], 3,
+             "out of memory: a count table over B1, B2 would have 16785409 cells, past 16777216"),
         ],
         ids=["score-wide", "score-wider", "var-arity", "sample", "roc", "var-labels",
-             "sample-past-intp", "roc-past-intp"],
+             "sample-past-intp", "roc-past-intp", "roc-wide-pair"],
     )
     def test_exits_with_one_error_line(self, tmp_path, argv, code, expected):
         for name, text in self.FILES.items():

@@ -11,6 +11,8 @@ from bnscore import (
     BayesNet,
     DagStructure,
     DomainError,
+    MetricSpec,
+    SchemaMismatch,
     Variable,
     alpha0_sweep,
     forward_sample,
@@ -20,7 +22,9 @@ from bnscore import (
     ratio_table_csv,
     run_example,
 )
-from bnscore.genbench import DEFAULT_ALPHA0S, JointTable
+from bnscore.genbench import DEFAULT_ALPHA0S, ExampleSpec, JointTable
+from bnscore.model import _pair_count_tables
+from bnscore.scoring import _pair_log_ratios
 
 
 class TestIndependentJoint:
@@ -43,6 +47,19 @@ class TestIndependentJoint:
         with pytest.raises(DomainError):
             independent_joint([(1.1, -0.1)])
 
+    def test_accepted_marginals_give_an_accepted_joint(self):
+        # Each marginal is within 1e-12 of summing to 1; their raw product is not.
+        marginal = (0.5, 0.5 + 0.9e-12)
+        j = independent_joint([marginal] * 2)
+        assert abs(float(j.probs.sum()) - 1.0) <= 1e-12
+        np.testing.assert_allclose(j.probs, 0.25, rtol=1e-11)
+
+    def test_example_joints_are_the_raw_products(self):
+        # Every example marginal sums to exactly 1, so rescaling leaves it as given.
+        for spec in EXAMPLES.values():
+            x, y = (np.array(m) for m in spec.marginals)
+            assert spec.joint().probs.tolist() == np.outer(x, y).reshape(-1).tolist()
+
 
 BINARY = (Variable("X", 2), Variable("Y", 2))
 
@@ -61,9 +78,15 @@ BINARY = (Variable("X", 2), Variable("Y", 2))
         (lambda: independent_joint([(0.9, 0.2)]), "marginal for 'X1' sums to 1.1, not 1"),
         (lambda: noise_free_dataset(independent_joint([(0.5, 0.5)]), -1),
          "n_cases must be non-negative, got -1"),
+        # Past 2**62 a table's total could wrap the kernel's int64 sums.
+        (lambda: noise_free_dataset(independent_joint([(0.5, 0.5)]), 2**62),
+         "n_cases must be below 2**62, got 4611686018427387904"),
+        (lambda: alpha0_sweep(EXAMPLES[11].joint(), 10**19),
+         "n_cases must be below 2**62, got 10000000000000000000"),
     ],
     ids=["joint-size", "joint-negative", "joint-sum", "no-marginals", "name-count",
-         "marginal-length-1", "marginal-sum", "negative-cases"],
+         "marginal-length-1", "marginal-sum", "negative-cases", "too-many-cases",
+         "sweep-too-many-cases"],
 )
 def test_invalid_joint_input_raises_domain_error(build, message):
     with pytest.raises(DomainError) as exc:
@@ -276,6 +299,51 @@ class TestAlphaSweep:
         sweep = alpha0_sweep(EXAMPLES[11].joint(), 1000, ALPHA0_GRID)
         assert ALPHA0_GRID[0] < sweep.argmax_alpha0 < ALPHA0_GRID[-1]
         assert sweep.max_ratio == pytest.approx(1.9, abs=0.3)
+
+
+def dataset_log_ratios(metrics, joint, n):
+    """Log ratios from counting a noise-free dataset's first two variables."""
+    return _pair_log_ratios(metrics, _pair_count_tables(noise_free_dataset(joint, n), [(0, 1)]))
+
+
+class TestNoiseFreeTables:
+    """run_example and alpha0_sweep score the noise-free table directly:
+    the same floats as counting a noise-free dataset, at any N."""
+
+    @pytest.mark.parametrize("example", sorted(EXAMPLES))
+    def test_ratios_equal_the_dataset_path(self, example):
+        spec = EXAMPLES[example]
+        joint = spec.joint()
+        rows = run_example(spec)
+        metrics = [*map(MetricSpec.bdeu, spec.alpha0_values), MetricSpec.k2(), MetricSpec.gu()]
+        for n in spec.sizes:
+            got = [r.log_ratio for r in rows if r.n == n and r.metric in ("bdeu", "k2", "gu")]
+            assert got == [lr for (lr,) in dataset_log_ratios(metrics, joint, n)]
+            if spec.sweep is not None:
+                sweep = alpha0_sweep(joint, n, spec.sweep)
+                want = dataset_log_ratios([MetricSpec.bdeu(a0) for a0 in spec.sweep], joint, n)
+                assert [p[2] for p in sweep.points] == [lr for (lr,) in want]
+
+    def test_further_variables_summed_out(self):
+        marginals = ((0.7, 0.3), (0.2, 0.5, 0.3), (0.4, 0.6))
+        rows = run_example(ExampleSpec(0, marginals, (37,), (1.0,)))
+        metrics = [MetricSpec.bdeu(1.0), MetricSpec.k2(), MetricSpec.gu()]
+        want = dataset_log_ratios(metrics, independent_joint(marginals), 37)
+        assert [r.log_ratio for r in rows] == [lr for (lr,) in want]
+
+    def test_finite_at_any_n(self):
+        n = 10**12
+        sweep = alpha0_sweep(EXAMPLES[11].joint(), n)
+        assert all(math.isfinite(lr) for _, _, lr in sweep.points)
+        rows = run_example(ExampleSpec(11, EXAMPLES[11].marginals, (n,)))
+        assert len(rows) == 5 and all(math.isfinite(r.log_ratio) for r in rows)
+
+    def test_one_variable_joint_rejected(self):
+        joint = independent_joint([(0.5, 0.5)])
+        with pytest.raises(SchemaMismatch, match="component index 1 out of range 0..0"):
+            alpha0_sweep(joint, 10)
+        with pytest.raises(SchemaMismatch, match="component index 1 out of range 0..0"):
+            run_example(ExampleSpec(0, ((0.5, 0.5),), (10,)))
 
 
 class TestRatioTableCsv:

@@ -10,17 +10,22 @@ from bnscore import (
     Dataset,
     DuplicateParent,
     IndexOutOfRange,
+    MetricSpec,
     ModelError,
+    PairSets,
     SchemaMismatch,
     SelfLoop,
     StateOutOfRange,
     Variable,
+    arc_posterior,
     clique_decomposition,
     count_sufficient_stats,
     d_separated,
     forward_sample,
     joint_cell_counts,
     parse_dataset,
+    rocstats,
+    run_alarm_experiment,
 )
 from bnscore.model import _mixed_radix, _pair_count_tables
 from bnscore.rocstats import marginally_d_separated_pairs
@@ -341,12 +346,24 @@ class TestCounting:
                 want = joint_cell_counts((x, y), data).reshape(vs[x].arity, vs[y].arity)
                 assert np.array_equal(table, want), (x, y)
 
-    def test_pair_count_tables_validation(self):
+    def test_pair_count_tables_validation(self, monkeypatch):
+        """_pair_count_tables checks nothing: a bad pair is stopped where it
+        enters, by joint_cell_counts, arc_posterior or the ROC study's check
+        before its first sample."""
         vs = (Variable("X", 2), Variable("Y", 3))
         data = Dataset(vs, [(0, 1)])
+        net = BayesNet(DagStructure(vs, ((), ())), (np.full((1, 2), 1 / 2), np.full((1, 3), 1 / 3)))
+        monkeypatch.setattr(rocstats, "forward_sample", None)  # never reached
         for pairs in ([(1, 1)], [(0, 1), (0, 0)], [(0, 2)], [(-1, 0)]):
             with pytest.raises(SchemaMismatch):
-                _pair_count_tables(data, pairs)
+                joint_cell_counts(pairs[-1], data)
+            with pytest.raises(SchemaMismatch):
+                arc_posterior(MetricSpec.k2(), *pairs[-1], data)
+            monkeypatch.setattr(
+                rocstats, "enumerate_pair_sets", lambda *args: PairSets(tuple(pairs), (), 0)
+            )
+            with pytest.raises(SchemaMismatch):
+                run_alarm_experiment(net, sizes=(5,), reps=2, metrics=(MetricSpec.k2(),))
 
     def test_joint_cell_counts_validation(self):
         vs = (Variable("X", 2),)

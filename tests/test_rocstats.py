@@ -27,7 +27,7 @@ from bnscore import (
     run_alarm_experiment,
     t_confidence_interval,
 )
-from bnscore import rocstats, scoring
+from bnscore import model, rocstats, scoring
 from bnscore.genbench import EXAMPLES, forward_sample, run_example
 from bnscore.model import _pair_count_tables
 from bnscore.rocstats import DEFAULT_FPR_GRID, DEFAULT_METRICS, DEFAULT_SIZES
@@ -376,6 +376,26 @@ class TestAlarmExperiment:
         b = run_alarm_experiment(alarm.net, metrics=metrics, **self.SMALL)
         assert auc_summary_csv(a.summaries) == auc_summary_csv(b.summaries)
         assert mean_roc_csv(a.mean_curves) == mean_roc_csv(b.mean_curves)
+
+    @pytest.mark.parametrize("reps", [2, 5])
+    def test_pairs_are_checked_once_per_study(self, alarm, monkeypatch, reps):
+        """The 92 pairs are checked before the first replicate, not in each."""
+        checked = []
+
+        def counting(check):
+            def wrapper(component, variables):
+                checked.append(tuple(component))
+                return check(component, variables)
+
+            return wrapper
+
+        for module in (model, rocstats):
+            monkeypatch.setattr(module, "_checked_component", counting(module._checked_component))
+        result = run_alarm_experiment(
+            alarm.net, sizes=(5,), reps=reps, metrics=(MetricSpec.k2(),), jobs=1
+        )
+        assert checked == [*result.pairs.positives, *result.pairs.negatives]
+        assert len(checked) == 92
 
     def test_needs_two_replicates(self, alarm):
         with pytest.raises(DegenerateInput):

@@ -13,8 +13,9 @@ ALARM variables with the single arc HYPOVOLEMIA -> LVEDVOLUME, the structure
 the ``score --structure`` rows read. OUT/wide-states.bn has a 300-state
 variable, past what uint8 cases hold, for a ``sample`` row and a ``score`` row
 on its output. OUT/wide.bn and its one-row OUT/wide.csv
-give a count table too large to hold, and OUT/huge-arity.bn a variable past
-the arity cap; both must end in one error line. OUT/first-fault.csv, over
+give a count table too large to hold, OUT/huge-arity.bn a variable past
+the arity cap, and OUT/wide-pair.bn a ``roc`` pair whose table passes the
+cell cap; each must end in one error line. OUT/first-fault.csv, over
 the two binary variables of OUT/two-binary.bn, has an unknown label in row 1
 and a cell past the ``csv`` module's field size limit in row 2; ``score``
 must report row 1. OUT/outputs.sha256 lists the
@@ -70,6 +71,12 @@ OVERSIZE_FILES = {
     "wide.bn": "var A 10000\nvar B 10000\nvar C 10000\narc A C\narc B C\n",
     "wide.csv": "A,B,C\n1,1,1\n",
     "huge-arity.bn": "var A 1000000000\nvar B 2\n",
+    # Nine roots B1..B9 of 4097 states and the arc P -> Q: every draw of 46
+    # negatives from the 54 separated pairs holds two roots, 4097**2 cells.
+    "wide-pair.bn": "".join(f"var B{i} 4097\n" for i in range(1, 10))
+    + "var P 2\nvar Q 2\narc P Q\n"
+    + "".join(f"cpt B{i} | : 1{' 0' * 4096}\n" for i in range(1, 10))
+    + "cpt P | : 0.5 0.5\ncpt Q | P=1 : 0.9 0.1\ncpt Q | P=2 : 0.2 0.8\n",
 }
 # The first fault in row order, whatever the reader's block size.
 FIRST_FAULT_FILES = {
@@ -123,6 +130,10 @@ def commands(alarm: str, structure: str, root: str) -> list[tuple[str, list[str]
                            "--data", f"{root}/wide.csv"])
         for name, bn in (("wide-structure", "wide.bn"), ("huge-arity", "huge-arity.bn"))
     ]
+    out.append(
+        ("roc-wide-pair", [*CLI, "roc", "--net", f"{root}/wide-pair.bn", "--sizes", "5", "--reps",
+                           "2", "--metrics", "k2", "--jobs", "1", "--out", "roc"])
+    )
     out.append(
         ("score-first-fault", [*CLI, "score", "--metric", "k2", "--structure", f"{root}/two-binary.bn",
                                "--data", f"{root}/first-fault.csv"])
