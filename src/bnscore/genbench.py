@@ -69,7 +69,7 @@ class JointTable:
             raise DomainError(f"{probs.size} cells for a {cells}-cell joint")
         if probs.min() < 0.0:
             raise DomainError("joint probabilities must be non-negative")
-        if abs(float(probs.sum()) - 1.0) > _JOINT_SUM_TOL:
+        if not abs(float(probs.sum()) - 1.0) <= _JOINT_SUM_TOL:  # NaN fails this too
             raise DomainError(f"joint sums to {float(probs.sum())!r}, not 1")
         probs = probs.copy()
         probs.setflags(write=False)
@@ -93,7 +93,7 @@ def independent_joint(
             raise DomainError(f"marginal for {name!r} must be a vector of length >= 2")
         if m.min() < 0.0:
             raise DomainError(f"marginal for {name!r} has negative entries")
-        if abs(float(m.sum()) - 1.0) > _JOINT_SUM_TOL:
+        if not abs(float(m.sum()) - 1.0) <= _JOINT_SUM_TOL:  # NaN fails this too
             raise DomainError(f"marginal for {name!r} sums to {float(m.sum())!r}, not 1")
         variables.append(Variable(str(name), m.size))
     joint = np.ones(1)

@@ -167,25 +167,79 @@ def mean_roc(curves: Sequence[RocCurve]) -> RocCurve:
     return _mean_curve(np.array([_grid_row(*np.array(c.points).T) for c in curves]))
 
 
+def _t_quantile(df: int) -> float:
+    """The 0.975 quantile of Student's t with df >= 1 degrees of freedom.
+
+    Newton's method on the upper tail ½·I_x(a, ½), a = df/2, x = df/(df + t²),
+    y = 1 - x, from Hill's expansion about the normal quantile (1970, ACM
+    Algorithm 396; ha to hd are his a to d). Hill uses it from df 4 on; below
+    that Newton takes a few more steps. The regularized incomplete beta is
+    x^a·y^½·r/B(a, ½), where r is the even part of its continued fraction as
+    TOMS 708's bfrac writes it (DiDonato & Morris 1992), whose terms do not
+    cancel as x nears 1, summed by Lentz's method (Numerical Recipes §6.4).
+    """
+    a, tail, z = df / 2, 0.025, -1.9599639845400545  # z: the normal 0.025 quantile
+    ha, hb = 1 / (df - 0.5), 48 * (df - 0.5) ** 2
+    hc = ((20700 * ha / hb - 98) * ha - 16) * ha + 96.36
+    hd = ((94.5 / (hb + hc) - 3) / hb + 1) * math.sqrt(ha * math.pi / 2) * df
+    hc += 0.3 * (df - 4.5) * (z + 0.6) if df < 5 else 0.0
+    hc += (((0.05 * hd * z - 5) * z - 7) * z - 2) * z + hb
+    y = (((((0.4 * z * z + 6.3) * z * z + 36) * z * z + 94.5) / hc - z * z - 3) / hb + 1) * z
+    t = math.sqrt(df * math.expm1(ha * y * y))
+    if a < 30:  # B(m + ½, ½) = π·w and B(m, ½) = 1/(m·w), w = C(2m, m)/4^m rounded once
+        w = math.comb(df - df % 2, df // 2) / 2 ** (df - df % 2)
+        log_beta = math.log(math.pi * w if df % 2 else 2 / (df * w))
+    else:  # ln Γ(a + ½) - ln Γ(a) from Stirling's series, term by term
+        log_beta = 0.5 * math.log(math.pi / a) - (a * math.log1p(0.5 / a) - 0.5) - sum(
+            c * ((a + 0.5) ** (1 - 2 * k) - a ** (1 - 2 * k))
+            for k, c in enumerate((1 / 12, -1 / 360, 1 / 1260, -1 / 1680), 1))
+    for _ in range(20):
+        t2 = t * t
+        x, y = df / (df + t2), t2 / (df + t2)
+        c, c1 = 0.5 + (a + 0.5) * y, 1 + 1 / a
+        p, s, lentz_d = 1.0, a + 1, 0.0
+        r_inverse = lentz_c = c / c1
+        for k in range(1, 1000):
+            w = k * (0.5 - k) * x
+            alpha = p * (p + 0.5 / a) * (a / s) ** 2 * w * x
+            beta = k + w / s + (1 + k / a) / (c1 + 2 * k / a) * (c + k * (y + 1))
+            p, s = 1 + k / a, s + 2
+            lentz_d = 1 / (beta + alpha * lentz_d)
+            lentz_c = beta + alpha / lentz_c
+            r_inverse *= lentz_c * lentz_d
+            if abs(lentz_c * lentz_d - 1) < 3e-16:
+                break
+        t_density = math.exp(0.5 * math.log(y) - a * math.log1p(t2 / df) - log_beta)  # x^a·y^½/B
+        step = t * (0.5 / r_inverse - tail / t_density)
+        t += step
+        if abs(step) < 1e-9 * t:  # Newton squares the error: what is left is below rounding
+            return t
+    raise AssertionError(f"Newton's method did not settle on the t quantile for df {df}")
+
+
 def t_confidence_interval(values: Sequence[float]) -> tuple[float, float, float]:
     """(mean, low, high): a symmetric 95% t interval for the mean.
 
-    Needs at least two values; a zero-spread sample collapses to a
-    zero-width interval at the common value.
+    Needs at least two finite values and an interval within float range; a
+    zero-spread sample collapses to a zero-width interval at the common value.
     """
     vals = [float(v) for v in values]
     if len(vals) < 2:
         raise DegenerateInput(f"need at least 2 values, got {len(vals)}")
+    if not all(map(math.isfinite, vals)):
+        raise DegenerateInput("values must be finite")
     # Imported here: only roc's aggregation needs them, not import bnscore.
     from statistics import fmean, stdev
 
-    m = fmean(vals)
-    s = stdev(vals)
+    try:
+        m, s = fmean(vals), stdev(vals)
+    except OverflowError:  # fsum's partial sums left float range
+        m = s = math.inf
     if s == 0.0:
         return m, m, m
-    from scipy.special import stdtrit
-
-    half = float(stdtrit(len(vals) - 1, 0.975)) * s / math.sqrt(len(vals))
+    half = _t_quantile(len(vals) - 1) * s / math.sqrt(len(vals))
+    if not math.isfinite(m - half) or not math.isfinite(m + half):
+        raise DegenerateInput("the 95% interval overflows float range")
     return m, m - half, m + half
 
 

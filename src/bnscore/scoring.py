@@ -117,10 +117,11 @@ def _safe_exp(log_value: float) -> float:
 
 
 # lnG(x) for x >= 0 by the Cephes ``lgam`` algorithm (S. L. Moshier), the
-# one scipy.special.gammaln runs, step for step so every result is the same
-# float.  Below 13 a recurrence moves the argument into [2, 3), where
-# lnG(2 + t) = t B(t) / C(t); above, Stirling's series with the A polynomial
-# in 1/x^2 below 1000, its first three terms up to 1e8, and none beyond.
+# one behind the ``gammaln`` that tests/test_scoring.py compares it with, step
+# for step so every result is the same float.  Below 13 a recurrence moves the
+# argument into [2, 3), where lnG(2 + t) = t B(t) / C(t); above, Stirling's
+# series with the A polynomial in 1/x^2 below 1000, its first three terms up
+# to 1e8, and none beyond.
 _LGAM_A = (
     8.11614167470508450300e-4, -5.95061904284301438324e-4,
     7.93650340457716943945e-4, -2.77777777730099687205e-3,
@@ -152,7 +153,7 @@ def _polevl(x: float, coefs: tuple[float, ...]) -> float:
 
 
 def _lgam(x: float) -> float:
-    """lnG(x) for x >= 0, bit for bit scipy.special.gammaln; inf at 0, at
+    """lnG(x) for x >= 0, bit for bit the Cephes lgam; inf at 0, at
     subnormal x whose reciprocal overflows, and above _LGAM_MAX."""
     if x < 13.0:
         z, p, u = 1.0, 0.0, x

@@ -510,9 +510,9 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS
 
 
 class TestStartUp:
-    """Only roc's aggregation needs scipy and statistics, and only a parallel
-    roc the process pool; every other command, and import bnscore itself,
-    loads none of them.
+    """No command loads scipy. Only roc's aggregation needs statistics, and
+    only a parallel roc the process pool; every other command, and import
+    bnscore itself, loads neither.
     bnscore calls no BLAS routine, so unless the caller set a BLAS thread
     count the process runs on one thread, and the import leaves os.environ
     as it found it."""
@@ -553,6 +553,17 @@ class TestStartUp:
         assert "environ unchanged: True" in proc.stdout
         if Path("/proc/self/task").is_dir():
             assert "threads after import: 1\n" in proc.stdout
+            assert "threads at exit: 1\n" in proc.stdout
+
+    def test_roc_leaves_scipy_unloaded(self, tmp_path):
+        # At this size the AUCs vary, so the interval needs its t quantile.
+        argv = ["roc", "--sizes", "5", "--reps", "3", "--metrics", "k2", "--jobs", "1"]
+        proc = self.probe([*argv, "--out", str(tmp_path / "roc")])
+        assert proc.returncode == 0, proc.stderr
+        ci_low, ci_high = (tmp_path / "roc" / "auc_summary.csv").read_text().split(",")[-3:-1]
+        assert float(ci_low) < float(ci_high)
+        assert "scipy modules: []" in proc.stdout
+        if Path("/proc/self/task").is_dir():
             assert "threads at exit: 1\n" in proc.stdout
 
     @pytest.mark.parametrize("var", BLAS_THREAD_VARS)

@@ -71,11 +71,15 @@ BINARY = (Variable("X", 2), Variable("Y", 2))
         (lambda: JointTable(BINARY, [0.5, 0.5, 0.5, -0.5]),
          "joint probabilities must be non-negative"),
         (lambda: JointTable(BINARY, [0.25, 0.25, 0.25, 0.5]), "joint sums to 1.25, not 1"),
+        (lambda: JointTable(BINARY, [0.5, math.nan, 0.25, 0.25]), "joint sums to nan, not 1"),
+        (lambda: JointTable(BINARY, [math.inf, 0.0, 0.0, 0.0]), "joint sums to inf, not 1"),
         (lambda: independent_joint([]), "need at least one marginal"),
         (lambda: independent_joint([(0.5, 0.5)], names=("X", "Y")), "2 names for 1 marginals"),
         (lambda: independent_joint([(1.0,)], names=("X",)),
          "marginal for 'X' must be a vector of length >= 2"),
         (lambda: independent_joint([(0.9, 0.2)]), "marginal for 'X1' sums to 1.1, not 1"),
+        (lambda: independent_joint([(0.5, math.nan), (0.5, 0.5)]),
+         "marginal for 'X1' sums to nan, not 1"),
         (lambda: noise_free_dataset(independent_joint([(0.5, 0.5)]), -1),
          "n_cases must be non-negative, got -1"),
         # Past 2**62 a table's total could wrap the kernel's int64 sums.
@@ -84,9 +88,9 @@ BINARY = (Variable("X", 2), Variable("Y", 2))
         (lambda: alpha0_sweep(EXAMPLES[11].joint(), 10**19),
          "n_cases must be below 2**62, got 10000000000000000000"),
     ],
-    ids=["joint-size", "joint-negative", "joint-sum", "no-marginals", "name-count",
-         "marginal-length-1", "marginal-sum", "negative-cases", "too-many-cases",
-         "sweep-too-many-cases"],
+    ids=["joint-size", "joint-negative", "joint-sum", "joint-nan", "joint-inf",
+         "no-marginals", "name-count", "marginal-length-1", "marginal-sum",
+         "marginal-nan", "negative-cases", "too-many-cases", "sweep-too-many-cases"],
 )
 def test_invalid_joint_input_raises_domain_error(build, message):
     with pytest.raises(DomainError) as exc:

@@ -222,6 +222,29 @@ class TestTConfidenceInterval:
         with pytest.raises(DegenerateInput):
             t_confidence_interval([0.4])
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([math.nan, 1.0], "values must be finite"),
+            ([math.inf, 1.0], "values must be finite"),
+            ([1e308, -1e308], "the 95% interval overflows float range"),
+            ([1e308, 1e308], "the 95% interval overflows float range"),
+        ],
+        ids=["nan", "inf", "spread-overflows", "mean-overflows"],
+    )
+    def test_non_finite_or_overflowing_input_rejected(self, values, message):
+        with pytest.raises(DegenerateInput) as exc:
+            t_confidence_interval(values)
+        assert str(exc.value) == message
+
+    def test_quantile_matches_scipy(self):
+        # scipy is itself within 19 ulp of the correctly rounded quantile for
+        # df 1-199 and within 3 ulp at large df; 1e-14 is about 45 ulp at 2.
+        dfs = [*range(1, 10_001), 10**5, 10**6]
+        ours = np.array([rocstats._t_quantile(df) for df in dfs])
+        expected = scipy.stats.t.ppf(0.975, np.array(dfs, dtype=float))
+        np.testing.assert_allclose(ours, expected, rtol=1e-14, atol=0.0)
+
     @pytest.mark.parametrize("df", [1, 2, 5, 30, 99])
     def test_matches_scipy_interval(self, df):
         values = np.random.default_rng(df).random(df + 1).tolist()
