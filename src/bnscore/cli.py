@@ -58,9 +58,11 @@ def _size_list(text: str) -> list[int]:
     return [int(tok) for tok in tokens]
 
 
-def _read_text(path: str) -> str:
+def _read(path: str, parse=lambda file: file.read()):
+    """parse(the file at path, open as text); a read or decode failure exits 2."""
     try:
-        return Path(path).read_text()
+        with open(path) as lines:
+            return parse(lines)
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
@@ -98,10 +100,10 @@ def _parse_metric_list(parser, text: str) -> list[MetricSpec]:
 def cmd_score(parser, args) -> int:
     metric = _metric_from_args(parser, args.metric, args.alpha0)
     if args.net:
-        structure = netio.parse_network(_read_text(args.net)).structure
+        structure = netio.parse_network(_read(args.net)).structure
     else:
-        structure = netio.parse_structure(_read_text(args.structure))
-    data = netio.parse_dataset(_read_text(args.data), structure.variables)
+        structure = netio.parse_structure(_read(args.structure))
+    data = _read(args.data, lambda lines: netio.parse_dataset(lines, structure.variables))
     value = scoring.log_score(metric, structure, data) / math.log(10.0)
     print(f"log10_score={value:.12g}")
     return 0
@@ -133,7 +135,7 @@ def cmd_bench(parser, args) -> int:
 
 
 def cmd_sample(parser, args) -> int:
-    doc = netio.parse_network(_read_text(args.net))
+    doc = netio.parse_network(_read(args.net))
     data = genbench.forward_sample(doc.net, args.n, args.seed)
     # Block by block, so the whole CSV text is never held: the same text
     # write_dataset(data) joins.
@@ -145,7 +147,7 @@ def cmd_sample(parser, args) -> int:
 
 def cmd_roc(parser, args) -> int:
     net_path = args.net if args.net else str(netio.alarm_path())
-    doc = netio.parse_network(_read_text(net_path))
+    doc = netio.parse_network(_read(net_path))
     metrics = _parse_metric_list(parser, args.metrics)
     # Made before the study, so an unusable --out fails before the work.
     out_dir = Path(args.out)
@@ -172,7 +174,7 @@ def cmd_roc(parser, args) -> int:
 
 
 def cmd_dsep(parser, args) -> int:
-    doc = netio.parse_network(_read_text(args.net))
+    doc = netio.parse_network(_read(args.net))
     structure = doc.structure
     if args.count_marginal:
         count = len(rocstats.marginally_d_separated_pairs(doc.net))
@@ -261,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(parser, args)
     except (*_PARSE_ERRORS, OSError) as exc:
-        # Reads are reported by _read_text; an OSError left is a file or
+        # Reads are reported by _read; an OSError left is a file or
         # directory the command could not write.
         print(f"error: {exc}", file=sys.stderr)
         return 2

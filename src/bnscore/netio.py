@@ -16,7 +16,6 @@ silently; beyond that the file is rejected.  Probabilities are written with
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import itertools
@@ -393,95 +392,93 @@ def _columns(header: list[str], schema: tuple[Variable, ...]) -> list[_CellState
     return [_CellStates(by_name[h]) for h in header]
 
 
-def _read_block(rows, columns, sources, cases, filled) -> int | None:
-    """Store the states of up to _BLOCK_ROWS rows in cases[filled:, :] and
-    return how many, 0 past the last; None at the first sign of a fault: a
-    record the csv module cannot read, a row of the wrong width or a cell
-    that its column maps to -1."""
-    try:
-        block = list(itertools.islice(rows, _BLOCK_ROWS))
-    except csv.Error:
-        return None
-    n = len(block)
-    if not n:
-        return 0
-    if any(len(cells) != len(columns) for cells in block):
-        return None
-    states = [
-        np.fromiter(map(column.__getitem__, cells), dtype=np.int64, count=n)
-        for column, cells in zip(columns, zip(*block))
-    ]
-    if any(s.min() < 0 for s in states):
-        return None
-    for j, k in enumerate(sources):
-        cases[filled:filled + n, j] = states[k]
-    return n
-
-
-def _first_fault(text: str, schema: tuple[Variable, ...]) -> DatasetFormatError:
-    """The first fault of a dataset CSV in row order, the header being row 0,
-    read again one record at a time: a record the csv module cannot read, a
-    header that does not name the schema's variables, a row of too many
-    cells, or the first cell of a row that its column rejects (a short row's
-    missing cells are empty).  Called only on a text that has a fault."""
+def _records(lines):
+    """Yield (row, cells) for the header, row 0, and for each non-blank
+    record after it; a blank record is skipped but still counted.  A record
+    the csv module cannot read ends them as (row, DatasetFormatError)."""
     row = -1  # the last record read
     try:
-        for row, cells in enumerate(csv.reader(_lines(text))):
-            if not row:
-                columns = _columns(cells, schema)
-                if columns is None:
-                    names = [v.name for v in schema]
-                    return HeaderMismatch(
-                        f"header {cells!r} does not match schema variables {names!r}"
-                    )
-            elif len(cells) > len(columns):
-                return DatasetFormatError(
-                    f"row {row}: {len(cells)} cells for {len(columns)} columns"
-                )
-            elif cells:
-                cells += [""] * (len(columns) - len(cells))  # a short row ends in empty cells
-                states = list(map(_CellStates.__getitem__, columns, cells))
-                if -1 in states:
-                    k = states.index(-1)
-                    name, cell = columns[k].variable.name, cells[k].strip()
-                    return UnknownStateLabel(row, name, cell) if cell else MissingValue(row, name)
+        for row, cells in enumerate(csv.reader(lines)):
+            if cells or not row:
+                yield row, cells
     except csv.Error as exc:
-        return DatasetFormatError(f"{f'row {row + 1}' if row >= 0 else 'header row'}: {exc}")
-    return HeaderMismatch("dataset has no header row")  # the text holds no record
+        row += 1
+        yield row, DatasetFormatError(f"{f'row {row}' if row else 'header row'}: {exc}")
 
 
-def parse_dataset(text: str, schema: tuple[Variable, ...]) -> Dataset:
+def _row_fault(row: int, cells, columns: list[_CellStates]) -> DatasetFormatError | None:
+    """The fault of one record after the header, or None: a record the csv
+    module cannot read, a row of too many cells, or the first cell of a row
+    that its column rejects (a short row's missing cells are empty)."""
+    if isinstance(cells, DatasetFormatError):
+        return cells
+    if len(cells) > len(columns):
+        return DatasetFormatError(f"row {row}: {len(cells)} cells for {len(columns)} columns")
+    cells = cells + [""] * (len(columns) - len(cells))
+    states = list(map(_CellStates.__getitem__, columns, cells))
+    if -1 not in states:
+        return None
+    k = states.index(-1)
+    name, cell = columns[k].variable.name, cells[k].strip()
+    return UnknownStateLabel(row, name, cell) if cell else MissingValue(row, name)
+
+
+def _read_block(records, columns, sources, dtype) -> np.ndarray:
+    """The states of the next _BLOCK_ROWS records or fewer, as a (variables,
+    rows) array in schema order, with no rows past the last record.
+
+    At the first sign of a fault (a record the csv module cannot read, a row
+    of the wrong width or a cell that its column maps to -1) the block's
+    records are checked one by one and the first fault in row order is
+    raised.  It is in this block: the blocks before were clean, and an
+    unreadable record is the last that records yields."""
+    block = list(itertools.islice(records, _BLOCK_ROWS))
+    rows = [cells for _, cells in block]
+    if not rows:
+        return np.empty((len(sources), 0), dtype)
+    if not isinstance(rows[-1], DatasetFormatError) and all(
+        len(cells) == len(columns) for cells in rows
+    ):
+        states = [
+            np.fromiter(map(column.__getitem__, cells), dtype=np.int64, count=len(rows))
+            for column, cells in zip(columns, zip(*rows))
+        ]
+        if all(s.min() >= 0 for s in states):
+            return np.array([states[k] for k in sources], dtype=dtype)
+    raise next(filter(None, (_row_fault(row, cells, columns) for row, cells in block)))
+
+
+def parse_dataset(text: str | io.TextIOBase, schema: tuple[Variable, ...]) -> Dataset:
     """Read a dataset CSV against a known schema, _BLOCK_ROWS rows at a time.
 
-    The header must name exactly the schema's variables (any order; columns
-    are reordered to match).  Cells hold state labels; a cell of decimal
-    digits (str.isdecimal, the digits int() reads) is read as a 0-based
-    state index only when none of that variable's labels is itself one.
-    Blank lines are skipped and cells are stripped.  The first fault in row
-    order, a record the csv module cannot read (such as a cell past its
-    field size limit) included, raises a DatasetFormatError naming its row.
+    text is the CSV as a string or as a text file open for reading; either
+    is read once, front to back.  The header must name exactly the schema's
+    variables (any order; columns are reordered to match).  Cells hold state
+    labels; a cell of decimal digits (str.isdecimal, the digits int() reads)
+    is read as a 0-based state index only when none of that variable's
+    labels is itself one.  Blank lines are skipped and cells are stripped.
+    The first fault in row order, a record the csv module cannot read (such
+    as a cell past its field size limit) included, raises a
+    DatasetFormatError naming its row.
     """
     schema = tuple(schema)
-    records = csv.reader(_lines(text))
-    columns = None
-    with contextlib.suppress(StopIteration, csv.Error):
-        header = next(records)
-        columns = _columns(header, schema)
+    records = _records(_lines(text) if isinstance(text, str) else text)
+    _, header = next(records, (0, None))
+    if header is None:
+        raise HeaderMismatch("dataset has no header row")
+    if isinstance(header, DatasetFormatError):
+        raise header
+    columns = _columns(header, schema)
     if columns is None:
-        raise _first_fault(text, schema)
+        names = [v.name for v in schema]
+        raise HeaderMismatch(f"header {header!r} does not match schema variables {names!r}")
     sources = [header.index(v.name) for v in schema]
-
-    # Every row after the header takes at least one line.
-    bound = text.count("\n") + (not text.endswith("\n")) - 1
-    cases = np.empty((bound, len(schema)), dtype=_state_dtype(schema), order="F")
-    rows = filter(None, records)  # a blank line is no row
-    filled = 0
-    while stored := _read_block(rows, columns, sources, cases, filled):
-        filled += stored
-    if stored is None:
-        raise _first_fault(text, schema)
-    if filled < bound:  # blank lines, or newlines inside quoted cells
-        cases = np.array(cases[:filled], order="F")
+    dtype = _state_dtype(schema)
+    blocks = [_read_block(records, columns, sources, dtype)]
+    while blocks[-1].shape[1]:
+        blocks.append(_read_block(records, columns, sources, dtype))
+    cases = np.empty((sum(b.shape[1] for b in blocks), len(schema)), dtype, order="F")
+    np.concatenate(blocks, axis=1, out=cases.T)
     return Dataset._adopt(schema, cases)
 
 

@@ -4,15 +4,18 @@ Everything here is exact rational arithmetic (fractions.Fraction), brute
 force, a closed form, a Monte Carlo estimate, or a plainer form of a
 vectorised routine, deliberately sharing no code with the package: rising
 factorials instead of lgamma, path enumeration instead of reachability, a
-full inverse-CDF gather instead of column-wise threshold counts.  Only the
-package's DomainError and RatioResult types are imported.
+full inverse-CDF gather instead of column-wise threshold counts, a dataset
+CSV read one record at a time instead of in blocks.  Only the package's
+DomainError and RatioResult types are imported.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import count, permutations, product
 from math import factorial
 
 import numpy as np
@@ -185,6 +188,63 @@ def forward_sample_reference(net, n_cases: int, seed: int) -> np.ndarray:
         cases[:, i] = np.minimum(
             (u[:, None] > cdf[config]).sum(axis=1), structure.variables[i].arity - 1
         )
+    return cases
+
+
+def _cell_state(variable, raw: str) -> int | None:
+    """The state a dataset cell names, None for an empty cell, -1 for none."""
+    cell = raw.strip()
+    if not cell:
+        return None
+    if cell in variable.state_labels:
+        return variable.state_labels.index(cell)
+    if cell.isdecimal() and not any(label.isdecimal() for label in variable.state_labels):
+        try:
+            index = int(cell)
+        except ValueError:  # more digits than int() reads
+            return -1
+        return index if index < variable.arity else -1
+    return -1
+
+
+def parse_dataset_reference(text: str, variables):
+    """A dataset CSV read one record at a time, the header being row 0 and
+    blank records counted but skipped: the cases as lists of states in the
+    variables' order, or (error class name, message) of the first fault in
+    row order."""
+    names = [v.name for v in variables]
+    by_name = {v.name: v for v in variables}
+    reader = csv.reader(io.StringIO(text))  # split at line feeds only
+    header = None
+    cases = []
+    for row in count():
+        try:
+            cells = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as exc:
+            return "DatasetFormatError", f"{f'row {row}' if row else 'header row'}: {exc}"
+        if header is None:
+            if sorted(cells) != sorted(names):
+                return "HeaderMismatch", f"header {cells!r} does not match schema variables {names!r}"
+            header = cells
+            continue
+        if not cells:
+            continue
+        if len(cells) > len(header):
+            return "DatasetFormatError", f"row {row}: {len(cells)} cells for {len(header)} columns"
+        states = {}
+        for j, name in enumerate(header):
+            raw = cells[j] if j < len(cells) else ""
+            state = _cell_state(by_name[name], raw)
+            if state is None:
+                return "MissingValue", f"row {row}, column {name!r}: missing value"
+            if state < 0:
+                return "UnknownStateLabel", f"row {row}, column {name!r}: unknown state {raw.strip()!r}"
+            states[name] = state
+        cases.append([states[name] for name in names])
+    if header is None:
+        return "HeaderMismatch", "dataset has no header row"
     return cases
 
 

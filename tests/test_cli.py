@@ -127,6 +127,19 @@ class TestScore:
         expected = log_score(MetricSpec.k2(), structure, data)
         assert out == f"log10_score={expected / math.log(10.0):.12g}\n"
 
+    def test_streams_its_data_file(self, capsys, tmp_path, alarm):
+        # The file is read a block at a time, never held whole as bytes or
+        # text: the command's peak stays below the file's size.
+        data = forward_sample(alarm.net, 20000, 5)
+        path = tmp_path / "cases.csv"
+        path.write_text(write_dataset(data))
+        argv = ["score", "--metric", "k2", "--net", str(alarm_path()), "--data", str(path)]
+        (code, out, _), peak = traced_peak(run, capsys, argv)
+        assert code == 0
+        expected = log_score(MetricSpec.k2(), alarm.structure, data) / math.log(10.0)
+        assert out == f"log10_score={expected:.12g}\n"
+        assert peak < path.stat().st_size
+
     def test_structure_file_without_cpts(self, capsys, tmp_path, pair_files):
         _, data = pair_files
         skel = tmp_path / "skel.bn"
@@ -663,11 +676,18 @@ class TestFileErrors:
              "row 2: field larger than field limit"),
             (["score", "--metric", "k2", "--net", "{net}", "--data", "{long_name}"],
              "header row: field larger than field limit"),
+            # The data file is decoded as it is read, so a byte past the first
+            # 8 KB chunk that cannot be decoded is met after the rows before it.
+            (["score", "--metric", "k2", "--net", "{net}", "--data", "{late_byte}"],
+             "row 1, column 'Y': unknown state 'zz'"),
+            (["score", "--metric", "k2", "--net", "{net}", "--data", "{clean_late_byte}"],
+             "cannot read {clean_late_byte}: "),
         ],
         ids=[
             "score-undecodable-data", "dsep-undecodable-net", "sample-out-missing-dir",
             "bench-out-missing-dir", "roc-out-is-a-file", "score-superscript-2",
             "score-superscript-3", "score-cell-past-csv-limit", "score-header-past-csv-limit",
+            "score-row-fault-before-undecodable-byte", "score-undecodable-byte-after-rows",
         ],
     )
     def test_exits_2_with_one_error_line(self, capsys, tmp_path, pair_files, argv, named):
@@ -681,6 +701,8 @@ class TestFileErrors:
             ("sup3", "X,Y\n³,y1\n".encode()),
             ("long_cell", b'X,Y\nx1,y1\n"' + b"x" * 200_000 + b'",y1\n'),
             ("long_name", b'"' + b"X" * 200_000 + b'",Y\nx1,y1\n'),
+            ("late_byte", b"X,Y\nx1,zz\n" + b"x1,y1\n" * 30_000 + b"\xff,y1\n"),
+            ("clean_late_byte", b"X,Y\n" + b"x1,y1\n" * 30_000 + b"\xff,y1\n"),
         ):
             fields[name] = str(tmp_path / name)
             (tmp_path / name).write_bytes(content)

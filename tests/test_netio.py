@@ -31,6 +31,7 @@ from bnscore.cli import main
 from bnscore.netio import DatasetFormatError
 
 from .helpers import traced_peak
+from .oracles import parse_dataset_reference
 
 TOY = """\
 # two binary variables with one arc
@@ -415,6 +416,26 @@ class TestDatasetCsv:
             with mock.patch.object(netio, "_BLOCK_ROWS", size):
                 outcomes.append(outcome())
         assert all(o == outcomes[0] for o in outcomes)
+        # ... and the outcome of a reader that takes one record at a time.
+        got = outcomes[0]
+        got = got.cases.tolist() if isinstance(got, Dataset) else (got[0].__name__, got[1])
+        assert got == parse_dataset_reference(text, vs)
+
+    def test_a_faulty_text_is_read_once(self):
+        """The block that shows a fault names it from the rows it holds: one
+        csv reader per parse, however far into the text the fault lies."""
+        vs = (Variable("X", 2, ("a", "b")), Variable("Y", 2, ("c", "d")))
+        readers = []
+
+        def counting_reader(*args, **kwargs):
+            readers.append(args)
+            return csv_reader(*args, **kwargs)
+
+        csv_reader = netio.csv.reader
+        with mock.patch.object(netio.csv, "reader", counting_reader):
+            with pytest.raises(UnknownStateLabel, match="^row 3001, column 'Y': unknown state 'z'$"):
+                parse_dataset("X,Y\n" + "a,c\n" * 3000 + "b,z\n", vs)
+        assert len(readers) == 1
 
     def test_overlong_row(self):
         vs = (Variable("X", 2, ("a", "b")),)
@@ -444,6 +465,53 @@ class TestDatasetCsv:
         )
         data = Dataset(vs, cases)
         assert parse_dataset(write_dataset(data), vs) == data
+
+
+class TestDatasetFile:
+    """parse_dataset of an open text file, streamed, gives what it gives for
+    the file's text as Path.read_text returns it: both read with universal
+    newlines, so CRLF and a lone CR end a line as LF does."""
+
+    VARIABLES = (Variable("X", 2, ("a", "b")), Variable("Y", 3, ("c", "d", "e\nf")))
+
+    # A CRLF whose CR is the last character of TextIOWrapper's first
+    # 8,192-character chunk and whose LF starts the second.
+    STRADDLE = "X,Y\r\n" + "a,c\r\n" * 1636 + "b,  d \r\n" + "b,c\r\n" * 3
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "X,Y\r\na,c\r\nb,d\r\n",
+            "X,Y\ra,c\rb,d\r",
+            "X,Y\r\na,c\nb,d\rb,c\r\na,d",
+            'X,Y\na,"e\nf"\nb,c\n',
+            'X,Y\r\na,"e\r\nf"\r\nb,c\r\n',
+            "X,Y\n\na,c\n\n\nb,d\n",
+            "X,Y\na,c\nb,d",
+            STRADDLE,
+            "Y,X\r\n" + "c,a\r\n" * 3000 + "\r\rz,b\r\n",
+            'X,Y\ra,c\rb,"e\rg"\r',
+            "X,Y\r\na\r\n",
+        ],
+        ids=["crlf", "lone-cr", "mixed", "quoted-lf", "quoted-crlf", "blank-lines",
+             "no-final-lf", "crlf-straddles-chunk", "fault-after-lone-crs",
+             "unknown-quoted-cr", "short-row"],
+    )
+    def test_file_reads_as_its_text(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        if text is self.STRADDLE:
+            assert text[8191:8193] == "\r\n"
+
+        def outcome(source):
+            try:
+                return parse_dataset(source, self.VARIABLES)
+            except DatasetFormatError as exc:
+                return type(exc), str(exc)
+
+        with open(path) as lines:
+            streamed = outcome(lines)
+        assert streamed == outcome(path.read_text())
 
 
 class TestDatasetCsvMemory:

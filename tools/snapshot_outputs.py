@@ -18,7 +18,9 @@ the arity cap, and OUT/wide-pair.bn a ``roc`` pair whose table passes the
 cell cap; each must end in one error line. OUT/first-fault.csv, over
 the two binary variables of OUT/two-binary.bn, has an unknown label in row 1
 and a cell past the ``csv`` module's field size limit in row 2; ``score``
-must report row 1. OUT/outputs.sha256 lists the
+must report row 1. OUT/newlines.csv, over the same variables, ends its lines
+with CRLF, a lone CR and LF, holds a blank line and has no final line end;
+``score`` reads it as LF line ends. OUT/outputs.sha256 lists the
 SHA-256 of every file under the row directories, one ``DIGEST  NAME/FILE``
 line per file sorted by path (``sha256sum -c`` reads it from OUT); a fresh
 OUT keeps stale files out of it. Relative PYTHONPATH entries are made absolute first,
@@ -83,6 +85,8 @@ FIRST_FAULT_FILES = {
     "two-binary.bn": "var X 2\nvar Y 2\n",
     "first-fault.csv": 'X,Y\n1,zz\n1,"' + "a" * 200_000 + '"\n',
 }
+# Written byte for byte: CRLF, a lone CR, a blank line and no final line end.
+NEWLINES_CSV = "X,Y\r\n1,2\r2,1\n\r\n1,1\r\n2,2\r2,1"
 
 
 def wide_states_network() -> str:
@@ -100,7 +104,7 @@ def one_arc_structure(alarm: str) -> str:
 
 def commands(alarm: str, structure: str, root: str) -> list[tuple[str, list[str]]]:
     """(directory name, arguments after ``python``), in the order they run;
-    root holds the OVERSIZE_FILES and the FIRST_FAULT_FILES."""
+    root holds the OVERSIZE_FILES, the FIRST_FAULT_FILES and newlines.csv."""
     out = [
         ("roc-default", [*CLI, "roc", "--out", "roc"]),
         ("roc-largen", [*CLI, "roc", *LARGE_N, "--out", "roc"]),
@@ -138,6 +142,10 @@ def commands(alarm: str, structure: str, root: str) -> list[tuple[str, list[str]
         ("score-first-fault", [*CLI, "score", "--metric", "k2", "--structure", f"{root}/two-binary.bn",
                                "--data", f"{root}/first-fault.csv"])
     )
+    out.append(
+        ("score-newlines", [*CLI, "score", "--metric", "k2", "--structure", f"{root}/two-binary.bn",
+                            "--data", f"{root}/newlines.csv"])
+    )
     out += [
         ("dsep-query", [*CLI, "dsep", "--net", alarm, "--x", "HRBP", "--y", "HREKG", "--given", "HR"]),
         ("dsep-count", [*CLI, "dsep", "--net", alarm, "--count-marginal"]),
@@ -152,8 +160,8 @@ def commands(alarm: str, structure: str, root: str) -> list[tuple[str, list[str]
 
 
 def prepare(root: Path, env: dict[str, str]) -> list[tuple[str, list[str]]]:
-    """Write root/one-arc.bn, root/wide-states.bn, the OVERSIZE_FILES and the FIRST_FAULT_FILES
-    and return the rows, for the bnscore that env puts on the path."""
+    """Write root/one-arc.bn, root/wide-states.bn, the OVERSIZE_FILES, the FIRST_FAULT_FILES
+    and root/newlines.csv and return the rows, for the bnscore that env puts on the path."""
     alarm = subprocess.run(
         [sys.executable, "-c", "from bnscore.netio import alarm_path; print(alarm_path())"],
         env=env, capture_output=True, text=True, check=True,
@@ -164,6 +172,7 @@ def prepare(root: Path, env: dict[str, str]) -> list[tuple[str, list[str]]]:
     (root / "wide-states.bn").write_text(wide_states_network())
     for name, text in {**OVERSIZE_FILES, **FIRST_FAULT_FILES}.items():
         (root / name).write_text(text)
+    (root / "newlines.csv").write_bytes(NEWLINES_CSV.encode())
     return commands(alarm, str(structure), str(root))
 
 
