@@ -28,11 +28,9 @@ __all__ = [
     "DagStructure",
     "Dataset",
     "BayesNet",
-    "CliqueDecomposition",
     "count_sufficient_stats",
     "joint_cell_counts",
     "d_separated",
-    "clique_decomposition",
     "ROW_SUM_TOL",
 ]
 
@@ -466,53 +464,6 @@ def d_separated(structure: DagStructure, x: int, y: int, given: Iterable[int] = 
                 seen.add(w)
                 frontier.append(w)
     return True
-
-
-@dataclass(frozen=True)
-class CliqueDecomposition:
-    """Connected components of the skeleton, with a clique-union verdict.
-
-    Components are sorted by smallest member index, members ascending.
-    ``non_adjacent_pair`` is the first same-component pair (a, b), a < b,
-    missing a skeleton edge, searching components in order; it is None
-    exactly when every component is fully connected in the skeleton.
-    """
-
-    components: tuple[tuple[int, ...], ...]
-    non_adjacent_pair: tuple[int, int] | None
-
-    @property
-    def is_clique_union(self) -> bool:
-        return self.non_adjacent_pair is None
-
-
-def clique_decomposition(structure: DagStructure) -> CliqueDecomposition:
-    """Split the skeleton into connected components and test for clique union."""
-    nbrs = [
-        set(structure.parents[v]).union(structure.children(v))
-        for v in range(structure.n)
-    ]
-    seen: set[int] = set()
-    components: list[tuple[int, ...]] = []
-    for start in range(structure.n):
-        if start in seen:
-            continue
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in nbrs[v]:
-                if w not in comp:
-                    comp.add(w)
-                    frontier.append(w)
-        seen |= comp
-        components.append(tuple(sorted(comp)))
-    pair = next(
-        ((a, b) for comp in components for a in comp for b in comp
-         if b > a and b not in nbrs[a]),
-        None,
-    )
-    return CliqueDecomposition(tuple(components), pair)
 
 
 def _check_cpt(v: Variable, q: int, cpt: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ import io
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -516,7 +515,7 @@ def write_dataset(data: Dataset) -> str:
 
 def alarm_path() -> Path:
     """Filesystem path of the bundled ALARM network file."""
-    return Path(str(resources.files("bnscore").joinpath("data/alarm.bn")))
+    return Path(__file__).parent / "data" / "alarm.bn"
 
 
 def load_alarm() -> NetworkDocument:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +33,6 @@ from .model import (
     Dataset,
     Variable,
     _check_schema,
-    clique_decomposition,
     count_sufficient_stats,
     joint_cell_counts,
 )
@@ -140,7 +140,7 @@ _LGAM_C = (
 _LN_SQRT_2PI = 0.91893853320467274178
 # (x - 1/2) ln x overflows just above this.
 _LGAM_MAX = 2.556348e305
-# Arguments remembered by the memo before it starts afresh.
+# Arguments the memo remembers, the least recently used dropped first.
 _LGAM_MEMO_SIZE = 1 << 14
 
 
@@ -185,18 +185,9 @@ def _lgam(x: float) -> float:
     return q + _polevl(p, _LGAM_A) / x
 
 
-class _LgamMemo(dict):
-    """lnG by argument: a replicate's pseudo-counts and counts repeat, so
-    most terms are looked up, not computed."""
-
-    def __missing__(self, x: float) -> float:
-        if len(self) >= _LGAM_MEMO_SIZE:
-            self.clear()
-        value = self[x] = _lgam(float(x))
-        return value
-
-
-_LGAM = _LgamMemo()
+# lnG by argument: a replicate's pseudo-counts and counts repeat, so most
+# terms are looked up, not computed.
+_LGAM = lru_cache(maxsize=_LGAM_MEMO_SIZE)(_lgam)
 
 
 def _dm_sums(
@@ -214,8 +205,6 @@ def _dm_sums(
     cells and rows add exactly 0.  Each distinct lnG argument, across all
     blocks, is looked up once.
     """
-    if not blocks:
-        return []
     parts = []
     for metric, entries in blocks:
         # Column c of a block holds the count n and offset b of one term,
@@ -233,7 +222,7 @@ def _dm_sums(
         np.concatenate([x for n, b, _ in parts for x in ((b + n).ravel(), b)]),
         return_inverse=True,
     )
-    lg = np.array(list(map(_LGAM.__getitem__, distinct.tolist())))
+    lg = np.array(list(map(_LGAM, distinct.tolist())))
     # lnG is infinite at subnormal pseudo-counts and overflows near 1e308.
     if not np.isfinite(lg).all():
         raise DomainError(
@@ -250,6 +239,37 @@ def _dm_sums(
     return sums
 
 
+def _cliques(structure: DagStructure) -> list[tuple[int, ...]]:
+    """The skeleton's connected components, sorted by smallest member with
+    members ascending.  Raises NotCliqueDecomposable unless each is a
+    clique, naming the first same-component pair (a, b), a < b, that no
+    edge joins: components in order, then a, then b."""
+    nbrs = [set(structure.parents[v]).union(structure.children(v)) for v in range(structure.n)]
+    seen: set[int] = set()
+    components = []
+    for start in range(structure.n):
+        if start in seen:
+            continue
+        comp = {start}
+        frontier = [start]
+        while frontier:
+            for w in nbrs[frontier.pop()] - comp:
+                comp.add(w)
+                frontier.append(w)
+        seen |= comp
+        components.append(tuple(sorted(comp)))
+    for comp in components:
+        for i, a in enumerate(comp):
+            for b in comp[i + 1:]:
+                if b not in nbrs[a]:
+                    x, y = structure.variables[a].name, structure.variables[b].name
+                    raise NotCliqueDecomposable(
+                        f"skeleton is not a union of cliques: {x!r} and {y!r} are "
+                        "connected but not adjacent"
+                    )
+    return components
+
+
 def _structure_tables(metric: MetricSpec, structure: DagStructure, data: Dataset) -> list:
     """The tables a metric scores, each as a stack of one: every family's
     (q, r) count table for K2 and BDeu, every skeleton component's joint
@@ -257,14 +277,7 @@ def _structure_tables(metric: MetricSpec, structure: DagStructure, data: Dataset
     if metric.kind != "gu":
         return [t[None] for t in count_sufficient_stats(structure, data)]
     _check_schema(structure, data)
-    decomp = clique_decomposition(structure)
-    if not decomp.is_clique_union:
-        a, b = (structure.variables[i].name for i in decomp.non_adjacent_pair)
-        raise NotCliqueDecomposable(
-            f"skeleton is not a union of cliques: {a!r} and {b!r} are "
-            "connected but not adjacent"
-        )
-    return [joint_cell_counts(comp, data).reshape(1, 1, -1) for comp in decomp.components]
+    return [joint_cell_counts(comp, data).reshape(1, 1, -1) for comp in _cliques(structure)]
 
 
 def log_score(metric: MetricSpec, structure: DagStructure, data: Dataset) -> float:

@@ -12,13 +12,13 @@ from bnscore import (
     IndexOutOfRange,
     MetricSpec,
     ModelError,
+    NotCliqueDecomposable,
     PairSets,
     SchemaMismatch,
     SelfLoop,
     StateOutOfRange,
     Variable,
     arc_posterior,
-    clique_decomposition,
     count_sufficient_stats,
     d_separated,
     forward_sample,
@@ -29,6 +29,7 @@ from bnscore import (
 )
 from bnscore.model import _mixed_radix, _pair_count_tables
 from bnscore.rocstats import marginally_d_separated_pairs
+from bnscore.scoring import _cliques
 
 from .oracles import d_separated_brute, smallest_topological_order
 
@@ -454,44 +455,37 @@ class TestDSeparation:
 
 
 class TestCliqueDecomposition:
+    """GU's precondition, scoring._cliques: the skeleton's components, or
+    NotCliqueDecomposable naming the first pair that no edge joins."""
+
     def test_arc_pair_is_clique(self):
         vs = (Variable("X", 2), Variable("Y", 2))
-        d = clique_decomposition(DagStructure(vs, ((), (0,))))
-        assert d.components == ((0, 1),)
-        assert d.is_clique_union
+        assert _cliques(DagStructure(vs, ((), (0,)))) == [(0, 1)]
 
     def test_isolated_variables_are_singleton_cliques(self):
         vs = (Variable("X", 2), Variable("Y", 2))
-        d = clique_decomposition(DagStructure(vs, ((), ())))
-        assert d.components == ((0,), (1,))
-        assert d.is_clique_union
+        assert _cliques(DagStructure(vs, ((), ()))) == [(0,), (1,)]
 
     def test_chain_is_not_clique_union(self):
-        d = clique_decomposition(chain3())
-        assert d.components == ((0, 1, 2),)
-        assert not d.is_clique_union
-        assert d.non_adjacent_pair == (0, 2)
+        with pytest.raises(NotCliqueDecomposable, match="'A' and 'C' are connected"):
+            _cliques(chain3())
 
     def test_witness_is_the_first_missing_edge(self):
         vs = tuple(Variable(n, 2) for n in "ABCDEFG")
         # Components (0, 2, 4, 6) and (1, 3, 5), each a chain in index order.
         s = DagStructure(vs, ((), (), (0,), (1,), (2,), (3,), (4,)))
-        d = clique_decomposition(s)
-        assert d.components == ((0, 2, 4, 6), (1, 3, 5))
-        assert d.non_adjacent_pair == (0, 4)
+        with pytest.raises(NotCliqueDecomposable, match="'A' and 'E' are connected"):
+            _cliques(s)
 
     def test_collider_plus_edge_is_clique(self):
         vs = tuple(Variable(n, 2) for n in "ABC")
         s = DagStructure(vs, ((), (0,), (0, 1)))  # saturated triangle
-        d = clique_decomposition(s)
-        assert d.is_clique_union
+        assert _cliques(s) == [(0, 1, 2)]
 
     def test_mixed_components(self):
         vs = tuple(Variable(n, 2) for n in "ABCD")
         s = DagStructure(vs, ((), (0,), (), ()))  # {A,B} clique, C, D alone
-        d = clique_decomposition(s)
-        assert d.components == ((0, 1), (2,), (3,))
-        assert d.is_clique_union
+        assert _cliques(s) == [(0, 1), (2,), (3,)]
 
 
 class TestBayesNet:

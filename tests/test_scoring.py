@@ -23,7 +23,13 @@ from bnscore import (
     structure_ratio,
 )
 from bnscore.genbench import ALPHA0_GRID, DEFAULT_ALPHA0S
-from bnscore.scoring import _LGAM, _lgam, arc_posterior_from_counts, pair_structures
+from bnscore.scoring import (
+    _LGAM,
+    _LGAM_MEMO_SIZE,
+    _lgam,
+    arc_posterior_from_counts,
+    pair_structures,
+)
 
 from .helpers import make_pair_dataset
 from .oracles import (
@@ -113,7 +119,7 @@ def assert_same_bits_as_gammaln(xs):
     xs = [float(x) for x in xs]
     want = [x.hex() for x in gammaln(np.array(xs)).tolist()]
     assert [_lgam(x).hex() for x in xs] == want
-    assert [_LGAM[x].hex() for x in xs] == want
+    assert [_LGAM(x).hex() for x in xs] == want
 
 
 class TestLogGammaPort:
@@ -153,6 +159,16 @@ class TestLogGammaPort:
         for x in (1.0, 2.0, 3.0, 13.0, 1000.0, 1e8):
             edges += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
         assert_same_bits_as_gammaln(edges)
+
+    def test_memo_is_bounded(self):
+        """Past its size the memo drops arguments instead of growing, and
+        what it returns stays lnG's float."""
+        xs = [math.pi * 1e5 + i for i in range(_LGAM_MEMO_SIZE + 100)]
+        misses = _LGAM.cache_info().misses
+        assert [_LGAM(x) for x in xs] == [_lgam(x) for x in xs]
+        info = _LGAM.cache_info()
+        assert info.misses - misses == len(xs)
+        assert info.currsize <= _LGAM_MEMO_SIZE
 
 
 class TestScoresAgainstExactOracle:

@@ -20,7 +20,10 @@ the two binary variables of OUT/two-binary.bn, has an unknown label in row 1
 and a cell past the ``csv`` module's field size limit in row 2; ``score``
 must report row 1. OUT/newlines.csv, over the same variables, ends its lines
 with CRLF, a lone CR and LF, holds a blank line and has no final line end;
-``score`` reads it as LF line ends. OUT/outputs.sha256 lists the
+``score`` reads it as LF line ends. OUT/two-components.bn and its two-row
+OUT/two-components.csv have a skeleton whose second component is a chain;
+``score --metric gu`` must name its first pair that no edge joins.
+OUT/outputs.sha256 lists the
 SHA-256 of every file under the row directories, one ``DIGEST  NAME/FILE``
 line per file sorted by path (``sha256sum -c`` reads it from OUT); a fresh
 OUT keeps stale files out of it. Relative PYTHONPATH entries are made absolute first,
@@ -85,6 +88,12 @@ FIRST_FAULT_FILES = {
     "two-binary.bn": "var X 2\nvar Y 2\n",
     "first-fault.csv": 'X,Y\n1,zz\n1,"' + "a" * 200_000 + '"\n',
 }
+# Two skeleton components, {A, B} a clique and the chain C - D - E, which is
+# not: GU names the first pair no edge joins, C and E.
+TWO_COMPONENT_FILES = {
+    "two-components.bn": "".join(f"var {v} 2\n" for v in "ABCDE") + "arc A B\narc C D\narc D E\n",
+    "two-components.csv": "A,B,C,D,E\n1,1,1,1,1\n2,2,2,2,2\n",
+}
 # Written byte for byte: CRLF, a lone CR, a blank line and no final line end.
 NEWLINES_CSV = "X,Y\r\n1,2\r2,1\n\r\n1,1\r\n2,2\r2,1"
 
@@ -104,7 +113,8 @@ def one_arc_structure(alarm: str) -> str:
 
 def commands(alarm: str, structure: str, root: str) -> list[tuple[str, list[str]]]:
     """(directory name, arguments after ``python``), in the order they run;
-    root holds the OVERSIZE_FILES, the FIRST_FAULT_FILES and newlines.csv."""
+    root holds the OVERSIZE_FILES, the FIRST_FAULT_FILES, the
+    TWO_COMPONENT_FILES and newlines.csv."""
     out = [
         ("roc-default", [*CLI, "roc", "--out", "roc"]),
         ("roc-largen", [*CLI, "roc", *LARGE_N, "--out", "roc"]),
@@ -146,6 +156,10 @@ def commands(alarm: str, structure: str, root: str) -> list[tuple[str, list[str]
         ("score-newlines", [*CLI, "score", "--metric", "k2", "--structure", f"{root}/two-binary.bn",
                             "--data", f"{root}/newlines.csv"])
     )
+    out.append(
+        ("score-gu-two-components", [*CLI, "score", "--metric", "gu", "--structure",
+                                     f"{root}/two-components.bn", "--data", f"{root}/two-components.csv"])
+    )
     out += [
         ("dsep-query", [*CLI, "dsep", "--net", alarm, "--x", "HRBP", "--y", "HREKG", "--given", "HR"]),
         ("dsep-count", [*CLI, "dsep", "--net", alarm, "--count-marginal"]),
@@ -160,8 +174,9 @@ def commands(alarm: str, structure: str, root: str) -> list[tuple[str, list[str]
 
 
 def prepare(root: Path, env: dict[str, str]) -> list[tuple[str, list[str]]]:
-    """Write root/one-arc.bn, root/wide-states.bn, the OVERSIZE_FILES, the FIRST_FAULT_FILES
-    and root/newlines.csv and return the rows, for the bnscore that env puts on the path."""
+    """Write root/one-arc.bn, root/wide-states.bn, the OVERSIZE_FILES, the FIRST_FAULT_FILES,
+    the TWO_COMPONENT_FILES and root/newlines.csv and return the rows, for the bnscore
+    that env puts on the path."""
     alarm = subprocess.run(
         [sys.executable, "-c", "from bnscore.netio import alarm_path; print(alarm_path())"],
         env=env, capture_output=True, text=True, check=True,
@@ -170,7 +185,7 @@ def prepare(root: Path, env: dict[str, str]) -> list[tuple[str, list[str]]]:
     structure = root / "one-arc.bn"
     structure.write_text(one_arc_structure(alarm))
     (root / "wide-states.bn").write_text(wide_states_network())
-    for name, text in {**OVERSIZE_FILES, **FIRST_FAULT_FILES}.items():
+    for name, text in {**OVERSIZE_FILES, **FIRST_FAULT_FILES, **TWO_COMPONENT_FILES}.items():
         (root / name).write_text(text)
     (root / "newlines.csv").write_bytes(NEWLINES_CSV.encode())
     return commands(alarm, str(structure), str(root))
