@@ -78,25 +78,6 @@ def _metric_from_args(parser, kind: str, alpha0) -> MetricSpec:
     return MetricSpec(kind)
 
 
-def _parse_metric_list(parser, text: str) -> list[MetricSpec]:
-    """Comma-separated metric tokens: k2, gu, or bdeu<alpha0> (e.g. bdeu4)."""
-    out = []
-    for token in text.split(","):
-        token = token.strip()
-        if token in ("k2", "gu"):
-            out.append(MetricSpec(token))
-        elif token.startswith("bdeu") and len(token) > 4:
-            try:
-                out.append(MetricSpec.bdeu(float(token[4:])))
-            except ValueError:
-                parser.error(f"bad metric token {token!r}")
-        else:
-            parser.error(
-                f"bad metric token {token!r}; expected k2, gu, or bdeu<alpha0>"
-            )
-    return out
-
-
 def cmd_score(parser, args) -> int:
     metric = _metric_from_args(parser, args.metric, args.alpha0)
     if args.net:
@@ -148,7 +129,7 @@ def cmd_sample(parser, args) -> int:
 def cmd_roc(parser, args) -> int:
     net_path = args.net if args.net else str(netio.alarm_path())
     doc = netio.parse_network(_read(net_path))
-    metrics = _parse_metric_list(parser, args.metrics)
+    metrics = [MetricSpec.parse(token.strip()) for token in args.metrics.split(",")]
     # Made before the study, so an unusable --out fails before the work.
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -165,7 +146,8 @@ def cmd_roc(parser, args) -> int:
     )
     (out_dir / "mean_roc.csv").write_text(rocstats.mean_roc_csv(result.mean_curves))
     for s in result.summaries:
-        a0 = f" alpha0={s.alpha0:g}" if s.alpha0 is not None else ""
+        # alpha0 as auc_summary.csv writes it
+        a0 = f" alpha0={netio._fmt(s.alpha0)}" if s.alpha0 is not None else ""
         print(
             f"{s.metric}{a0} n={s.n}: mean_auc={s.mean_auc:.4f} "
             f"ci=[{s.ci_low:.4f}, {s.ci_high:.4f}] reps={s.reps}"

@@ -361,7 +361,6 @@ class _CellStates(dict):
     """
 
     def __init__(self, variable: Variable):
-        super().__init__()
         self.variable = variable
         self.numeric_ok = not any(lab.isdecimal() for lab in variable.state_labels)
 

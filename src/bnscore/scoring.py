@@ -92,11 +92,25 @@ class MetricSpec:
     def gu(cls) -> "MetricSpec":
         return cls("gu")
 
+    @classmethod
+    def parse(cls, token: str) -> "MetricSpec":
+        """The metric a token names: 'k2', 'gu', or 'bdeu' followed by alpha0
+        as float() reads it, e.g. 'bdeu4' or 'bdeu4.0'; parse(m.label) == m."""
+        if token in ("k2", "gu"):
+            return cls(token)
+        if token.startswith("bdeu"):
+            try:
+                return cls.bdeu(float(token[4:]))
+            except ValueError as exc:
+                raise DomainError(f"bad metric token {token!r}: {exc}") from None
+        raise DomainError(f"bad metric token {token!r}; expected k2, gu, or bdeu<alpha0>")
+
     @property
     def label(self) -> str:
-        """Compact name, e.g. 'k2', 'gu', 'bdeu4', 'bdeu0.01'."""
+        """The name parse reads back: 'k2', 'gu', or 'bdeu' and repr(alpha0)
+        less a trailing '.0', e.g. 'bdeu4', 'bdeu0.01', 'bdeu1e-07'."""
         if self.kind == "bdeu":
-            return f"bdeu{self.alpha0:g}"
+            return "bdeu" + repr(self.alpha0).removesuffix(".0")
         return self.kind
 
 

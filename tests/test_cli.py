@@ -350,8 +350,13 @@ class TestDsep:
     def test_x_and_y_required_without_count_flag(self, capsys, tmp_path):
         net = tmp_path / "collider.bn"
         net.write_text(COLLIDER_NET)
-        code, _, err = run(capsys, ["dsep", "--net", str(net), "--x", "X"])
-        assert code == 3
+        code, out, err = run(capsys, ["dsep", "--net", str(net), "--x", "X"])
+        assert code == 3 and out == ""
+        # A usage error prints the usage line, then the message.
+        assert err == (
+            "usage: bnscore [-h] {score,bench,sample,roc,dsep} ...\n"
+            "bnscore: error: --x and --y are required unless --count-marginal is given\n"
+        )
 
     @pytest.mark.parametrize(
         "text, code, expected",
@@ -401,6 +406,35 @@ class TestRoc:
         )
         assert code == 3
         assert "bad metric token" in err
+
+    def test_close_alpha0s_are_two_metrics(self, capsys, tmp_path):
+        # Labels keep every digit of alpha0, so they read back as two metrics.
+        out_dir = tmp_path / "roc"
+        argv = ["roc", "--sizes", "5", "--reps", "2", "--metrics", "bdeu0.1234567,bdeu0.1234568",
+                "--jobs", "1", "--out", str(out_dir)]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        labels = {line.split(",")[0] for line in (out_dir / "mean_roc.csv").read_text().splitlines()}
+        assert labels == {"metric", "bdeu0.1234567", "bdeu0.1234568"}
+        assert [line.split(" n=")[0] for line in out.splitlines()] == [
+            "bdeu alpha0=0.1234567", "bdeu alpha0=0.1234568"
+        ]
+
+    @pytest.mark.parametrize(
+        "metrics, message",
+        [
+            ("k2,foo", "bad metric token 'foo'; expected k2, gu, or bdeu<alpha0>"),
+            ("k2,", "bad metric token ''; expected k2, gu, or bdeu<alpha0>"),
+            ("bdeu", "bad metric token 'bdeu': could not convert string to float: ''"),
+            ("bdeuinf", "bad metric token 'bdeuinf': alpha0 must be positive and finite, got inf"),
+            ("bdeu4,bdeu4.0", "metric 'bdeu4' is given more than once"),
+        ],
+        ids=["unknown", "empty", "bare-bdeu", "infinite", "repeated"],
+    )
+    def test_bad_metric_list_is_named(self, capsys, tmp_path, metrics, message):
+        argv = ["roc", "--sizes", "5", "--reps", "2", "--metrics", metrics, "--out", str(tmp_path / "x")]
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "argv",

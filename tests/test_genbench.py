@@ -44,8 +44,15 @@ class TestIndependentJoint:
             independent_joint([(0.9, 0.2)])
 
     def test_negative_entries_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^marginal for 'X1' has negative entries$"):
             independent_joint([(1.1, -0.1)])
+
+    def test_probs_are_a_read_only_copy(self):
+        given = np.full(4, 0.25)
+        j = JointTable(BINARY, given)
+        with pytest.raises(ValueError):
+            j.probs[0] = 1.0
+        assert given.flags.writeable and j.probs is not given
 
     def test_accepted_marginals_give_an_accepted_joint(self):
         # Each marginal is within 1e-12 of summing to 1; their raw product is not.
@@ -67,6 +74,7 @@ BINARY = (Variable("X", 2), Variable("Y", 2))
 @pytest.mark.parametrize(
     "build, message",
     [
+        (lambda: JointTable((), [1.0]), "a joint needs at least one variable"),
         (lambda: JointTable(BINARY, [0.5, 0.5]), "2 cells for a 4-cell joint"),
         (lambda: JointTable(BINARY, [0.5, 0.5, 0.5, -0.5]),
          "joint probabilities must be non-negative"),
@@ -88,8 +96,8 @@ BINARY = (Variable("X", 2), Variable("Y", 2))
         (lambda: alpha0_sweep(EXAMPLES[11].joint(), 10**19),
          "n_cases must be below 2**62, got 10000000000000000000"),
     ],
-    ids=["joint-size", "joint-negative", "joint-sum", "joint-nan", "joint-inf",
-         "no-marginals", "name-count", "marginal-length-1", "marginal-sum",
+    ids=["joint-no-variables", "joint-size", "joint-negative", "joint-sum", "joint-nan",
+         "joint-inf", "no-marginals", "name-count", "marginal-length-1", "marginal-sum",
          "marginal-nan", "negative-cases", "too-many-cases", "sweep-too-many-cases"],
 )
 def test_invalid_joint_input_raises_domain_error(build, message):

@@ -239,6 +239,9 @@ class TestDataset:
         with pytest.raises(ValueError):
             d.cases[0, 0] = 1
 
+    def test_equality_with_another_type_is_false(self):
+        assert (Dataset((Variable("X", 2),), [(0,)]) == 1) is False
+
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_caller_array_is_copied(self, order):
         """The caller's array is copied, never aliased, whatever its order."""
@@ -515,6 +518,17 @@ class TestBayesNet:
         s = DagStructure(vs, ((),))
         with pytest.raises(ModelError):
             BayesNet(s, (np.array([row]),))
+
+    def test_cpts_are_read_only_copies(self):
+        given = np.array([[0.6, 0.4]])
+        net = BayesNet(DagStructure((Variable("X", 2),), ((),)), (given,))
+        with pytest.raises(ValueError):
+            net.cpts[0][0, 0] = 0.5
+        assert given.flags.writeable and net.cpts[0] is not given
+
+    def test_equality_with_another_type_is_false(self):
+        net = BayesNet(DagStructure((Variable("X", 2),), ((),)), (np.array([[0.6, 0.4]]),))
+        assert (net == 1) is False
 
 
 BINARY = (Variable("X", 2), Variable("Y", 2))

@@ -154,6 +154,7 @@ class TestParseNetwork:
         assert exc.value.variable == "X"
         assert exc.value.config == 0
         assert exc.value.total == pytest.approx(0.5)
+        assert str(exc.value) == f"line {exc.value.line}: cpt row for 'X' (config 0) sums to 0.5"
 
     def test_small_drift_renormalised(self):
         text = TOY.replace("0.5 0.5", "0.5000000001 0.5")

@@ -420,8 +420,12 @@ class TestAlarmExperiment:
         assert checked == [*result.pairs.positives, *result.pairs.negatives]
         assert len(checked) == 92
 
-    def test_needs_two_replicates(self, alarm):
-        with pytest.raises(DegenerateInput):
+    def test_needs_two_replicates(self, alarm, monkeypatch):
+        def sampling_must_not_run(*args):
+            raise AssertionError("sampled before the replicate count was checked")
+
+        monkeypatch.setattr(rocstats, "forward_sample", sampling_must_not_run)
+        with pytest.raises(DegenerateInput, match="^need at least 2 replicates, got 1$"):
             run_alarm_experiment(alarm.net, sizes=(5,), reps=1)
 
     def test_negative_seed_rejected(self, alarm):
@@ -433,7 +437,7 @@ class TestAlarmExperiment:
         [
             ((5,), (MetricSpec.k2(), MetricSpec.k2()), "metric 'k2'"),
             ((5,), (MetricSpec.bdeu(4.0), MetricSpec.gu(), MetricSpec.bdeu(4)), "metric 'bdeu4'"),
-            ((5,), (MetricSpec.bdeu(1e-7), MetricSpec.bdeu(1.0000001e-7)), "metric 'bdeu1e-07'"),
+            ((5,), (MetricSpec.bdeu(1e-7), MetricSpec.parse("bdeu0.0000001")), "metric 'bdeu1e-07'"),
             ((5, 10, 5), (MetricSpec.k2(),), "size 5"),
         ],
     )

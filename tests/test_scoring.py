@@ -6,7 +6,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
@@ -611,7 +611,35 @@ class TestMetricSpec:
             MetricSpec("bic")
 
     def test_labels(self):
+        # The labels that files hold (rocstats.DEFAULT_METRICS, the golden
+        # rows, the benchmark's tokens) keep their bytes.
         assert MetricSpec.k2().label == "k2"
         assert MetricSpec.gu().label == "gu"
         assert MetricSpec.bdeu(4.0).label == "bdeu4"
+        assert MetricSpec.bdeu(1.0).label == "bdeu1"
         assert MetricSpec.bdeu(0.01).label == "bdeu0.01"
+        assert MetricSpec.bdeu(1e-7).label == "bdeu1e-07"
+
+    @given(
+        st.sampled_from([MetricSpec.k2(), MetricSpec.gu()])
+        | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(MetricSpec.bdeu)
+    )
+    @example(MetricSpec.bdeu(5e-324))
+    @example(MetricSpec.bdeu(1e308))
+    def test_parse_reads_back_the_label(self, metric):
+        assert MetricSpec.parse(metric.label) == metric
+
+    def test_alpha0_grid_labels_are_distinct(self):
+        labels = [MetricSpec.bdeu(a).label for a in ALPHA0_GRID]
+        assert len(set(labels)) == len(ALPHA0_GRID) == 61
+        assert [MetricSpec.parse(label).alpha0 for label in labels] == list(ALPHA0_GRID)
+
+    @pytest.mark.parametrize("token, alpha0", [("bdeu4.0", 4.0), ("bdeu4e0", 4.0), ("bdeu.5", 0.5)])
+    def test_parse_reads_any_float_spelling(self, token, alpha0):
+        assert MetricSpec.parse(token) == MetricSpec.bdeu(alpha0)
+
+    @pytest.mark.parametrize("token", ["", "foo", "K2", "bdeu", "bdeuX", "bdeu0", "bdeu-1", "bdeunan"])
+    def test_parse_names_any_other_token(self, token):
+        with pytest.raises(DomainError) as exc:
+            MetricSpec.parse(token)
+        assert str(exc.value).startswith(f"bad metric token {token!r}")

@@ -47,6 +47,10 @@ LARGE_N = ["--sizes", "10000,20000", "--reps", "20", "--metrics", "k2,gu", "--se
 # Sizes that are not whole bytes of packed cases, with AUCs below 1 that a
 # moved count would shift; about 1 s, so it runs with the other rows.
 ODD_N = ["--sizes", "13,77,333", "--reps", "5", "--seed", "5"]
+# Two BDeu alpha0s that agree to 6 significant digits: two metrics, each
+# labelled with every digit.
+CLOSE_ALPHA0 = ["--sizes", "5", "--reps", "2", "--metrics", "bdeu0.1234567,bdeu0.1234568",
+                "--jobs", "1"]
 SCORES = {
     "k2": ["--metric", "k2"],
     "bdeu1": ["--metric", "bdeu", "--alpha0", "1"],
@@ -119,6 +123,7 @@ def commands(alarm: str, structure: str, root: str) -> list[tuple[str, list[str]
         ("roc-default", [*CLI, "roc", "--out", "roc"]),
         ("roc-largen", [*CLI, "roc", *LARGE_N, "--out", "roc"]),
         ("roc-oddn", [*CLI, "roc", *ODD_N, "--out", "roc"]),
+        ("roc-close-alpha0", [*CLI, "roc", *CLOSE_ALPHA0, "--out", "roc"]),
     ]
     out += [(f"bench-{k:02d}", [*CLI, "bench", "--example", str(k)]) for k in range(1, 12)]
     out.append(
