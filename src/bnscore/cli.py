@@ -68,33 +68,22 @@ def _read(path: str, parse=lambda file: file.read()):
         raise SystemExit(2) from None
 
 
-def _metric_from_args(parser, kind: str, alpha0) -> MetricSpec:
-    if kind == "bdeu":
-        if alpha0 is None:
-            parser.error("--metric bdeu requires --alpha0")
-        return MetricSpec.bdeu(alpha0)
-    if alpha0 is not None:
-        parser.error(f"--alpha0 only applies to --metric bdeu, not {kind}")
-    return MetricSpec(kind)
-
-
 def cmd_score(parser, args) -> int:
-    metric = _metric_from_args(parser, args.metric, args.alpha0)
+    try:
+        metric = MetricSpec(args.metric, args.alpha0)
+    except scoring.DomainError as exc:
+        parser.error(str(exc))
     if args.net:
         structure = netio.parse_network(_read(args.net)).structure
     else:
         structure = netio.parse_structure(_read(args.structure))
     data = _read(args.data, lambda lines: netio.parse_dataset(lines, structure.variables))
     value = scoring.log_score(metric, structure, data) / math.log(10.0)
-    print(f"log10_score={value:.12g}")
+    print(f"log10_score={netio._fmt(value)}")
     return 0
 
 
 def cmd_bench(parser, args) -> int:
-    if args.example not in genbench.EXAMPLES:
-        parser.error(
-            f"unknown example {args.example}; choose from 1..{len(genbench.EXAMPLES)}"
-        )
     rows = genbench.run_example(genbench.EXAMPLES[args.example])
     table = genbench.ratio_table_csv(rows)
     summary_stream = sys.stdout
@@ -104,9 +93,9 @@ def cmd_bench(parser, args) -> int:
         sys.stdout.write(table)
         summary_stream = sys.stderr
     for row in rows:
-        if row.metric in ("bdeu_sweep",):
+        if row.metric == "bdeu_sweep":
             continue
-        a0 = f" alpha0={row.alpha0:g}" if row.alpha0 is not None else ""
+        a0 = f" alpha0={netio._fmt(row.alpha0)}" if row.alpha0 is not None else ""
         print(
             f"example {row.example} {row.metric}{a0} n={row.n}: "
             f"ratio={row.ratio:.6g} log10={row.log10_ratio:.6g}",
@@ -127,8 +116,7 @@ def cmd_sample(parser, args) -> int:
 
 
 def cmd_roc(parser, args) -> int:
-    net_path = args.net if args.net else str(netio.alarm_path())
-    doc = netio.parse_network(_read(net_path))
+    doc = netio.parse_network(_read(args.net))
     metrics = [MetricSpec.parse(token.strip()) for token in args.metrics.split(",")]
     # Made before the study, so an unusable --out fails before the work.
     out_dir = Path(args.out)
@@ -164,13 +152,9 @@ def cmd_dsep(parser, args) -> int:
         return 0
     if args.x is None or args.y is None:
         parser.error("--x and --y are required unless --count-marginal is given")
-    given = []
-    if args.given:
-        given = [
-            structure.index_of(name.strip())
-            for name in args.given.split(",")
-            if name.strip()
-        ]
+    given = [
+        structure.index_of(name.strip()) for name in args.given.split(",") if name.strip()
+    ]
     separated = d_separated(
         structure, structure.index_of(args.x), structure.index_of(args.y), given
     )
@@ -189,22 +173,26 @@ def _build_parser() -> _Parser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--net", help="network file (CPTs required)")
     src.add_argument("--structure", help="network file (CPT lines ignored)")
-    p.set_defaults(func=cmd_score)
+    p.set_defaults(func=cmd_score, parser=p)
 
     p = sub.add_parser("bench", help="ratio table for one benchmark example")
-    p.add_argument("--example", type=_positive_int, required=True)
+    p.add_argument(
+        "--example", type=_positive_int, choices=sorted(genbench.EXAMPLES), required=True
+    )
     p.add_argument("--out", help="CSV output path (default: stdout)")
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_bench, parser=p)
 
     p = sub.add_parser("sample", help="forward-sample a dataset from a network")
     p.add_argument("--net", required=True)
     p.add_argument("--n", type=_non_negative_int, required=True)
     p.add_argument("--seed", type=_non_negative_int, default=42)
     p.add_argument("--out", required=True, help="dataset CSV output path")
-    p.set_defaults(func=cmd_sample)
+    p.set_defaults(func=cmd_sample, parser=p)
 
     p = sub.add_parser("roc", help="arc-detection ROC study on a known network")
-    p.add_argument("--net", help="network file (default: bundled ALARM)")
+    p.add_argument(
+        "--net", default=str(netio.alarm_path()), help="network file (default: bundled ALARM)"
+    )
     p.add_argument("--sizes", type=_size_list, default=list(rocstats.DEFAULT_SIZES))
     p.add_argument("--reps", type=_positive_int, default=100)
     p.add_argument(
@@ -218,19 +206,19 @@ def _build_parser() -> _Parser:
         help="worker processes; results do not depend on this",
     )
     p.add_argument("--out", required=True, help="output directory for CSVs")
-    p.set_defaults(func=cmd_roc)
+    p.set_defaults(func=cmd_roc, parser=p)
 
     p = sub.add_parser("dsep", help="d-separation queries against a network")
     p.add_argument("--net", required=True)
     p.add_argument("--x")
     p.add_argument("--y")
-    p.add_argument("--given", help="comma-separated conditioning variable names")
+    p.add_argument("--given", default="", help="comma-separated conditioning variable names")
     p.add_argument(
         "--count-marginal",
         action="store_true",
         help="print the number of marginally d-separated unordered pairs",
     )
-    p.set_defaults(func=cmd_dsep)
+    p.set_defaults(func=cmd_dsep, parser=p)
     return parser
 
 
@@ -240,10 +228,9 @@ def main(argv: list[str] | None = None) -> int:
         # exit: move it where no collection walks it, at exit or in a forked
         # roc worker.  A caller passing argv keeps its own collector state.
         gc.freeze()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(parser, args)
+        return args.func(args.parser, args)
     except (*_PARSE_ERRORS, OSError) as exc:
         # Reads are reported by _read; an OSError left is a file or
         # directory the command could not write.

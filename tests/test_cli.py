@@ -83,6 +83,26 @@ WIDE_PAIR_NET = (
 )
 
 
+USAGE = {
+    "score": "usage: bnscore score [-h] --metric {k2,bdeu,gu} [--alpha0 ALPHA0] --data DATA "
+             "(--net NET | --structure STRUCTURE)",
+    "bench": "usage: bnscore bench [-h] --example {1,2,3,4,5,6,7,8,9,10,11} [--out OUT]",
+    "dsep": "usage: bnscore dsep [-h] --net NET [--x X] [--y Y] [--given GIVEN] "
+            "[--count-marginal]",
+}
+
+
+def usage_fault(command, message):
+    """The stderr of a usage fault in a subcommand: its usage line, then the message."""
+    return f"{USAGE[command]}\nbnscore {command}: error: {message}\n"
+
+
+@pytest.fixture
+def wide_terminal(monkeypatch):
+    """argparse wraps a usage line at $COLUMNS; at 200 every USAGE line is one line."""
+    monkeypatch.setenv("COLUMNS", "200")
+
+
 def run_in_1gib(argv, cwd=None):
     """Run the CLI in a child limited to a 1 GiB address space."""
     env = dict(os.environ)
@@ -150,18 +170,28 @@ class TestScore:
         assert code == 0
         assert out.startswith("log10_score=")
 
-    def test_bdeu_requires_alpha0(self, capsys, pair_files):
+    # Every metric fault is MetricSpec's message, reported as a usage fault.
+    def test_bdeu_requires_alpha0(self, capsys, pair_files, wide_terminal):
         net, data = pair_files
-        code, _, err = run(capsys, ["score", "--metric", "bdeu", "--net", net, "--data", data])
-        assert code == 3
-        assert "--alpha0" in err
+        code, out, err = run(capsys, ["score", "--metric", "bdeu", "--net", net, "--data", data])
+        assert (code, out) == (3, "")
+        assert err == usage_fault("score", "BDeu requires alpha0")
 
-    def test_alpha0_rejected_for_k2(self, capsys, pair_files):
+    def test_alpha0_rejected_for_k2(self, capsys, pair_files, wide_terminal):
         net, data = pair_files
-        code, _, err = run(
+        code, out, err = run(
             capsys, ["score", "--metric", "k2", "--alpha0", "1", "--net", net, "--data", data]
         )
-        assert code == 3
+        assert (code, out) == (3, "")
+        assert err == usage_fault("score", "k2 does not take alpha0")
+
+    def test_negative_alpha0_is_a_usage_fault(self, capsys, pair_files, wide_terminal):
+        net, data = pair_files
+        code, out, err = run(
+            capsys, ["score", "--metric", "bdeu", "--alpha0", "-1", "--net", net, "--data", data]
+        )
+        assert (code, out) == (3, "")
+        assert err == usage_fault("score", "alpha0 must be positive and finite, got -1.0")
 
     def test_gu_rejects_non_clique_structure(self, capsys, tmp_path):
         skel = tmp_path / "chain.bn"
@@ -241,10 +271,14 @@ class TestBench:
         assert "bdeu_sweep" not in out
         assert "bdeu_max" in out
 
-    def test_unknown_example(self, capsys):
-        code, _, err = run(capsys, ["bench", "--example", "12"])
-        assert code == 3
-        assert "unknown example" in err
+    def test_unknown_example(self, capsys, wide_terminal):
+        code, out, err = run(capsys, ["bench", "--example", "12"])
+        assert (code, out) == (3, "")
+        assert err == usage_fault(
+            "bench",
+            "argument --example: invalid choice: 12 "
+            "(choose from 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)",
+        )
 
 
 class TestSample:
@@ -298,6 +332,8 @@ class TestSample:
         assert a.read_bytes() != c.read_bytes()
 
 
+# Queries run d_separated's frontier loops and cycle checks: a hang must fail.
+@pytest.mark.bounded
 class TestDsep:
     def test_collider_pair_marginally_separated(self, capsys, tmp_path):
         net = tmp_path / "collider.bn"
@@ -347,15 +383,13 @@ class TestDsep:
             assert "cycle detected: V0 -> V1 -> V2" in err
             assert "Traceback" not in err and "RecursionError" not in err
 
-    def test_x_and_y_required_without_count_flag(self, capsys, tmp_path):
+    def test_x_and_y_required_without_count_flag(self, capsys, tmp_path, wide_terminal):
         net = tmp_path / "collider.bn"
         net.write_text(COLLIDER_NET)
         code, out, err = run(capsys, ["dsep", "--net", str(net), "--x", "X"])
         assert code == 3 and out == ""
-        # A usage error prints the usage line, then the message.
-        assert err == (
-            "usage: bnscore [-h] {score,bench,sample,roc,dsep} ...\n"
-            "bnscore: error: --x and --y are required unless --count-marginal is given\n"
+        assert err == usage_fault(
+            "dsep", "--x and --y are required unless --count-marginal is given"
         )
 
     @pytest.mark.parametrize(
@@ -683,6 +717,26 @@ class TestTopLevel:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, ["frobnicate"])
         assert code == 3
+
+    def test_each_command_gets_its_own_parser(self, capsys, monkeypatch):
+        # So a fault a command finds prints that command's usage line.
+        progs = {}
+
+        def record(parser, args):
+            progs[args.command] = parser.prog
+            return 0
+
+        argvs = {
+            "score": ["--metric", "k2", "--net", "n", "--data", "d"],
+            "bench": ["--example", "1"],
+            "sample": ["--net", "n", "--n", "1", "--out", "o"],
+            "roc": ["--out", "o"],
+            "dsep": ["--net", "n"],
+        }
+        for command, argv in argvs.items():
+            monkeypatch.setattr(cli, f"cmd_{command}", record)
+            assert run(capsys, [command, *argv])[0] == 0
+        assert progs == {command: f"bnscore {command}" for command in argvs}
 
 
 class TestFileErrors:

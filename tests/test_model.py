@@ -93,6 +93,8 @@ class TestVariable:
             v.state_index("mid")
 
 
+# Without its guards, the cycle walk never ends: a hang must fail.
+@pytest.mark.bounded
 class TestDagValidation:
     def test_two_cycle_rejected(self):
         vs = (Variable("X", 2), Variable("Y", 2))
@@ -380,6 +382,8 @@ class TestCounting:
             joint_cell_counts((0, 0), data)
 
 
+# Without its guards, a frontier loop never ends: a hang must fail.
+@pytest.mark.bounded
 class TestDSeparation:
     """Reachability must agree with the textbook path-blocking definition."""
 
@@ -585,6 +589,7 @@ class TestAlarmTranscription:
 
         assert len(marginally_d_separated_pairs(alarm.net)) == 365
 
+    @pytest.mark.bounded
     def test_hr_blocks_measurement_channels(self, alarm):
         s = alarm.structure
         hrbp, hrekg, hr = (s.index_of(n) for n in ("HRBP", "HREKG", "HR"))

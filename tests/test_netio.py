@@ -129,6 +129,7 @@ class TestParseNetwork:
         assert captured.err == f"error: {exc.value}\n"
         assert captured.err.startswith(f"error: line {line}: ")
 
+    @pytest.mark.bounded
     def test_cycle_via_arcs(self):
         text = "var X 2\nvar Y 2\narc X Y\narc Y X\n"
         with pytest.raises(CycleDetected):

@@ -306,6 +306,7 @@ class TestStructuralProperties:
             log_score(MetricSpec.bdeu(2.0), indep, data), abs=1e-10
         )
 
+    @pytest.mark.bounded
     def test_saturated_dag_wins_bdeu_on_constant_data(self):
         # exhaustive check over all 25 DAGs on three binary variables
         vs = tuple(Variable(n, 2) for n in "ABC")
@@ -438,6 +439,8 @@ class TestRatiosAndPosteriors:
         ids=["negative", "1-D", "3-D", "float", "empty", "total-past-int64"],
     )
     @pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.label)
+    # A total past int64 wraps negative, where lnG's recurrence cannot advance.
+    @pytest.mark.bounded
     def test_counts_path_rejects_bad_tables(self, metric, counts):
         with pytest.raises(DomainError):
             arc_posterior_from_counts(metric, counts)
