@@ -127,7 +127,7 @@ def cmd_roc(parser, args) -> int:
         reps=args.reps,
         metrics=metrics,
         seed=args.seed,
-        jobs=args.jobs,
+        jobs=rocstats._usable_cpus(),
     )
     (out_dir / "auc_summary.csv").write_text(
         rocstats.auc_summary_csv(result.summaries)
@@ -201,10 +201,6 @@ def _build_parser() -> _Parser:
         help="comma-separated: k2, gu, bdeu<alpha0>",
     )
     p.add_argument("--seed", type=_non_negative_int, default=42)
-    p.add_argument(
-        "--jobs", type=_positive_int, default=rocstats._usable_cpus(),
-        help="worker processes; results do not depend on this",
-    )
     p.add_argument("--out", required=True, help="output directory for CSVs")
     p.set_defaults(func=cmd_roc, parser=p)
 

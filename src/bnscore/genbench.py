@@ -14,7 +14,7 @@ shows up in the dependent/independent ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -211,26 +211,35 @@ class SweepResult:
     max_log_ratio: float
 
 
-def _noise_free_log_ratios(metrics: Sequence[MetricSpec], joint: JointTable, n: int) -> list:
-    """Each metric's log ratio on the noise-free table of variables 0 and 1, the rest summed out."""
-    counts = _noise_free_counts(joint, n).reshape(1, *(v.arity for v in joint.variables[:2]), -1)
+def _noise_free_log_ratios(
+    metrics: Sequence[MetricSpec], joint: JointTable, sizes: Sequence[int]
+) -> list[list[float]]:
+    """Each metric's log ratios, one per size, from one kernel call on the
+    noise-free tables of variables 0 and 1, the rest summed out."""
+    shape = [v.arity for v in joint.variables[:2]]
+    tables = [_noise_free_counts(joint, n).reshape(*shape, -1).sum(-1) for n in sizes]
     _checked_component((0, 1), joint.variables)
-    return _pair_log_ratios(metrics, [([0], counts.sum(-1))])
+    return _pair_log_ratios(metrics, [(range(len(sizes)), np.reshape(tables, (-1, *shape)))])
+
+
+def _bdeu_grid(grid: Sequence[float]) -> list[MetricSpec]:
+    """BDeu at each alpha0 of a non-empty, strictly increasing grid."""
+    grid = [float(a) for a in grid]
+    if not grid:
+        raise DomainError("alpha0 grid must be non-empty")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise DomainError("alpha0 grid must be strictly increasing")
+    return [MetricSpec.bdeu(a0) for a0 in grid]
 
 
 def alpha0_sweep(
     joint: JointTable, n_cases: int, grid: Sequence[float] = ALPHA0_GRID
 ) -> SweepResult:
     """BDeu dependent/independent ratio across an ascending alpha0 grid."""
-    grid = tuple(float(a) for a in grid)
-    if not grid:
-        raise DomainError("alpha0 grid must be non-empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise DomainError("alpha0 grid must be strictly increasing")
-    log_ratios = _noise_free_log_ratios([MetricSpec.bdeu(a0) for a0 in grid], joint, n_cases)
-    points = tuple((a0, _safe_exp(lr), lr) for a0, (lr,) in zip(grid, log_ratios))
-    best = max(points, key=lambda p: p[2])
-    return SweepResult(points, best[0], best[1], best[2])
+    metrics = _bdeu_grid(grid)
+    log_ratios = _noise_free_log_ratios(metrics, joint, [n_cases])
+    points = tuple((m.alpha0, _safe_exp(lr), lr) for m, (lr,) in zip(metrics, log_ratios))
+    return SweepResult(points, *max(points, key=lambda p: p[2]))
 
 
 def run_example(spec: ExampleSpec) -> list[RatioRow]:
@@ -242,28 +251,16 @@ def run_example(spec: ExampleSpec) -> list[RatioRow]:
     """
     joint = spec.joint()
     metrics = [*map(MetricSpec.bdeu, spec.alpha0_values), MetricSpec.k2(), MetricSpec.gu()]
-    rows: list[RatioRow] = []
-    for n in spec.sizes:
-        for metric, (lr,) in zip(metrics, _noise_free_log_ratios(metrics, joint, n)):
-            rows.append(RatioRow(_safe_exp(lr), lr, spec.example, metric.kind, metric.alpha0, n))
-    if spec.sweep is not None:
-        for n in spec.sizes:
-            sweep = alpha0_sweep(joint, n, spec.sweep)
-            for a0, ratio, log_ratio in sweep.points:
-                rows.append(
-                    RatioRow(ratio, log_ratio, spec.example, "bdeu_sweep", a0, n)
-                )
-            rows.append(
-                RatioRow(
-                    sweep.max_ratio,
-                    sweep.max_log_ratio,
-                    spec.example,
-                    "bdeu_max",
-                    sweep.argmax_alpha0,
-                    n,
-                )
-            )
-    return rows
+    grid = [] if spec.sweep is None else _bdeu_grid(spec.sweep)
+    rows, sweeps = [], []
+    for n, *lrs in zip(spec.sizes, *_noise_free_log_ratios([*metrics, *grid], joint, spec.sizes)):
+        rows += [RatioRow(_safe_exp(lr), lr, spec.example, m.kind, m.alpha0, n)
+                 for m, lr in zip(metrics, lrs)]
+        sweep = [RatioRow(_safe_exp(lr), lr, spec.example, "bdeu_sweep", m.alpha0, n)
+                 for m, lr in zip(grid, lrs[len(metrics):])]
+        if sweep:
+            sweeps += [*sweep, replace(max(sweep, key=lambda r: r.log_ratio), metric="bdeu_max")]
+    return rows + sweeps
 
 
 def ratio_table_csv(rows: Sequence[RatioRow]) -> str:

@@ -243,8 +243,10 @@ def _parse_cpt_row(lineno, tokens, structure, index):
         names = ", ".join(structure.variables[p].name for p in missing)
         raise NetworkSyntaxError(lineno, f"cpt row for {child!r} leaves {names} unassigned")
 
-    arities = [structure.variables[p].arity for p in ps]
-    config = int(np.ravel_multi_index([assigned[p] for p in ps], arities))
+    # In Python ints, first parent most significant: the index can pass int64.
+    config = 0
+    for p in ps:
+        config = config * structure.variables[p].arity + assigned[p]
 
     arity = structure.variables[i].arity
     if len(value_tokens) != arity:

@@ -33,6 +33,7 @@ from bnscore import (
     marginally_d_separated_pairs,
     noise_free_dataset,
     pair_structures,
+    rocstats,
     run_alarm_experiment,
     run_example,
     structure_ratio,
@@ -447,8 +448,9 @@ def test_criterion_10_full_scale(alarm):
     assert elapsed < 600.0
 
 
-def test_criterion_11_cli_determinism(tmp_path, capsys):
-    """bench and roc rewrite byte-identical CSVs on a second run."""
+def test_criterion_11_cli_determinism(tmp_path, capsys, monkeypatch):
+    """bench and roc rewrite byte-identical CSVs on a second run; roc's
+    on one usable CPU (in-process) and on two (a pool)."""
     bench = []
     for name in ("b1.csv", "b2.csv"):
         path = tmp_path / name
@@ -457,14 +459,15 @@ def test_criterion_11_cli_determinism(tmp_path, capsys):
 
     roc_args = ["roc", "--sizes", "5,10", "--reps", "3", "--metrics", "bdeu4,gu", "--seed", "7"]
     roc = []
-    for name in ("r1", "r2"):
-        out = tmp_path / name
-        assert main([*roc_args, "--jobs", "2", "--out", str(out)]) == 0
+    for cpus in (1, 2):
+        monkeypatch.setattr(rocstats, "_usable_cpus", lambda cpus=cpus: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main([*roc_args, "--out", str(out)]) == 0
         roc.append(
             ((out / "auc_summary.csv").read_bytes(), (out / "mean_roc.csv").read_bytes())
         )
     capsys.readouterr()  # swallow CLI chatter; only the artifacts matter
 
     ok = bench[0] == bench[1] and roc[0] == roc[1]
-    _report(11, ok, "bench and roc CSV outputs byte-identical across reruns")
+    _report(11, ok, "bench and roc CSV outputs byte-identical across reruns and CPU counts")
     assert ok

@@ -83,6 +83,19 @@ WIDE_PAIR_NET = (
 )
 
 
+# 64 binary roots P1..P64, all parents of C, and one cpt row of C: its
+# 2**64 parent configurations are past numpy's index range.
+MANY_PARENT_NET = (
+    "".join(f"var P{i} 2\n" for i in range(1, 65)) + "var C 2\n"
+    + "".join(f"arc P{i} C\n" for i in range(1, 65))
+    + "".join(f"cpt P{i} | : 0.5 0.5\n" for i in range(1, 65))
+    + "cpt C |" + "".join(f" P{i}=1" for i in range(1, 65)) + " : 0.5 0.5\n"
+)
+MANY_PARENT_FAULT = (
+    "line 65: variable 'C' is missing 18446744073709551615 cpt row(s), first missing config 1"
+)
+
+
 USAGE = {
     "score": "usage: bnscore score [-h] --metric {k2,bdeu,gu} [--alpha0 ALPHA0] --data DATA "
              "(--net NET | --structure STRUCTURE)",
@@ -416,7 +429,7 @@ class TestRoc:
 
     def test_small_run_writes_both_csvs(self, capsys, tmp_path):
         out_dir = tmp_path / "roc"
-        code, out, _ = run(capsys, [*self.ARGS, "--jobs", "1", "--out", str(out_dir)])
+        code, out, _ = run(capsys, [*self.ARGS, "--out", str(out_dir)])
         assert code == 0
         auc_lines = (out_dir / "auc_summary.csv").read_text().splitlines()
         roc_lines = (out_dir / "mean_roc.csv").read_text().splitlines()
@@ -426,12 +439,16 @@ class TestRoc:
         assert len(roc_lines) == 1 + 2 * 2 * 47
         assert "bdeu alpha0=4 n=5: mean_auc=" in out
 
-    def test_reruns_byte_identical_across_job_counts(self, capsys, tmp_path):
-        d1, d2 = tmp_path / "r1", tmp_path / "r2"
-        run(capsys, [*self.ARGS, "--jobs", "1", "--out", str(d1)])
-        run(capsys, [*self.ARGS, "--jobs", "2", "--out", str(d2)])
-        for name in ("auc_summary.csv", "mean_roc.csv"):
-            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+    def test_reruns_byte_identical_across_job_counts(self, capsys, tmp_path, monkeypatch):
+        # roc runs one worker per usable CPU: one CPU runs the study
+        # in-process, two a pool of two.
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(rocstats, "_usable_cpus", lambda cpus=cpus: cpus)
+            out_dir = tmp_path / f"cpus{cpus}"
+            assert run(capsys, [*self.ARGS, "--out", str(out_dir)])[0] == 0
+            outputs.append([(out_dir / n).read_bytes() for n in ("auc_summary.csv", "mean_roc.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_bad_metric_token(self, capsys, tmp_path):
         code, _, err = run(
@@ -445,7 +462,7 @@ class TestRoc:
         # Labels keep every digit of alpha0, so they read back as two metrics.
         out_dir = tmp_path / "roc"
         argv = ["roc", "--sizes", "5", "--reps", "2", "--metrics", "bdeu0.1234567,bdeu0.1234568",
-                "--jobs", "1", "--out", str(out_dir)]
+                "--out", str(out_dir)]
         code, out, err = run(capsys, argv)
         assert (code, err) == (0, "")
         labels = {line.split(",")[0] for line in (out_dir / "mean_roc.csv").read_text().splitlines()}
@@ -477,10 +494,11 @@ class TestRoc:
             ["--sizes", "abc"],
             ["--sizes", "5,0"],
             ["--seed", "-1"],
+            # No longer an option: argparse rejects it as an unknown argument.
             ["--jobs", "0"],
             ["--jobs", "-1"],
             ["--jobs", "abc"],
-            ["--sizes", "5", "--reps", "2", "--metrics", "bdeu1e-320", "--jobs", "1"],
+            ["--sizes", "5", "--reps", "2", "--metrics", "bdeu1e-320"],
             ["--sizes", "5", "--reps", "2", "--metrics", "k2,k2"],
             ["--sizes", "5", "--reps", "2", "--metrics", "bdeu4,bdeu4.0"],
             ["--sizes", "5,5", "--reps", "2", "--metrics", "k2"],
@@ -498,15 +516,25 @@ class TestRoc:
         [
             (["--seed", "²"], "expected a non-negative integer, got '²'"),
             (["--sizes", "5,²"], "expected positive integer sizes, got '5,²'"),
-            (["--jobs", "²"], "expected a positive integer, got '²'"),
         ],
-        ids=["seed", "sizes", "jobs"],
+        ids=["seed", "sizes"],
     )
     def test_superscript_digit_gets_the_type_message(self, capsys, tmp_path, argv, message):
         # str.isdigit accepts superscripts, which int() rejects
         code, _, err = run(capsys, ["roc", *argv, "--out", str(tmp_path / "x")])
         assert code == 3
         assert message in err
+
+    @pytest.mark.parametrize(
+        "value", ["1", "0", "-1", "abc", "²"], ids=["1", "0", "minus-1", "abc", "superscript-2"]
+    )
+    def test_jobs_is_not_an_option(self, capsys, tmp_path, value):
+        # roc works out its worker count itself; taskset narrows it.
+        out_dir = tmp_path / "x"
+        code, out, err = run(capsys, ["roc", "--jobs", value, "--out", str(out_dir)])
+        assert (code, out) == (3, "")
+        assert err.endswith(f"error: unrecognized arguments: --jobs {value}\n")
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "argv, kind",
@@ -546,11 +574,19 @@ class TestRoc:
         metrics = [m.label for m in rocstats.DEFAULT_METRICS]
         assert args.metrics.split(",") == metrics
 
-    def test_jobs_default_counts_only_cpus_the_process_may_use(self, monkeypatch):
+    def test_jobs_default_counts_only_cpus_the_process_may_use(self, capsys, tmp_path, monkeypatch):
         # Pinned to one CPU of a 64-CPU host, as by taskset.
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert _build_parser().parse_args(["roc", "--out", "x"]).jobs == 1
+        jobs = []
+
+        def study(*args, **kwargs):
+            jobs.append(kwargs["jobs"])
+            raise rocstats.DegenerateInput("stub")
+
+        monkeypatch.setattr(rocstats, "run_alarm_experiment", study)
+        assert run(capsys, ["roc", "--out", str(tmp_path / "x")])[0] == 3
+        assert jobs == [1]
 
 
 # Runs the CLI with the given arguments (none: only imports bnscore), then
@@ -589,6 +625,10 @@ print("threads after import:", tasks)
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
+needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity to pin a child"
+)
+
 
 class TestStartUp:
     """No command loads scipy. Only roc's aggregation needs statistics, and
@@ -599,7 +639,7 @@ class TestStartUp:
     as it found it."""
 
     @staticmethod
-    def probe(argv, code=STARTUP_PROBE, **blas_env):
+    def probe(argv, code=STARTUP_PROBE, preexec_fn=None, **blas_env):
         """Run code in a fresh interpreter whose environment has none of the
         BLAS thread variables but those in blas_env."""
         env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
@@ -608,8 +648,14 @@ class TestStartUp:
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         return subprocess.run(
             [sys.executable, "-c", code, *argv],
-            capture_output=True, text=True, env=env, timeout=300,
+            capture_output=True, text=True, env=env, timeout=300, preexec_fn=preexec_fn,
         )
+
+    @staticmethod
+    def one_cpu():
+        """preexec_fn: run the child on one CPU, as taskset -c does, so roc
+        runs its study in-process."""
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
     @pytest.mark.parametrize(
         "argv",
@@ -636,10 +682,11 @@ class TestStartUp:
             assert "threads after import: 1\n" in proc.stdout
             assert "threads at exit: 1\n" in proc.stdout
 
+    @needs_affinity
     def test_roc_leaves_scipy_unloaded(self, tmp_path):
         # At this size the AUCs vary, so the interval needs its t quantile.
-        argv = ["roc", "--sizes", "5", "--reps", "3", "--metrics", "k2", "--jobs", "1"]
-        proc = self.probe([*argv, "--out", str(tmp_path / "roc")])
+        argv = ["roc", "--sizes", "5", "--reps", "3", "--metrics", "k2"]
+        proc = self.probe([*argv, "--out", str(tmp_path / "roc")], preexec_fn=self.one_cpu)
         assert proc.returncode == 0, proc.stderr
         ci_low, ci_high = (tmp_path / "roc" / "auc_summary.csv").read_text().split(",")[-3:-1]
         assert float(ci_low) < float(ci_high)
@@ -656,9 +703,10 @@ class TestStartUp:
         assert plain.returncode == 0, plain.stderr
         assert plain.stdout in proc.stdout
 
+    @needs_affinity
     def test_small_roc_still_writes_its_csvs(self, tmp_path):
         out_dir = tmp_path / "roc"
-        proc = self.probe([*TestRoc.ARGS, "--jobs", "1", "--out", str(out_dir)])
+        proc = self.probe([*TestRoc.ARGS, "--out", str(out_dir)], preexec_fn=self.one_cpu)
         assert proc.returncode == 0, proc.stderr
         for name in ("auc_summary.csv", "mean_roc.csv"):
             assert len((out_dir / name).read_text().splitlines()) > 1, name
@@ -753,10 +801,13 @@ class TestFileErrors:
             (["sample", "--net", "{alarm}", "--n", "3", "--out", MISSING_DIR], MISSING_DIR),
             (["bench", "--example", "2", "--out", MISSING_DIR], MISSING_DIR),
             (
-                ["roc", "--sizes", "5", "--reps", "2", "--metrics", "k2", "--jobs", "1",
-                 "--out", "{taken}"],
+                ["roc", "--sizes", "5", "--reps", "2", "--metrics", "k2", "--out", "{taken}"],
                 "{taken}",
             ),
+            (["score", "--metric", "k2", "--net", "{many}", "--data", "{sup2}"], MANY_PARENT_FAULT),
+            (["sample", "--net", "{many}", "--n", "3", "--out", "{tmp}/s.csv"], MANY_PARENT_FAULT),
+            (["roc", "--net", "{many}", "--out", "{tmp}/roc"], MANY_PARENT_FAULT),
+            (["dsep", "--net", "{many}", "--count-marginal"], MANY_PARENT_FAULT),
             (["score", "--metric", "k2", "--net", "{net}", "--data", "{sup2}"], "'²'"),
             (["score", "--metric", "k2", "--net", "{net}", "--data", "{sup3}"], "'³'"),
             # Cells past the csv module's field size limit (131,072 characters)
@@ -773,7 +824,9 @@ class TestFileErrors:
         ],
         ids=[
             "score-undecodable-data", "dsep-undecodable-net", "sample-out-missing-dir",
-            "bench-out-missing-dir", "roc-out-is-a-file", "score-superscript-2",
+            "bench-out-missing-dir", "roc-out-is-a-file", "score-2**64-parent-configs",
+            "sample-2**64-parent-configs", "roc-2**64-parent-configs",
+            "dsep-2**64-parent-configs", "score-superscript-2",
             "score-superscript-3", "score-cell-past-csv-limit", "score-header-past-csv-limit",
             "score-row-fault-before-undecodable-byte", "score-undecodable-byte-after-rows",
         ],
@@ -784,6 +837,7 @@ class TestFileErrors:
         for name, content in (
             ("binary", b"X,Y\n\xff,y1\n"),
             ("taken", b""),
+            ("many", MANY_PARENT_NET.encode()),
             # str.isdigit accepts superscripts, which int() rejects
             ("sup2", "X,Y\nx1,y1\n²,y2\n".encode()),
             ("sup3", "X,Y\n³,y1\n".encode()),
@@ -841,11 +895,11 @@ class TestMemoryBounds:
               "--out", "s.csv"], 3,
              "out of memory: 9223372036854775808 cases of 37 variables do not fit in memory"),
             (["roc", "--sizes", "1000000000000000000", "--reps", "2", "--metrics", "k2",
-              "--jobs", "1", "--out", "roc"], 3,
+              "--out", "roc"], 3,
              "out of memory: 1000000000000000000 cases of 37 variables do not fit in memory"),
             # A ROC pair past the count-table cap, caught by the study's pair check.
             (["roc", "--net", "wide-pair.bn", "--sizes", "5", "--reps", "2", "--metrics", "k2",
-              "--jobs", "1", "--out", "roc"], 3,
+              "--out", "roc"], 3,
              "out of memory: a count table over B1, B2 would have 16785409 cells, past 16777216"),
         ],
         ids=["score-wide", "score-wider", "var-arity", "sample", "roc", "var-labels",

@@ -13,6 +13,7 @@ README) and explains every moved digit.
 import hashlib
 import importlib.util
 import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -80,3 +81,12 @@ def test_a_row_starts_after_the_row_it_reads(tmp_path, monkeypatch):
     ]
     snapshot.run_rows(tmp_path, rows, dict(os.environ))
     assert (tmp_path / "reader" / "stdout").read_text() == "done"
+
+
+def test_a_hung_row_raises_after_the_row_timeout(tmp_path, monkeypatch):
+    """A row past ROW_TIMEOUT is killed and raises, so a hang fails the
+    snapshot instead of blocking it."""
+    monkeypatch.setattr(snapshot, "ROW_TIMEOUT", 0.5)
+    rows = [("hung", ["-c", "import time; time.sleep(30)"])]
+    with pytest.raises(subprocess.TimeoutExpired):
+        snapshot.run_rows(tmp_path, rows, dict(os.environ))

@@ -142,6 +142,26 @@ class TestParseNetwork:
         assert "Y" in str(exc.value)
         assert exc.value.line == 3  # Y's var line
 
+    @pytest.mark.parametrize("k", [63, 64])
+    def test_parent_configs_past_int64(self, k):
+        # From 2**63 parent configurations on, numpy cannot index C's rows.
+        roots = range(1, k + 1)
+        text = (
+            "".join(f"var P{i} 2\n" for i in roots) + "var C 2\n"
+            + "".join(f"arc P{i} C\n" for i in roots)
+            + "".join(f"cpt P{i} | : 0.5 0.5\n" for i in roots)
+        )
+        # P1=2 and every other parent 1: the first parent is most significant.
+        row = "cpt C |" + "".join(f" P{i}={1 + (i == 1)}" for i in roots) + " : 0.5 0.5\n"
+        with pytest.raises(MissingCptRow) as exc:
+            parse_network(text + row)
+        assert str(exc.value) == (
+            f"line {k + 1}: variable 'C' is missing {2**k - 1} cpt row(s), first missing config 0"
+        )
+        with pytest.raises(NetworkSyntaxError) as exc:
+            parse_network(text + row + row)
+        assert str(exc.value).endswith(f"duplicate cpt row for 'C' (config {2**(k - 1)})")
+
     def test_duplicate_cpt_row(self):
         text = TOY + "cpt Y | X=x2 : 0.3 0.7\n"
         with pytest.raises(NetworkSyntaxError) as exc:

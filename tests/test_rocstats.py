@@ -510,10 +510,10 @@ class TestBatchedReplicate:
         rocstats._replicate_curves(alarm.net, 20, 1, enumerate_pair_sets(alarm.net), DEFAULT_METRICS)
         assert len(calls) == 1
         calls.clear()
-        # Example 11: 4 sizes, each one call for 5 metrics and one for its
-        # 61-point alpha0 sweep.
+        # Example 11: its 4 sizes, 5 metrics and 61-point alpha0 sweep in one
+        # call, of one block per metric and sweep point.
         run_example(EXAMPLES[11])
-        assert len(calls) == 8
+        assert calls == [5 + 61]
 
 
 class TestCsvOutput:

@@ -43,14 +43,16 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 CLI = ["-m", "bnscore.cli"]
+# Seconds a row may run; the default roc study takes a few, so one that
+# hangs raises subprocess.TimeoutExpired instead of blocking the snapshot.
+ROW_TIMEOUT = 600
 LARGE_N = ["--sizes", "10000,20000", "--reps", "20", "--metrics", "k2,gu", "--seed", "11"]
 # Sizes that are not whole bytes of packed cases, with AUCs below 1 that a
 # moved count would shift; about 1 s, so it runs with the other rows.
 ODD_N = ["--sizes", "13,77,333", "--reps", "5", "--seed", "5"]
 # Two BDeu alpha0s that agree to 6 significant digits: two metrics, each
 # labelled with every digit.
-CLOSE_ALPHA0 = ["--sizes", "5", "--reps", "2", "--metrics", "bdeu0.1234567,bdeu0.1234568",
-                "--jobs", "1"]
+CLOSE_ALPHA0 = ["--sizes", "5", "--reps", "2", "--metrics", "bdeu0.1234567,bdeu0.1234568"]
 SCORES = {
     "k2": ["--metric", "k2"],
     "bdeu1": ["--metric", "bdeu", "--alpha0", "1"],
@@ -151,7 +153,7 @@ def commands(alarm: str, structure: str, root: str) -> list[tuple[str, list[str]
     ]
     out.append(
         ("roc-wide-pair", [*CLI, "roc", "--net", f"{root}/wide-pair.bn", "--sizes", "5", "--reps",
-                           "2", "--metrics", "k2", "--jobs", "1", "--out", "roc"])
+                           "2", "--metrics", "k2", "--out", "roc"])
     )
     out.append(
         ("score-first-fault", [*CLI, "score", "--metric", "k2", "--structure", f"{root}/two-binary.bn",
@@ -211,7 +213,9 @@ def run_row(root: Path, name: str, args: list[str], env: dict[str, str],
         row.result()
     cwd = root / name
     cwd.mkdir(parents=True, exist_ok=True)
-    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True)
+    proc = subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, timeout=ROW_TIMEOUT
+    )
     (cwd / "stdout").write_bytes(proc.stdout)
     (cwd / "stderr").write_bytes(proc.stderr)
     (cwd / "exit_code").write_text(f"{proc.returncode}\n")
