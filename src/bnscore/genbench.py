@@ -1,41 +1,34 @@
-"""Benchmark dataset generation and the eleven two-variable examples.
+"""The eleven two-variable benchmark examples, and forward sampling.
 
-Noise-free datasets realise a joint distribution as exactly as a finite
-sample allows: each joint cell receives round(p * N) cases (half away from
-zero), with no renormalisation, laid out in mixed-radix cell order.
-Forward sampling draws cases ancestrally from a full network.
-
-The example registry pairs two independent binary variables X and Y with
-marginals chosen to probe prior strength: every dataset is generated from
-an independent joint, so the dependent structure X -> Y never deserves more
-posterior mass asymptotically, and each metric's small-sample behaviour
-shows up in the dependent/independent ratio.
+An example holds the marginals of two independent variables, X and Y, and
+a list of dataset sizes.  Its noise-free table at size N gives each joint
+cell round(p * N) cases (half away from zero), with no renormalisation.
+Every table comes from an independent joint, so the dependent structure
+X -> Y never deserves more posterior mass asymptotically, and each
+metric's small-sample behaviour shows up in the dependent/independent
+ratio.  Forward sampling draws cases ancestrally from a full network.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .model import BayesNet, Dataset, Variable, _checked_component, _mixed_radix, _state_dtype
+from .model import BayesNet, Dataset, _mixed_radix, _state_dtype
 from .netio import _csv_text, _fmt
 from .scoring import DomainError, MetricSpec, RatioResult, _pair_log_ratios, _safe_exp
 
 __all__ = [
-    "JointTable",
     "ExampleSpec",
     "EXAMPLES",
     "DEFAULT_ALPHA0S",
     "ALPHA0_GRID",
     "RatioRow",
-    "SweepResult",
-    "independent_joint",
-    "noise_free_dataset",
     "forward_sample",
     "run_example",
-    "alpha0_sweep",
     "ratio_table_csv",
 ]
 
@@ -44,85 +37,6 @@ DEFAULT_ALPHA0S = (0.01, 1.0, 4.0)
 
 #: 61 log-spaced alpha0 values covering 1e-2 .. 1e4.
 ALPHA0_GRID = tuple(float(a) for a in np.logspace(-2.0, 4.0, 61))
-
-_JOINT_SUM_TOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class JointTable:
-    """A joint distribution over a variable tuple, flattened in
-    mixed-radix cell order (first variable most significant)."""
-
-    variables: tuple[Variable, ...]
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        variables = tuple(self.variables)
-        object.__setattr__(self, "variables", variables)
-        if not variables:
-            raise DomainError("a joint needs at least one variable")
-        cells = 1
-        for v in variables:
-            cells *= v.arity
-        probs = np.asarray(self.probs, dtype=float).reshape(-1)
-        if probs.size != cells:
-            raise DomainError(f"{probs.size} cells for a {cells}-cell joint")
-        if probs.min() < 0.0:
-            raise DomainError("joint probabilities must be non-negative")
-        if not abs(float(probs.sum()) - 1.0) <= _JOINT_SUM_TOL:  # NaN fails this too
-            raise DomainError(f"joint sums to {float(probs.sum())!r}, not 1")
-        probs = probs.copy()
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
-
-
-def independent_joint(
-    marginals: Sequence[Sequence[float]], names: Sequence[str] | None = None
-) -> JointTable:
-    """Product joint of independent marginals, each divided by its sum; one variable each."""
-    margs = [np.asarray(m, dtype=float) for m in marginals]
-    if not margs:
-        raise DomainError("need at least one marginal")
-    if names is None:
-        names = [f"X{i + 1}" for i in range(len(margs))]
-    if len(names) != len(margs):
-        raise DomainError(f"{len(names)} names for {len(margs)} marginals")
-    variables = []
-    for name, m in zip(names, margs):
-        if m.ndim != 1 or m.size < 2:
-            raise DomainError(f"marginal for {name!r} must be a vector of length >= 2")
-        if m.min() < 0.0:
-            raise DomainError(f"marginal for {name!r} has negative entries")
-        if not abs(float(m.sum()) - 1.0) <= _JOINT_SUM_TOL:  # NaN fails this too
-            raise DomainError(f"marginal for {name!r} sums to {float(m.sum())!r}, not 1")
-        variables.append(Variable(str(name), m.size))
-    joint = np.ones(1)
-    for m in margs:
-        joint = np.outer(joint, m / m.sum()).reshape(-1)
-    return JointTable(tuple(variables), joint)
-
-
-def _noise_free_counts(joint: JointTable, n_cases: int) -> np.ndarray:
-    """round(p * n_cases) per joint cell, rounding half away from zero."""
-    if n_cases < 0:
-        raise DomainError(f"n_cases must be non-negative, got {n_cases}")
-    if n_cases >= 2**62:  # past it a table's total can overflow the kernel's int64 sums
-        raise DomainError(f"n_cases must be below 2**62, got {n_cases}")
-    return np.floor(joint.probs * n_cases + 0.5).astype(np.int64)
-
-
-def noise_free_dataset(joint: JointTable, n_cases: int) -> Dataset:
-    """The most faithful size-n realisation of a joint distribution.
-
-    Each cell contributes round(p * n_cases) cases, rounding half away
-    from zero, with no renormalisation; the total can therefore differ
-    from n_cases by at most half the number of cells.  Cases appear in
-    mixed-radix cell order.
-    """
-    counts = _noise_free_counts(joint, n_cases)
-    cells = np.argwhere(np.ones([v.arity for v in joint.variables], bool))  # every cell, in order
-    return Dataset(joint.variables, np.repeat(cells, counts, axis=0))
-
 
 def forward_sample(net: BayesNet, n_cases: int, seed: int) -> Dataset:
     """Draw complete cases ancestrally, parents before children.
@@ -155,17 +69,15 @@ def forward_sample(net: BayesNet, n_cases: int, seed: int) -> Dataset:
 
 @dataclass(frozen=True)
 class ExampleSpec:
-    """One benchmark example: per-variable marginals and dataset sizes."""
+    """One benchmark example: the marginals of two independent variables,
+    X then Y, each a vector of two or more entries summing to 1, and the
+    dataset sizes, each a non-negative integer."""
 
     example: int
     marginals: tuple[tuple[float, ...], ...]
     sizes: tuple[int, ...]
     alpha0_values: tuple[float, ...] = DEFAULT_ALPHA0S
     sweep: tuple[float, ...] | None = None
-
-    def joint(self) -> JointTable:
-        names = ("X", "Y") if len(self.marginals) == 2 else None
-        return independent_joint(self.marginals, names)
 
 
 def _binary_pair(px: float, py: float) -> tuple[tuple[float, ...], ...]:
@@ -201,27 +113,6 @@ class RatioRow(RatioResult):
     n: int
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Dependent/independent ratios over an alpha0 grid, with the maximum."""
-
-    points: tuple[tuple[float, float, float], ...]  # (alpha0, ratio, log_ratio)
-    argmax_alpha0: float
-    max_ratio: float
-    max_log_ratio: float
-
-
-def _noise_free_log_ratios(
-    metrics: Sequence[MetricSpec], joint: JointTable, sizes: Sequence[int]
-) -> list[list[float]]:
-    """Each metric's log ratios, one per size, from one kernel call on the
-    noise-free tables of variables 0 and 1, the rest summed out."""
-    shape = [v.arity for v in joint.variables[:2]]
-    tables = [_noise_free_counts(joint, n).reshape(*shape, -1).sum(-1) for n in sizes]
-    _checked_component((0, 1), joint.variables)
-    return _pair_log_ratios(metrics, [(range(len(sizes)), np.reshape(tables, (-1, *shape)))])
-
-
 def _bdeu_grid(grid: Sequence[float]) -> list[MetricSpec]:
     """BDeu at each alpha0 of a non-empty, strictly increasing grid."""
     grid = [float(a) for a in grid]
@@ -232,14 +123,38 @@ def _bdeu_grid(grid: Sequence[float]) -> list[MetricSpec]:
     return [MetricSpec.bdeu(a0) for a0 in grid]
 
 
-def alpha0_sweep(
-    joint: JointTable, n_cases: int, grid: Sequence[float] = ALPHA0_GRID
-) -> SweepResult:
-    """BDeu dependent/independent ratio across an ascending alpha0 grid."""
-    metrics = _bdeu_grid(grid)
-    log_ratios = _noise_free_log_ratios(metrics, joint, [n_cases])
-    points = tuple((m.alpha0, _safe_exp(lr), lr) for m, (lr,) in zip(metrics, log_ratios))
-    return SweepResult(points, *max(points, key=lambda p: p[2]))
+def _noise_free_tables(spec: ExampleSpec) -> tuple[list[int], np.ndarray]:
+    """The example's sizes, and each size's table stacked as (sizes, |X|, |Y|):
+    round(p * n) per cell of the outer product of the two marginals, each
+    divided by its sum, rounding half away from zero."""
+    if len(spec.marginals) != 2:
+        raise DomainError(f"an example needs 2 marginals, got {len(spec.marginals)}")
+    margs = []
+    for name, m in zip("XY", spec.marginals):
+        m = np.asarray(m, dtype=float)
+        if m.ndim != 1 or m.size < 2:
+            raise DomainError(f"marginal for {name!r} must be a vector of length >= 2")
+        if m.min() < 0.0:
+            raise DomainError(f"marginal for {name!r} has negative entries")
+        if not abs(float(m.sum()) - 1.0) <= 1e-12:  # NaN fails this too
+            raise DomainError(f"marginal for {name!r} sums to {float(m.sum())!r}, not 1")
+        margs.append(m / m.sum())
+    joint = np.outer(*margs)
+    sizes = []
+    for n in spec.sizes:
+        try:
+            size = operator.index(n)
+        except TypeError:
+            size = None
+        if size is None or isinstance(n, bool):  # operator.index takes True as 1
+            raise DomainError(f"n_cases must be an integer, got {n!r}")
+        if size < 0:
+            raise DomainError(f"n_cases must be non-negative, got {size}")
+        if size >= 2**62:  # past it a table's total can overflow the kernel's int64 sums
+            raise DomainError(f"n_cases must be below 2**62, got {size}")
+        sizes.append(size)
+    tables = [np.floor(joint * n + 0.5).astype(np.int64) for n in sizes]
+    return sizes, np.reshape(tables, (-1, *joint.shape))
 
 
 def run_example(spec: ExampleSpec) -> list[RatioRow]:
@@ -247,13 +162,15 @@ def run_example(spec: ExampleSpec) -> list[RatioRow]:
 
     When the example carries a sweep grid, rows with metric 'bdeu_sweep'
     follow for each grid point, closed by one 'bdeu_max' row per size
-    whose alpha0 column holds the maximising grid value.
+    whose alpha0 column holds the maximising grid value.  Every size's
+    table is scored under every metric in one kernel call.
     """
-    joint = spec.joint()
+    sizes, tables = _noise_free_tables(spec)
     metrics = [*map(MetricSpec.bdeu, spec.alpha0_values), MetricSpec.k2(), MetricSpec.gu()]
     grid = [] if spec.sweep is None else _bdeu_grid(spec.sweep)
+    log_ratios = _pair_log_ratios([*metrics, *grid], [(range(len(sizes)), tables)])
     rows, sweeps = [], []
-    for n, *lrs in zip(spec.sizes, *_noise_free_log_ratios([*metrics, *grid], joint, spec.sizes)):
+    for n, *lrs in zip(sizes, *log_ratios):
         rows += [RatioRow(_safe_exp(lr), lr, spec.example, m.kind, m.alpha0, n)
                  for m, lr in zip(metrics, lrs)]
         sweep = [RatioRow(_safe_exp(lr), lr, spec.example, "bdeu_sweep", m.alpha0, n)

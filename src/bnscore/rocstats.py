@@ -11,6 +11,7 @@ with t-based confidence intervals on the areas.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -376,7 +377,13 @@ def run_alarm_experiment(
     """
     if reps < 2:
         raise DegenerateInput(f"need at least 2 replicates, got {reps}")
-    sizes = tuple(int(n) for n in sizes)
+    checked = []
+    for n in sizes:
+        try:
+            checked.append(operator.index(n))
+        except TypeError:
+            raise DegenerateInput(f"size {n!r} is not an integer") from None
+    sizes = tuple(checked)
     metrics = tuple(metrics)
     for kind, keys in (("size", sizes), ("metric", tuple(m.label for m in metrics))):
         repeated = [k for k in keys if keys.count(k) > 1]

@@ -5,8 +5,9 @@ force, a closed form, a Monte Carlo estimate, or a plainer form of a
 vectorised routine, deliberately sharing no code with the package: rising
 factorials instead of lgamma, path enumeration instead of reachability, a
 full inverse-CDF gather instead of column-wise threshold counts, a dataset
-CSV read one record at a time instead of in blocks.  Only the package's
-DomainError and RatioResult types are imported.
+CSV read one record at a time instead of in blocks, noise-free cells
+rounded one Python float at a time instead of as an array.  Only the
+package's DomainError and RatioResult types are imported.
 """
 
 from __future__ import annotations
@@ -104,6 +105,14 @@ def pair_cases(table) -> list[tuple[int, int]]:
         for j, c in enumerate(row):
             cases.extend([(i, j)] * int(c))
     return cases
+
+
+def noise_free_cases(marginals, n_cases: int) -> list[tuple[int, int]]:
+    """The noise-free cases of two independent marginals, in cell order: cell
+    (x, y) holds round(px * py * n_cases) cases, half away from zero, after
+    each marginal is divided by its sum."""
+    px, py = ([p / sum(m) for p in m] for m in marginals)
+    return pair_cases([[math.floor(a * b * n_cases + 0.5) for b in py] for a in px])
 
 
 def _all_simple_paths(n, edges, x, y):

@@ -25,13 +25,11 @@ from bnscore import (
     EXAMPLES,
     DagStructure,
     Dataset,
+    ExampleSpec,
     MetricSpec,
     Variable,
-    alpha0_sweep,
-    independent_joint,
     log_score,
     marginally_d_separated_pairs,
-    noise_free_dataset,
     pair_structures,
     rocstats,
     run_alarm_experiment,
@@ -49,6 +47,7 @@ from .oracles import (
     gu_exact,
     k2_exact,
     mc_marginal_saturated,
+    noise_free_cases,
     pair_cases,
 )
 
@@ -74,8 +73,8 @@ def _rows_by_key(example: int):
 
 def test_criterion_01_exact_oracle_pair_ratios():
     """Binary pair, ten constant cases: ratios match exact rationals."""
-    data = noise_free_dataset(EXAMPLES[1].joint(), 10)
-    cases = [tuple(c) for c in data.cases]
+    cases = noise_free_cases(EXAMPLES[1].marginals, 10)
+    data = Dataset(XY, cases)
     arities = (2, 2)
 
     exact = {
@@ -231,25 +230,26 @@ def test_criterion_07_benchmark_directions():
 
 def test_criterion_08_alpha0_sweep_quantities():
     """Sweep maxima and the large-alpha0 regime on the skewed pair."""
-    sweep = alpha0_sweep(EXAMPLES[11].joint(), 1000, ALPHA0_GRID)
-    max_ok = abs(sweep.max_ratio - 1.9) <= 0.3
+    rows = run_example(EXAMPLES[11])
+    best = next(r for r in rows if r.metric == "bdeu_max" and r.n == 1000)
+    max_ok = abs(best.ratio - 1.9) <= 0.3
 
-    shifted = independent_joint([(0.999, 0.001), (0.9, 0.1)], names=("X", "Y"))
-    shifted_log10 = alpha0_sweep(shifted, 1000, ALPHA0_GRID).max_log_ratio / math.log(10.0)
+    shifted = ExampleSpec(0, ((0.999, 0.001), (0.9, 0.1)), (1000,), sweep=ALPHA0_GRID)
+    shifted_max = next(r for r in run_example(shifted) if r.metric == "bdeu_max")
+    shifted_log10 = shifted_max.log_ratio / math.log(10.0)
     shifted_ok = abs(shifted_log10 - 26.0) <= 2.0
 
-    tail_ok = True
-    for n in (1000, 2000):
-        s = alpha0_sweep(EXAMPLES[11].joint(), n, ALPHA0_GRID)
-        tail_ok = tail_ok and all(
-            ratio > 1.0 for a0, ratio, _ in s.points if a0 > 250.0
-        )
+    tail_ok = all(
+        r.ratio > 1.0
+        for r in rows
+        if r.metric == "bdeu_sweep" and r.n in (1000, 2000) and r.alpha0 > 250.0
+    )
 
     ok = max_ok and shifted_ok and tail_ok
     _report(
         8,
         ok,
-        f"max ratio {sweep.max_ratio:.3f} (want 1.9 +- 0.3); "
+        f"max ratio {best.ratio:.3f} (want 1.9 +- 0.3); "
         f"shifted-marginal log10 max {shifted_log10:.2f} (want 26 +- 2); "
         f"ratio > 1 for all alpha0 > 250 at N in (1000, 2000): {tail_ok}",
     )

@@ -1,8 +1,11 @@
-"""The public surface: every module's ``__all__`` and the package exports agree."""
+"""The public surface: every module's ``__all__`` and the package exports
+agree, and every listed name has a user outside the tests."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,9 @@ MODULES = [
     importlib.import_module(f"bnscore.{info.name}")
     for info in pkgutil.iter_modules(bnscore.__path__)
 ]
+
+ROOT = Path(__file__).resolve().parents[1]
+USER_DIRS = ("src/bnscore", "demos", "tools", "perfbench")
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
@@ -37,3 +43,25 @@ def test_every_package_export_is_listed_in_its_module():
     assert exported == dict(listed)
     with pytest.raises(bnscore.DatasetFormatError):
         raise bnscore.HeaderMismatch("header names the wrong variables")
+
+
+def _references(path):
+    """Every name a file reads, imports or takes as an attribute; a name it
+    only binds (a def, a class, an assignment target) or spells in a string,
+    as in ``__all__``, is not a reference."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_listed_name_is_used_outside_the_tests():
+    """No public name exists only for its own tests: each one in a module's
+    ``__all__`` is referenced by the package, a demo, a tool or perfbench."""
+    used = {name for d in USER_DIRS for path in (ROOT / d).rglob("*.py")
+            for name in _references(path)}
+    unused = [f"{m.__name__}.{name}" for m in MODULES for name in m.__all__ if name not in used]
+    assert unused == []

@@ -10,95 +10,99 @@ from bnscore import (
     EXAMPLES,
     BayesNet,
     DagStructure,
+    Dataset,
     DomainError,
     MetricSpec,
-    SchemaMismatch,
     Variable,
-    alpha0_sweep,
     forward_sample,
-    independent_joint,
     joint_cell_counts,
-    noise_free_dataset,
     ratio_table_csv,
     run_example,
 )
-from bnscore.genbench import DEFAULT_ALPHA0S, ExampleSpec, JointTable
+from bnscore.genbench import DEFAULT_ALPHA0S, ExampleSpec, _noise_free_tables
 from bnscore.model import _pair_count_tables
 from bnscore.scoring import _pair_log_ratios
 
+from .oracles import noise_free_cases
+
+HALF = (0.5, 0.5)
+
+
+def oracle_dataset(marginals, n):
+    """The oracle's noise-free cases of two marginals, as a Dataset over X and Y."""
+    variables = tuple(Variable(name, len(m)) for name, m in zip("XY", marginals))
+    return Dataset(variables, noise_free_cases(marginals, n))
+
+
+def dataset_log_ratios(metrics, marginals, n):
+    """Each metric's log ratio from counting the oracle's noise-free dataset."""
+    data = oracle_dataset(marginals, n)
+    return [lr for (lr,) in _pair_log_ratios(metrics, _pair_count_tables(data, [(0, 1)]))]
+
 
 class TestIndependentJoint:
+    """An example's table is the product of its two marginals, X by Y."""
+
     def test_product_of_marginals(self):
-        j = independent_joint([(0.9, 0.1), (0.6, 0.4)], names=("X", "Y"))
-        np.testing.assert_allclose(j.probs, [0.54, 0.36, 0.06, 0.04])
-        assert [v.name for v in j.variables] == ["X", "Y"]
+        sizes, tables = _noise_free_tables(ExampleSpec(0, ((0.9, 0.1), (0.5, 0.3, 0.2)), (100,)))
+        assert sizes == [100]
+        assert tables.tolist() == [[[45, 27, 18], [5, 3, 2]]]
 
     def test_three_marginals(self):
-        j = independent_joint([(0.5, 0.5), (0.5, 0.5), (1.0, 0.0)])
-        assert j.probs.size == 8
-        assert j.probs.sum() == pytest.approx(1.0)
-        assert [v.name for v in j.variables] == ["X1", "X2", "X3"]
+        with pytest.raises(DomainError, match="^an example needs 2 marginals, got 3$"):
+            run_example(ExampleSpec(0, (HALF,) * 3, (10,)))
 
     def test_marginal_must_sum_to_one(self):
         with pytest.raises(DomainError):
-            independent_joint([(0.9, 0.2)])
+            run_example(ExampleSpec(0, ((0.9, 0.2), HALF), (10,)))
 
     def test_negative_entries_rejected(self):
-        with pytest.raises(DomainError, match="^marginal for 'X1' has negative entries$"):
-            independent_joint([(1.1, -0.1)])
-
-    def test_probs_are_a_read_only_copy(self):
-        given = np.full(4, 0.25)
-        j = JointTable(BINARY, given)
-        with pytest.raises(ValueError):
-            j.probs[0] = 1.0
-        assert given.flags.writeable and j.probs is not given
+        with pytest.raises(DomainError, match="^marginal for 'X' has negative entries$"):
+            run_example(ExampleSpec(0, ((1.1, -0.1), HALF), (10,)))
 
     def test_accepted_marginals_give_an_accepted_joint(self):
-        # Each marginal is within 1e-12 of summing to 1; their raw product is not.
+        # Each marginal is within 1e-12 of summing to 1, and is divided by its sum.
         marginal = (0.5, 0.5 + 0.9e-12)
-        j = independent_joint([marginal] * 2)
-        assert abs(float(j.probs.sum()) - 1.0) <= 1e-12
-        np.testing.assert_allclose(j.probs, 0.25, rtol=1e-11)
+        _, tables = _noise_free_tables(ExampleSpec(0, (marginal, marginal), (1000,)))
+        assert tables.tolist() == [[[250, 250], [250, 250]]]
 
     def test_example_joints_are_the_raw_products(self):
         # Every example marginal sums to exactly 1, so rescaling leaves it as given.
         for spec in EXAMPLES.values():
             x, y = (np.array(m) for m in spec.marginals)
-            assert spec.joint().probs.tolist() == np.outer(x, y).reshape(-1).tolist()
+            sizes, tables = _noise_free_tables(spec)
+            assert sizes == list(spec.sizes)
+            want = [np.floor(np.outer(x, y) * n + 0.5).tolist() for n in spec.sizes]
+            assert tables.tolist() == want
 
 
-BINARY = (Variable("X", 2), Variable("Y", 2))
+def run_spec(marginals=(HALF, HALF), sizes=(10,), **kw):
+    """A call of run_example on ExampleSpec(0, marginals, sizes, **kw)."""
+    return lambda: run_example(ExampleSpec(0, marginals, sizes, **kw))
 
 
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: JointTable((), [1.0]), "a joint needs at least one variable"),
-        (lambda: JointTable(BINARY, [0.5, 0.5]), "2 cells for a 4-cell joint"),
-        (lambda: JointTable(BINARY, [0.5, 0.5, 0.5, -0.5]),
-         "joint probabilities must be non-negative"),
-        (lambda: JointTable(BINARY, [0.25, 0.25, 0.25, 0.5]), "joint sums to 1.25, not 1"),
-        (lambda: JointTable(BINARY, [0.5, math.nan, 0.25, 0.25]), "joint sums to nan, not 1"),
-        (lambda: JointTable(BINARY, [math.inf, 0.0, 0.0, 0.0]), "joint sums to inf, not 1"),
-        (lambda: independent_joint([]), "need at least one marginal"),
-        (lambda: independent_joint([(0.5, 0.5)], names=("X", "Y")), "2 names for 1 marginals"),
-        (lambda: independent_joint([(1.0,)], names=("X",)),
-         "marginal for 'X' must be a vector of length >= 2"),
-        (lambda: independent_joint([(0.9, 0.2)]), "marginal for 'X1' sums to 1.1, not 1"),
-        (lambda: independent_joint([(0.5, math.nan), (0.5, 0.5)]),
-         "marginal for 'X1' sums to nan, not 1"),
-        (lambda: noise_free_dataset(independent_joint([(0.5, 0.5)]), -1),
-         "n_cases must be non-negative, got -1"),
+        (run_spec((HALF, (1.5, -0.5))), "marginal for 'Y' has negative entries"),
+        (run_spec((HALF, (0.25, 1.0))), "marginal for 'Y' sums to 1.25, not 1"),
+        (run_spec((HALF, (0.5, math.nan))), "marginal for 'Y' sums to nan, not 1"),
+        (run_spec((HALF, (math.inf, 0.0))), "marginal for 'Y' sums to inf, not 1"),
+        (run_spec(()), "an example needs 2 marginals, got 0"),
+        (run_spec(((1.0,), HALF)), "marginal for 'X' must be a vector of length >= 2"),
+        (run_spec(((0.9, 0.2), HALF)), "marginal for 'X' sums to 1.1, not 1"),
+        (run_spec(((0.5, math.nan), HALF)), "marginal for 'X' sums to nan, not 1"),
+        (run_spec(sizes=(-1,)), "n_cases must be non-negative, got -1"),
         # Past 2**62 a table's total could wrap the kernel's int64 sums.
-        (lambda: noise_free_dataset(independent_joint([(0.5, 0.5)]), 2**62),
-         "n_cases must be below 2**62, got 4611686018427387904"),
-        (lambda: alpha0_sweep(EXAMPLES[11].joint(), 10**19),
+        (run_spec(sizes=(2**62,)), "n_cases must be below 2**62, got 4611686018427387904"),
+        (run_spec(EXAMPLES[11].marginals, (10**19,), sweep=ALPHA0_GRID),
          "n_cases must be below 2**62, got 10000000000000000000"),
+        (run_spec(sizes=(10.5,)), "n_cases must be an integer, got 10.5"),
+        (run_spec(sizes=(True,)), "n_cases must be an integer, got True"),
     ],
-    ids=["joint-no-variables", "joint-size", "joint-negative", "joint-sum", "joint-nan",
-         "joint-inf", "no-marginals", "name-count", "marginal-length-1", "marginal-sum",
-         "marginal-nan", "negative-cases", "too-many-cases", "sweep-too-many-cases"],
+    ids=["joint-negative", "joint-sum", "joint-nan", "joint-inf", "no-marginals",
+         "marginal-length-1", "marginal-sum", "marginal-nan", "negative-cases",
+         "too-many-cases", "sweep-too-many-cases", "fractional-size", "bool-size"],
 )
 def test_invalid_joint_input_raises_domain_error(build, message):
     with pytest.raises(DomainError) as exc:
@@ -108,32 +112,27 @@ def test_invalid_joint_input_raises_domain_error(build, message):
 
 
 class TestNoiseFreeDataset:
+    """The oracle's noise-free cases, the reference run_example is judged by."""
+
     def test_extreme_marginals_round_to_sparse_counts(self):
-        joint = independent_joint([(0.999, 0.001), (0.999, 0.001)])
-        data = noise_free_dataset(joint, 1000)
+        data = oracle_dataset(((0.999, 0.001), (0.999, 0.001)), 1000)
         assert joint_cell_counts((0, 1), data).tolist() == [998, 1, 1, 0]
 
     def test_case_layout_follows_cell_order(self):
-        joint = independent_joint([(0.999, 0.001), (0.999, 0.001)])
-        data = noise_free_dataset(joint, 1000)
-        assert data.cases[:998].tolist() == [[0, 0]] * 998
-        assert data.cases[998].tolist() == [0, 1]
-        assert data.cases[999].tolist() == [1, 0]
+        cases = noise_free_cases(((0.999, 0.001), (0.999, 0.001)), 1000)
+        assert cases == [(0, 0)] * 998 + [(0, 1), (1, 0)]
 
     def test_skewed_pair_at_one_thousand(self):
-        joint = independent_joint([(0.999, 0.001), (0.55, 0.45)])
-        data = noise_free_dataset(joint, 1000)
+        data = oracle_dataset(((0.999, 0.001), (0.55, 0.45)), 1000)
         assert joint_cell_counts((0, 1), data).tolist() == [549, 450, 1, 0]
 
     def test_rounds_half_away_from_zero(self):
         # uniform 2x2 at N = 10: every cell is 2.5, which rounds up to 3
-        joint = independent_joint([(0.5, 0.5), (0.5, 0.5)])
-        data = noise_free_dataset(joint, 10)
+        data = oracle_dataset((HALF, HALF), 10)
         assert joint_cell_counts((0, 1), data).tolist() == [3, 3, 3, 3]
 
     def test_zero_cases(self):
-        joint = independent_joint([(0.5, 0.5)])
-        assert noise_free_dataset(joint, 0).n_cases == 0
+        assert noise_free_cases((HALF, HALF), 0) == []
 
     @given(
         st.floats(0.0, 1.0),
@@ -142,9 +141,11 @@ class TestNoiseFreeDataset:
     )
     @settings(max_examples=80, deadline=None)
     def test_total_within_half_cell_count(self, px, py, n):
-        joint = independent_joint([(px, 1.0 - px), (py, 1.0 - py)])
-        data = noise_free_dataset(joint, n)
-        assert abs(data.n_cases - n) <= 2  # 4 cells / 2
+        marginals = ((px, 1.0 - px), (py, 1.0 - py))
+        assert abs(len(noise_free_cases(marginals, n)) - n) <= 2  # 4 cells / 2
+        rows = run_example(ExampleSpec(0, marginals, (n,)))
+        metrics = [*map(MetricSpec.bdeu, DEFAULT_ALPHA0S), MetricSpec.k2(), MetricSpec.gu()]
+        assert [r.log_ratio for r in rows] == dataset_log_ratios(metrics, marginals, n)
 
 
 def constant_root_net(p=0.999):
@@ -289,73 +290,64 @@ class TestRunExample:
         maxima = [r for r in rows if r.metric == "bdeu_max"]
         assert [r.n for r in maxima] == [100, 500, 1000, 2000]
         best = next(r for r in maxima if r.n == 1000)
-        assert best.ratio == pytest.approx(max(r.ratio for r in sweep), rel=1e-12)
+        assert best.ratio == max(r.ratio for r in sweep)
+        assert best.log_ratio == max(r.log_ratio for r in sweep)
+
+    def test_numpy_integer_sizes_are_taken_as_ints(self):
+        rows = run_example(ExampleSpec(0, (HALF, HALF), (np.int64(10), np.uint8(3))))
+        assert [type(r.n) for r in rows] == [int] * 10
+        assert rows == run_example(ExampleSpec(0, (HALF, HALF), (10, 3)))
+
+
+def sweep_rows(spec, n):
+    """An example's 'bdeu_sweep' rows at size n, and its 'bdeu_max' row."""
+    rows = [r for r in run_example(spec) if r.n == n]
+    return [r for r in rows if r.metric == "bdeu_sweep"], rows[-1]
 
 
 class TestAlphaSweep:
     def test_single_case_dataset_flat_at_one(self):
-        joint = EXAMPLES[1].joint()
-        sweep = alpha0_sweep(joint, 1, ALPHA0_GRID)
-        for _, ratio, log_ratio in sweep.points:
-            assert ratio == pytest.approx(1.0, abs=1e-10)
-            assert log_ratio == pytest.approx(0.0, abs=1e-10)
+        sweep, _ = sweep_rows(ExampleSpec(1, EXAMPLES[1].marginals, (1,), sweep=ALPHA0_GRID), 1)
+        assert len(sweep) == 61
+        for row in sweep:
+            assert row.ratio == pytest.approx(1.0, abs=1e-10)
+            assert row.log_ratio == pytest.approx(0.0, abs=1e-10)
 
     def test_grid_must_ascend(self):
-        joint = EXAMPLES[1].joint()
-        with pytest.raises(DomainError):
-            alpha0_sweep(joint, 10, (1.0, 1.0))
-        with pytest.raises(DomainError):
-            alpha0_sweep(joint, 10, ())
+        with pytest.raises(DomainError, match="strictly increasing"):
+            run_example(ExampleSpec(1, EXAMPLES[1].marginals, (10,), sweep=(1.0, 1.0)))
+        with pytest.raises(DomainError, match="non-empty"):
+            run_example(ExampleSpec(1, EXAMPLES[1].marginals, (10,), sweep=()))
 
     def test_interior_maximum_on_skewed_pair(self):
-        sweep = alpha0_sweep(EXAMPLES[11].joint(), 1000, ALPHA0_GRID)
-        assert ALPHA0_GRID[0] < sweep.argmax_alpha0 < ALPHA0_GRID[-1]
-        assert sweep.max_ratio == pytest.approx(1.9, abs=0.3)
-
-
-def dataset_log_ratios(metrics, joint, n):
-    """Log ratios from counting a noise-free dataset's first two variables."""
-    return _pair_log_ratios(metrics, _pair_count_tables(noise_free_dataset(joint, n), [(0, 1)]))
+        _, best = sweep_rows(EXAMPLES[11], 1000)
+        assert best.metric == "bdeu_max"
+        assert ALPHA0_GRID[0] < best.alpha0 < ALPHA0_GRID[-1]
+        assert best.ratio == pytest.approx(1.9, abs=0.3)
 
 
 class TestNoiseFreeTables:
-    """run_example and alpha0_sweep score the noise-free table directly:
-    the same floats as counting a noise-free dataset, at any N."""
+    """run_example scores the noise-free tables directly: the same floats as
+    counting the oracle's noise-free dataset, at every size and sweep point."""
 
     @pytest.mark.parametrize("example", sorted(EXAMPLES))
     def test_ratios_equal_the_dataset_path(self, example):
         spec = EXAMPLES[example]
-        joint = spec.joint()
         rows = run_example(spec)
-        metrics = [*map(MetricSpec.bdeu, spec.alpha0_values), MetricSpec.k2(), MetricSpec.gu()]
+        metrics = [*map(MetricSpec.bdeu, spec.alpha0_values), MetricSpec.k2(), MetricSpec.gu(),
+                   *map(MetricSpec.bdeu, spec.sweep or ())]
         for n in spec.sizes:
-            got = [r.log_ratio for r in rows if r.n == n and r.metric in ("bdeu", "k2", "gu")]
-            assert got == [lr for (lr,) in dataset_log_ratios(metrics, joint, n)]
-            if spec.sweep is not None:
-                sweep = alpha0_sweep(joint, n, spec.sweep)
-                want = dataset_log_ratios([MetricSpec.bdeu(a0) for a0 in spec.sweep], joint, n)
-                assert [p[2] for p in sweep.points] == [lr for (lr,) in want]
+            got = [r.log_ratio for r in rows if r.n == n and r.metric != "bdeu_max"]
+            assert got == dataset_log_ratios(metrics, spec.marginals, n)
 
-    def test_further_variables_summed_out(self):
-        marginals = ((0.7, 0.3), (0.2, 0.5, 0.3), (0.4, 0.6))
-        rows = run_example(ExampleSpec(0, marginals, (37,), (1.0,)))
-        metrics = [MetricSpec.bdeu(1.0), MetricSpec.k2(), MetricSpec.gu()]
-        want = dataset_log_ratios(metrics, independent_joint(marginals), 37)
-        assert [r.log_ratio for r in rows] == [lr for (lr,) in want]
+    def test_one_variable_joint_rejected(self):
+        with pytest.raises(DomainError, match="^an example needs 2 marginals, got 1$"):
+            run_example(ExampleSpec(0, (HALF,), (10,)))
 
     def test_finite_at_any_n(self):
         n = 10**12
-        sweep = alpha0_sweep(EXAMPLES[11].joint(), n)
-        assert all(math.isfinite(lr) for _, _, lr in sweep.points)
-        rows = run_example(ExampleSpec(11, EXAMPLES[11].marginals, (n,)))
-        assert len(rows) == 5 and all(math.isfinite(r.log_ratio) for r in rows)
-
-    def test_one_variable_joint_rejected(self):
-        joint = independent_joint([(0.5, 0.5)])
-        with pytest.raises(SchemaMismatch, match="component index 1 out of range 0..0"):
-            alpha0_sweep(joint, 10)
-        with pytest.raises(SchemaMismatch, match="component index 1 out of range 0..0"):
-            run_example(ExampleSpec(0, ((0.5, 0.5),), (10,)))
+        rows = run_example(ExampleSpec(11, EXAMPLES[11].marginals, (n,), sweep=ALPHA0_GRID))
+        assert len(rows) == 5 + 61 + 1 and all(math.isfinite(r.log_ratio) for r in rows)
 
 
 class TestRatioTableCsv:

@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import re
 
 import numpy as np
 import pytest
@@ -446,6 +447,21 @@ class TestAlarmExperiment:
         # rows than mean curves.
         with pytest.raises(DegenerateInput, match=named):
             run_alarm_experiment(alarm.net, sizes=sizes, reps=2, metrics=metrics)
+
+    @pytest.mark.parametrize(
+        "sizes, named", [((5.7,), "5.7"), ((5.7, 5), "5.7"), ((5, "10"), "'10'")]
+    )
+    def test_non_integer_size_rejected(self, alarm, sizes, named):
+        # int() would have run N=5 for 5.7, or refused 5.7 and 5 as one size.
+        with pytest.raises(DegenerateInput, match=f"^size {re.escape(named)} is not an integer$"):
+            run_alarm_experiment(alarm.net, sizes=sizes, reps=2)
+
+    def test_numpy_integer_size_accepted(self, alarm):
+        result = run_alarm_experiment(
+            alarm.net, sizes=(np.int64(5),), reps=2, metrics=(MetricSpec.k2(),)
+        )
+        assert [(type(s.n), s.n) for s in result.summaries] == [(int, 5)]
+        assert list(result.mean_curves) == [("k2", 5)]
 
     def test_defaults(self):
         assert DEFAULT_SIZES == (5, 10, 20, 40, 80, 160)
