@@ -20,13 +20,7 @@ from .scoring import MetricSpec
 __all__ = ["main"]
 
 _PARSE_ERRORS = (netio.NetworkSyntaxError, netio.DatasetFormatError)
-_VALIDATION_ERRORS = (
-    ModelError,
-    scoring.DomainError,
-    scoring.NotCliqueDecomposable,
-    rocstats.DegenerateInput,
-    rocstats.InsufficientNegatives,
-)
+_VALIDATION_ERRORS = (ModelError, scoring.DomainError, rocstats.DegenerateInput)
 
 
 class _Parser(argparse.ArgumentParser):

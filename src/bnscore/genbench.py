@@ -38,6 +38,18 @@ DEFAULT_ALPHA0S = (0.01, 1.0, 4.0)
 #: 61 log-spaced alpha0 values covering 1e-2 .. 1e4.
 ALPHA0_GRID = tuple(float(a) for a in np.logspace(-2.0, 4.0, 61))
 
+
+def _as_int(value) -> int | None:
+    """value as an int through operator.index, so numpy integers pass; None
+    for a non-integer or a bool, which operator.index would take as 0 or 1."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 def forward_sample(net: BayesNet, n_cases: int, seed: int) -> Dataset:
     """Draw complete cases ancestrally, parents before children.
 
@@ -46,6 +58,10 @@ def forward_sample(net: BayesNet, n_cases: int, seed: int) -> Dataset:
     A state is the number of the first r - 1 cumulative CPT entries of its
     parent configuration below u ~ U[0, 1): the inverse CDF, as rows never decrease.
     """
+    checked = _as_int(n_cases), _as_int(seed)
+    if None in checked:
+        raise DomainError(f"n_cases and seed must be integers, got {n_cases!r} and {seed!r}")
+    n_cases, seed = checked
     if n_cases < 0 or seed < 0:
         raise DomainError(f"n_cases and seed must be non-negative, got {n_cases} and {seed}")
     structure = net.structure
@@ -142,11 +158,8 @@ def _noise_free_tables(spec: ExampleSpec) -> tuple[list[int], np.ndarray]:
     joint = np.outer(*margs)
     sizes = []
     for n in spec.sizes:
-        try:
-            size = operator.index(n)
-        except TypeError:
-            size = None
-        if size is None or isinstance(n, bool):  # operator.index takes True as 1
+        size = _as_int(n)
+        if size is None:
             raise DomainError(f"n_cases must be an integer, got {n!r}")
         if size < 0:
             raise DomainError(f"n_cases must be non-negative, got {size}")

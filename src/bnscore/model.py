@@ -18,12 +18,6 @@ import numpy as np
 
 __all__ = [
     "ModelError",
-    "CycleDetected",
-    "DuplicateParent",
-    "SelfLoop",
-    "StateOutOfRange",
-    "IndexOutOfRange",
-    "SchemaMismatch",
     "Variable",
     "DagStructure",
     "Dataset",
@@ -43,31 +37,7 @@ _MAX_CELLS = 1 << 24
 
 
 class ModelError(ValueError):
-    """Base class for graph and data validation failures."""
-
-
-class CycleDetected(ModelError):
-    """The directed graph contains a cycle."""
-
-
-class DuplicateParent(ModelError):
-    """A variable lists the same parent more than once."""
-
-
-class SelfLoop(ModelError):
-    """A variable lists itself as a parent."""
-
-
-class StateOutOfRange(ModelError):
-    """A state index falls outside a variable's 0..arity-1 range."""
-
-
-class IndexOutOfRange(ModelError):
-    """A variable index falls outside the structure's range."""
-
-
-class SchemaMismatch(ModelError):
-    """Dataset variables do not match the structure they are used with."""
+    """A graph, variable, CPT or dataset that fails validation."""
 
 
 @dataclass(frozen=True)
@@ -109,13 +79,11 @@ class Variable:
             raise ModelError(f"variable {self.name!r}: state labels must be distinct")
 
     def state_index(self, label: str) -> int:
-        """Index of a state label; raises StateOutOfRange for unknown labels."""
+        """Index of a state label; raises ModelError for unknown labels."""
         try:
             return self.state_labels.index(label)
         except ValueError:
-            raise StateOutOfRange(
-                f"variable {self.name!r} has no state labelled {label!r}"
-            ) from None
+            raise ModelError(f"variable {self.name!r} has no state labelled {label!r}") from None
 
 
 def _validate_dag(
@@ -125,22 +93,21 @@ def _validate_dag(
 
     Returns the topological order that takes the smallest ready index first,
     and each variable's children, ascending.
-    Raises IndexOutOfRange, SelfLoop, DuplicateParent, or CycleDetected.
+    Raises ModelError for an index out of range, a self-loop, a repeated
+    parent or a cycle.
     """
     n = len(parents)
     for v, ps in enumerate(parents):
         seen: set[int] = set()
         for p in ps:
             if not 0 <= p < n:
-                raise IndexOutOfRange(
+                raise ModelError(
                     f"variable {names[v]!r}: parent index {p} out of range 0..{n - 1}"
                 )
             if p == v:
-                raise SelfLoop(f"variable {names[v]!r} lists itself as a parent")
+                raise ModelError(f"variable {names[v]!r} lists itself as a parent")
             if p in seen:
-                raise DuplicateParent(
-                    f"variable {names[v]!r} lists parent {names[p]!r} twice"
-                )
+                raise ModelError(f"variable {names[v]!r} lists parent {names[p]!r} twice")
             seen.add(p)
 
     # Kahn's algorithm.  Forward sampling draws in this order, so the
@@ -168,9 +135,7 @@ def _validate_dag(
             pos[v] = len(pos)
             v = next(p for p in parents[v] if indeg[p])
         loop = [*list(pos)[pos[v]:], v]  # child -> parent
-        raise CycleDetected(
-            "cycle detected: " + " -> ".join(names[u] for u in reversed(loop))
-        )
+        raise ModelError("cycle detected: " + " -> ".join(names[u] for u in reversed(loop)))
     return tuple(order), tuple(map(tuple, children))
 
 
@@ -220,7 +185,7 @@ class DagStructure:
         for i, v in enumerate(self.variables):
             if v.name == name:
                 return i
-        raise IndexOutOfRange(f"no variable named {name!r}")
+        raise ModelError(f"no variable named {name!r}")
 
     def children(self, i: int) -> tuple[int, ...]:
         return self._children[self._check_index(i)]
@@ -237,7 +202,7 @@ class DagStructure:
 
     def _check_index(self, i: int) -> int:
         if not 0 <= i < self.n:
-            raise IndexOutOfRange(f"variable index {i} out of range 0..{self.n - 1}")
+            raise ModelError(f"variable index {i} out of range 0..{self.n - 1}")
         return i
 
 
@@ -246,9 +211,7 @@ def _as_case_array(variables: tuple[Variable, ...], cases) -> np.ndarray:
     if arr.size == 0:
         arr = arr.reshape(0, len(variables))
     if arr.ndim != 2 or arr.shape[1] != len(variables):
-        raise SchemaMismatch(
-            f"case array must have {len(variables)} columns, got shape {arr.shape}"
-        )
+        raise ModelError(f"case array must have {len(variables)} columns, got shape {arr.shape}")
     return arr
 
 
@@ -259,14 +222,12 @@ def _state_dtype(variables: Sequence[Variable]) -> np.dtype:
 
 
 def _check_states(variables: tuple[Variable, ...], arr: np.ndarray) -> None:
-    """Raise StateOutOfRange for the first column holding a state outside 0..arity-1."""
+    """Raise ModelError for the first column holding a state outside 0..arity-1."""
     for col, v in enumerate(variables):
         column = arr[:, col]
         if column.size and (column.min() < 0 or column.max() >= v.arity):
             bad = column[(column < 0) | (column >= v.arity)][0]
-            raise StateOutOfRange(
-                f"variable {v.name!r}: state {int(bad)} outside 0..{v.arity - 1}"
-            )
+            raise ModelError(f"variable {v.name!r}: state {int(bad)} outside 0..{v.arity - 1}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,9 +291,9 @@ def _mixed_radix(cases: np.ndarray, cols: Sequence[int], arities: Sequence[int])
 
 
 def _check_schema(structure: DagStructure, data: Dataset) -> None:
-    """Raise SchemaMismatch unless data holds exactly the structure's variables."""
+    """Raise ModelError unless data holds exactly the structure's variables."""
     if data.variables != structure.variables:
-        raise SchemaMismatch(
+        raise ModelError(
             "dataset schema does not match structure variables: "
             f"{[v.name for v in data.variables]} vs "
             f"{[v.name for v in structure.variables]}"
@@ -350,17 +311,17 @@ def count_sufficient_stats(structure: DagStructure, data: Dataset) -> tuple[np.n
 
 
 def _checked_component(component: Sequence[int], variables: Sequence[Variable]) -> list[int]:
-    """The component's variable indices; raises SchemaMismatch unless they
+    """The component's variable indices; raises ModelError unless they
     are distinct indices into variables, at least one, and MemoryError when
     their joint table would have more than _MAX_CELLS cells."""
     cols = list(component)
     if not cols:
-        raise SchemaMismatch("component must name at least one variable")
+        raise ModelError("component must name at least one variable")
     for c in cols:
         if not 0 <= c < len(variables):
-            raise SchemaMismatch(f"component index {c} out of range 0..{len(variables) - 1}")
+            raise ModelError(f"component index {c} out of range 0..{len(variables) - 1}")
     if len(set(cols)) != len(cols):
-        raise SchemaMismatch("component lists a variable twice")
+        raise ModelError("component lists a variable twice")
     cells = math.prod(variables[c].arity for c in cols)
     if cells > _MAX_CELLS:
         names = ", ".join(variables[c].name for c in cols)

@@ -37,13 +37,7 @@ from .model import (
 
 __all__ = [
     "NetworkSyntaxError",
-    "UnknownVariable",
-    "RowSumNotOne",
-    "MissingCptRow",
     "DatasetFormatError",
-    "HeaderMismatch",
-    "UnknownStateLabel",
-    "MissingValue",
     "NetworkDocument",
     "parse_network",
     "parse_structure",
@@ -68,52 +62,8 @@ class NetworkSyntaxError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
-class UnknownVariable(NetworkSyntaxError):
-    """An arc or cpt line names a variable with no preceding var line."""
-
-
-class RowSumNotOne(NetworkSyntaxError):
-    """A CPT row sums too far from one to renormalise."""
-
-    def __init__(self, line: int, variable: str, config: int, total: float):
-        self.variable = variable
-        self.config = config
-        self.total = total
-        super().__init__(
-            line,
-            f"cpt row for {variable!r} (config {config}) sums to {total!r}",
-        )
-
-
-class MissingCptRow(NetworkSyntaxError):
-    """A variable is missing one or more CPT rows."""
-
-
 class DatasetFormatError(ValueError):
-    """Base class for dataset CSV failures."""
-
-
-class HeaderMismatch(DatasetFormatError):
-    """The CSV header does not name exactly the schema's variables."""
-
-
-class UnknownStateLabel(DatasetFormatError):
-    """A cell value matches neither a state label nor a valid state index."""
-
-    def __init__(self, row: int, column: str, value: str):
-        self.row = row
-        self.column = column
-        self.value = value
-        super().__init__(f"row {row}, column {column!r}: unknown state {value!r}")
-
-
-class MissingValue(DatasetFormatError):
-    """A row is missing a value; datasets must be complete."""
-
-    def __init__(self, row: int, column: str):
-        self.row = row
-        self.column = column
-        super().__init__(f"row {row}, column {column!r}: missing value")
+    """A malformed dataset CSV."""
 
 
 @dataclass(frozen=True)
@@ -170,9 +120,7 @@ def _parse_lines(text: str):
             parent, child = tokens[1], tokens[2]
             for name in (parent, child):
                 if name not in variables:
-                    raise UnknownVariable(
-                        lineno, f"arc names undeclared variable {name!r}"
-                    )
+                    raise NetworkSyntaxError(lineno, f"arc names undeclared variable {name!r}")
             if parent in parents[child]:
                 raise NetworkSyntaxError(
                     lineno, f"duplicate arc {parent} -> {child}"
@@ -182,9 +130,7 @@ def _parse_lines(text: str):
             if len(tokens) < 2:
                 raise NetworkSyntaxError(lineno, "cpt needs a variable name")
             if tokens[1] not in variables:
-                raise UnknownVariable(
-                    lineno, f"cpt names undeclared variable {tokens[1]!r}"
-                )
+                raise NetworkSyntaxError(lineno, f"cpt names undeclared variable {tokens[1]!r}")
             cpt_lines.append((lineno, tokens))
         else:
             raise NetworkSyntaxError(lineno, f"unknown directive {kind!r}")
@@ -224,7 +170,7 @@ def _parse_cpt_row(lineno, tokens, structure, index):
             raise NetworkSyntaxError(lineno, f"condition {tok!r} is not NAME=label")
         pname, _, label = tok.partition("=")
         if pname not in index:
-            raise UnknownVariable(lineno, f"condition names undeclared variable {pname!r}")
+            raise NetworkSyntaxError(lineno, f"condition names undeclared variable {pname!r}")
         p = index[pname]
         if p not in ps:
             raise NetworkSyntaxError(
@@ -269,15 +215,12 @@ def parse_network(text: str) -> NetworkDocument:
     rows: dict[tuple[int, int], np.ndarray] = {}
     for lineno, tokens in cpt_lines:
         i, config, row = _parse_cpt_row(lineno, tokens, structure, index)
+        where = f"cpt row for {structure.variables[i].name!r} (config {config})"
         if (i, config) in rows:
-            raise NetworkSyntaxError(
-                lineno,
-                f"duplicate cpt row for {structure.variables[i].name!r} "
-                f"(config {config})",
-            )
+            raise NetworkSyntaxError(lineno, f"duplicate {where}")
         total = float(row.sum())
         if abs(total - 1.0) > ROW_SUM_TOL:
-            raise RowSumNotOne(lineno, structure.variables[i].name, config, total)
+            raise NetworkSyntaxError(lineno, f"{where} sums to {total!r}")
         if abs(total - 1.0) > _EXACT_ROW_TOL:
             row = row / total
         rows[(i, config)] = row
@@ -289,7 +232,7 @@ def parse_network(text: str) -> NetworkDocument:
         q = structure.parent_config_count(i)
         if present[i] < q:
             first = next(c for c in range(q) if (i, c) not in rows)
-            raise MissingCptRow(
+            raise NetworkSyntaxError(
                 var_lines[v.name],
                 f"variable {v.name!r} is missing {q - present[i]} cpt row(s), "
                 f"first missing config {first}",
@@ -420,7 +363,8 @@ def _row_fault(row: int, cells, columns: list[_CellStates]) -> DatasetFormatErro
         return None
     k = states.index(-1)
     name, cell = columns[k].variable.name, cells[k].strip()
-    return UnknownStateLabel(row, name, cell) if cell else MissingValue(row, name)
+    fault = f"unknown state {cell!r}" if cell else "missing value"
+    return DatasetFormatError(f"row {row}, column {name!r}: {fault}")
 
 
 def _read_block(records, columns, sources, dtype) -> np.ndarray:
@@ -465,13 +409,13 @@ def parse_dataset(text: str | io.TextIOBase, schema: tuple[Variable, ...]) -> Da
     records = _records(_lines(text) if isinstance(text, str) else text)
     _, header = next(records, (0, None))
     if header is None:
-        raise HeaderMismatch("dataset has no header row")
+        raise DatasetFormatError("dataset has no header row")
     if isinstance(header, DatasetFormatError):
         raise header
     columns = _columns(header, schema)
     if columns is None:
         names = [v.name for v in schema]
-        raise HeaderMismatch(f"header {header!r} does not match schema variables {names!r}")
+        raise DatasetFormatError(f"header {header!r} does not match schema variables {names!r}")
     sources = [header.index(v.name) for v in schema]
     dtype = _state_dtype(schema)
     blocks = [_read_block(records, columns, sources, dtype)]

@@ -11,21 +11,19 @@ with t-based confidence intervals on the areas.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .genbench import forward_sample
+from .genbench import _as_int, forward_sample
 from .model import BayesNet, _checked_component, _pair_count_tables
 from .netio import _csv_text, _fmt
 from .scoring import MetricSpec, _arc_posteriors
 
 __all__ = [
     "DegenerateInput",
-    "InsufficientNegatives",
     "ScoredPair",
     "RocCurve",
     "AucSummary",
@@ -61,10 +59,6 @@ DEFAULT_METRICS = (
 
 class DegenerateInput(ValueError):
     """The statistic needs more, or more varied, inputs than were given."""
-
-
-class InsufficientNegatives(ValueError):
-    """Fewer marginally d-separated pairs exist than negatives requested."""
 
 
 @dataclass(frozen=True)
@@ -303,6 +297,12 @@ def enumerate_pair_sets(net: BayesNet, negatives: int = 46, seed: int = 42) -> P
     d-separated unordered pairs, then sorted. The default of 46 is ALARM's
     arc count, a constant rather than a size read from ``net``.
     """
+    checked = _as_int(negatives), _as_int(seed)
+    if None in checked:
+        raise DegenerateInput(
+            f"negatives and seed must be integers, got {negatives!r} and {seed!r}"
+        )
+    negatives, seed = checked
     if negatives < 0 or seed < 0:
         raise DegenerateInput(
             f"negatives and seed must be non-negative, got {negatives} and {seed}"
@@ -310,7 +310,7 @@ def enumerate_pair_sets(net: BayesNet, negatives: int = 46, seed: int = 42) -> P
     positives = net.structure.arcs()
     candidates = marginally_d_separated_pairs(net)
     if len(candidates) < negatives:
-        raise InsufficientNegatives(
+        raise DegenerateInput(
             f"requested {negatives} negatives but only {len(candidates)} "
             "marginally d-separated pairs exist"
         )
@@ -375,14 +375,22 @@ def run_alarm_experiment(
     than there are tasks or CPUs the process may run on. Results are keyed
     by metric label and size, so a repeated label or size is rejected.
     """
+    counts = _as_int(reps), _as_int(seed), _as_int(jobs)
+    if None in counts:
+        raise DegenerateInput(
+            f"reps, seed and jobs must be integers, got {reps!r}, {seed!r} and {jobs!r}"
+        )
+    reps, seed, jobs = counts
     if reps < 2:
         raise DegenerateInput(f"need at least 2 replicates, got {reps}")
     checked = []
     for n in sizes:
-        try:
-            checked.append(operator.index(n))
-        except TypeError:
-            raise DegenerateInput(f"size {n!r} is not an integer") from None
+        size = _as_int(n)
+        if size is None:
+            raise DegenerateInput(f"size {n!r} is not an integer")
+        if size < 0:
+            raise DegenerateInput(f"size {size} is negative")
+        checked.append(size)
     sizes = tuple(checked)
     metrics = tuple(metrics)
     for kind, keys in (("size", sizes), ("metric", tuple(m.label for m in metrics))):

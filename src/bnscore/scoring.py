@@ -39,7 +39,6 @@ from .model import (
 
 __all__ = [
     "DomainError",
-    "NotCliqueDecomposable",
     "MetricSpec",
     "RatioResult",
     "log_score",
@@ -56,10 +55,6 @@ _EXP_MAX = 709.0
 
 class DomainError(ValueError):
     """An argument falls outside a function's mathematical domain."""
-
-
-class NotCliqueDecomposable(ValueError):
-    """The GU metric needs a skeleton that is a union of cliques."""
 
 
 @dataclass(frozen=True)
@@ -255,7 +250,7 @@ def _dm_sums(
 
 def _cliques(structure: DagStructure) -> list[tuple[int, ...]]:
     """The skeleton's connected components, sorted by smallest member with
-    members ascending.  Raises NotCliqueDecomposable unless each is a
+    members ascending.  Raises DomainError unless each is a
     clique, naming the first same-component pair (a, b), a < b, that no
     edge joins: components in order, then a, then b."""
     nbrs = [set(structure.parents[v]).union(structure.children(v)) for v in range(structure.n)]
@@ -277,7 +272,7 @@ def _cliques(structure: DagStructure) -> list[tuple[int, ...]]:
             for b in comp[i + 1:]:
                 if b not in nbrs[a]:
                     x, y = structure.variables[a].name, structure.variables[b].name
-                    raise NotCliqueDecomposable(
+                    raise DomainError(
                         f"skeleton is not a union of cliques: {x!r} and {y!r} are "
                         "connected but not adjacent"
                     )
@@ -379,6 +374,6 @@ def arc_posterior_from_counts(metric: MetricSpec, counts: np.ndarray) -> float:
 
 def arc_posterior(metric: MetricSpec, x: int, y: int, data: Dataset) -> float:
     """Posterior probability of x -> y versus no arc, on the projected pair;
-    raises SchemaMismatch unless x and y are distinct variables of data."""
+    raises ModelError unless x and y are distinct variables of data."""
     counts = joint_cell_counts((x, y), data)
     return arc_posterior_from_counts(metric, counts.reshape(data.variables[x].arity, -1))

@@ -219,8 +219,8 @@ def _cell_state(variable, raw: str) -> int | None:
 def parse_dataset_reference(text: str, variables):
     """A dataset CSV read one record at a time, the header being row 0 and
     blank records counted but skipped: the cases as lists of states in the
-    variables' order, or (error class name, message) of the first fault in
-    row order."""
+    variables' order, or ("DatasetFormatError", message) of the first fault
+    in row order."""
     names = [v.name for v in variables]
     by_name = {v.name: v for v in variables}
     reader = csv.reader(io.StringIO(text))  # split at line feeds only
@@ -235,7 +235,7 @@ def parse_dataset_reference(text: str, variables):
             return "DatasetFormatError", f"{f'row {row}' if row else 'header row'}: {exc}"
         if header is None:
             if sorted(cells) != sorted(names):
-                return "HeaderMismatch", f"header {cells!r} does not match schema variables {names!r}"
+                return "DatasetFormatError", f"header {cells!r} does not match schema variables {names!r}"
             header = cells
             continue
         if not cells:
@@ -247,13 +247,13 @@ def parse_dataset_reference(text: str, variables):
             raw = cells[j] if j < len(cells) else ""
             state = _cell_state(by_name[name], raw)
             if state is None:
-                return "MissingValue", f"row {row}, column {name!r}: missing value"
+                return "DatasetFormatError", f"row {row}, column {name!r}: missing value"
             if state < 0:
-                return "UnknownStateLabel", f"row {row}, column {name!r}: unknown state {raw.strip()!r}"
+                return "DatasetFormatError", f"row {row}, column {name!r}: unknown state {raw.strip()!r}"
             states[name] = state
         cases.append([states[name] for name in names])
     if header is None:
-        return "HeaderMismatch", "dataset has no header row"
+        return "DatasetFormatError", "dataset has no header row"
     return cases
 
 

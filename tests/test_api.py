@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import bnscore
+from bnscore.cli import _PARSE_ERRORS, _VALIDATION_ERRORS
 
 MODULES = [
     importlib.import_module(f"bnscore.{info.name}")
@@ -41,8 +42,23 @@ def test_every_package_export_is_listed_in_its_module():
     }
     assert len(dict(listed)) == len(listed)  # no name in two lists
     assert exported == dict(listed)
-    with pytest.raises(bnscore.DatasetFormatError):
-        raise bnscore.HeaderMismatch("header names the wrong variables")
+
+
+def test_every_exported_error_maps_to_an_exit_code():
+    """The package exports one error class per failure family, and ``cli.main``
+    maps each to exit code 2 (a file it cannot parse) or 3 (invalid input):
+    an error class added without a mapping would end in a traceback."""
+    errors = {
+        name
+        for name, obj in vars(bnscore).items()
+        if inspect.isclass(obj) and issubclass(obj, BaseException)
+    }
+    assert errors == {
+        "ModelError", "NetworkSyntaxError", "DatasetFormatError", "DomainError", "DegenerateInput"
+    }
+    unmapped = [name for name in errors
+                if not issubclass(getattr(bnscore, name), _PARSE_ERRORS + _VALIDATION_ERRORS)]
+    assert unmapped == []
 
 
 def _references(path):

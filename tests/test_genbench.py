@@ -207,6 +207,22 @@ class TestForwardSample:
         with pytest.raises(DomainError, match="must be non-negative"):
             forward_sample(alarm.net, n_cases, seed)
 
+    @pytest.mark.parametrize(
+        "n_cases, seed, message",
+        [(2.5, 1, "2.5 and 1"), (True, 1, "True and 1"), ("5", 1, "'5' and 1"),
+         (5, 1.5, "5 and 1.5"), (5, True, "5 and True")],
+        ids=["float-count", "bool-count", "str-count", "float-seed", "bool-seed"],
+    )
+    def test_non_integer_inputs_rejected(self, alarm, n_cases, seed, message):
+        # A bool is refused: operator.index would sample True cases as 1.
+        with pytest.raises(DomainError) as exc:
+            forward_sample(alarm.net, n_cases, seed)
+        assert str(exc.value) == f"n_cases and seed must be integers, got {message}"
+
+    def test_numpy_integer_inputs_accepted(self, alarm):
+        data = forward_sample(alarm.net, np.int64(30), np.uint8(9))
+        assert data == forward_sample(alarm.net, 30, 9)
+
     def test_sample_is_read_only_column_major_uint8(self, alarm):
         cases = forward_sample(alarm.net, 50, 4).cases
         assert cases.dtype == np.uint8 and cases.shape == (50, 37)

@@ -13,7 +13,6 @@ from bnscore import (
     BayesNet,
     DagStructure,
     DegenerateInput,
-    InsufficientNegatives,
     MetricSpec,
     RocCurve,
     ScoredPair,
@@ -305,13 +304,37 @@ class TestPairEnumeration:
         assert a.negatives != c.negatives
 
     def test_insufficient_negatives(self):
-        with pytest.raises(InsufficientNegatives):
+        with pytest.raises(DegenerateInput) as exc:
             enumerate_pair_sets(tiny_collider_net(), negatives=46)
+        assert str(exc.value) == (
+            "requested 46 negatives but only 1 marginally d-separated pairs exist"
+        )
 
     @pytest.mark.parametrize("negatives, seed", [(46, -1), (-1, 1)])
     def test_negative_count_or_seed_rejected(self, alarm, negatives, seed):
         with pytest.raises(DegenerateInput, match="must be non-negative"):
             enumerate_pair_sets(alarm.net, negatives, seed)
+
+    @pytest.mark.parametrize(
+        "negatives, seed, message",
+        [
+            (46, 1.5, "46 and 1.5"),
+            (1.5, 1, "1.5 and 1"),
+            (46, True, "46 and True"),
+            (True, 1, "True and 1"),
+            ("46", 1, "'46' and 1"),
+        ],
+        ids=["float-seed", "float-count", "bool-seed", "bool-count", "str-count"],
+    )
+    def test_non_integer_count_or_seed_rejected(self, alarm, negatives, seed, message):
+        with pytest.raises(DegenerateInput) as exc:
+            enumerate_pair_sets(alarm.net, negatives, seed)
+        assert str(exc.value) == f"negatives and seed must be integers, got {message}"
+
+    def test_numpy_integer_count_and_seed_accepted(self, alarm):
+        assert enumerate_pair_sets(alarm.net, np.int64(46), np.int64(3)) == enumerate_pair_sets(
+            alarm.net, 46, 3
+        )
 
 
 class TestAlarmExperiment:
@@ -449,12 +472,35 @@ class TestAlarmExperiment:
             run_alarm_experiment(alarm.net, sizes=sizes, reps=2, metrics=metrics)
 
     @pytest.mark.parametrize(
-        "sizes, named", [((5.7,), "5.7"), ((5.7, 5), "5.7"), ((5, "10"), "'10'")]
+        "sizes, named",
+        [((5.7,), "5.7"), ((5.7, 5), "5.7"), ((5, "10"), "'10'"), ((True,), "True")],
     )
     def test_non_integer_size_rejected(self, alarm, sizes, named):
-        # int() would have run N=5 for 5.7, or refused 5.7 and 5 as one size.
+        # int() would have run N=5 for 5.7, or refused 5.7 and 5 as one size;
+        # operator.index would have run True as N=1.
         with pytest.raises(DegenerateInput, match=f"^size {re.escape(named)} is not an integer$"):
             run_alarm_experiment(alarm.net, sizes=sizes, reps=2)
+
+    @pytest.mark.parametrize(
+        "given, message",
+        [
+            (dict(sizes=(-1,)), "size -1 is negative"),
+            (dict(sizes=(5, -3)), "size -3 is negative"),
+            (dict(reps=2.5), "reps, seed and jobs must be integers, got 2.5, 42 and 1"),
+            (dict(reps=True), "reps, seed and jobs must be integers, got True, 42 and 1"),
+            (dict(seed=1.5), "reps, seed and jobs must be integers, got 2, 1.5 and 1"),
+            (dict(jobs=1.5), "reps, seed and jobs must be integers, got 2, 42 and 1.5"),
+        ],
+        ids=["negative-size", "negative-second-size", "float-reps", "bool-reps", "float-seed",
+             "float-jobs"],
+    )
+    def test_bad_count_or_seed_rejected_before_any_work(self, alarm, monkeypatch, given, message):
+        # Refused with the study's own error, before the pairs are drawn.
+        monkeypatch.setattr(rocstats, "enumerate_pair_sets", None)
+        monkeypatch.setattr(rocstats, "forward_sample", None)
+        with pytest.raises(DegenerateInput) as exc:
+            run_alarm_experiment(alarm.net, **{"sizes": (5,), "reps": 2, **given})
+        assert str(exc.value) == message
 
     def test_numpy_integer_size_accepted(self, alarm):
         result = run_alarm_experiment(
