@@ -223,7 +223,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args.parser, args)
     except (*_PARSE_ERRORS, OSError) as exc:
         # Reads are reported by _read; an OSError left is a file or
-        # directory the command could not write.
+        # directory the command could not write, or a roc worker that ended
+        # without a result (ChildProcessError).
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _VALIDATION_ERRORS as exc:

@@ -207,12 +207,25 @@ class DagStructure:
 
 
 def _as_case_array(variables: tuple[Variable, ...], cases) -> np.ndarray:
-    arr = np.asarray(cases, dtype=np.int64)
+    """cases as an int64 array with one column per variable. A state that is
+    not an integer (a float, string, bool or None) raises ModelError naming
+    the first in row order, where int64 conversion would truncate or parse it."""
+    arr = np.asarray(cases)
+    if arr.dtype.kind not in "iu":
+        # Each state as given: numpy reads [(1, '1')] as two strings.
+        arr = np.asarray(cases, dtype=object)
     if arr.size == 0:
         arr = arr.reshape(0, len(variables))
     if arr.ndim != 2 or arr.shape[1] != len(variables):
         raise ModelError(f"case array must have {len(variables)} columns, got shape {arr.shape}")
-    return arr
+    if arr.dtype == object:
+        for (_, col), state in np.ndenumerate(arr):
+            v = variables[col]
+            if isinstance(state, bool) or not isinstance(state, (int, np.integer)):
+                raise ModelError(f"variable {v.name!r}: state {state!r} is not an integer")
+            if not 0 <= state < v.arity:  # before int64, which a huge int overflows
+                raise ModelError(f"variable {v.name!r}: state {state} outside 0..{v.arity - 1}")
+    return arr.astype(np.int64, copy=False)
 
 
 def _state_dtype(variables: Sequence[Variable]) -> np.dtype:

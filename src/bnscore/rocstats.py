@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -351,11 +352,94 @@ def _replicate_curves(
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one, so a taskset or cpuset pin is honoured, else the host's count."""
-    if hasattr(os, "sched_getaffinity"):
+    """CPUs roc may pin a worker to: the size of this process's affinity
+    mask, so a taskset or cpuset pin is honoured. Without sched_setaffinity
+    nothing can be pinned, and roc runs in-process: 1."""
+    if hasattr(os, "sched_setaffinity"):
         return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return 1
+
+
+def _forked_map(fn, tasks: list[tuple], workers: int) -> list:
+    """[fn(*task) for task in tasks], run by ``workers`` forked children.
+
+    Child w pins itself to CPU w of this process's affinity mask (cycling,
+    should there be more workers than CPUs) and runs tasks on what it
+    inherited, so no task is pickled. The children take chunks of 4 task
+    indices from one shared pipe until it is empty, so a child on a slower
+    CPU takes fewer, and each pickles back through its own pipe its results
+    and the exception that stopped it, if any. A child leaves by os._exit:
+    it never returns into the caller's code, flushes stdio or runs atexit
+    handlers. Every child is reaped on every path. The exception of the
+    first failing task in task order is raised here, as an in-process run
+    raises it; a child that ends without a reply raises ChildProcessError,
+    which names its wait status. A fork copies only the calling thread, so
+    the caller must have no other thread that holds a lock the tasks take;
+    the CLI runs on one thread.
+    """
+    cpus = sorted(os.sched_getaffinity(0))
+    take_fd, give_fd = os.pipe()
+    take, give = open(take_fd, "rb", buffering=0), open(give_fd, "wb", buffering=0)
+    children = []
+    try:
+        for w in range(workers):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    give.close()  # else the chunk pipe never reads as empty
+                    os.sched_setaffinity(0, {cpus[w % len(cpus)]})
+                    done, error = [], None
+                    try:
+                        # The parent writes each 4-byte record in one write,
+                        # so one read takes one whole record.
+                        while record := take.read(4):
+                            first = int.from_bytes(record, "little")
+                            for i in range(first, min(first + 4, len(tasks))):
+                                done.append((i, fn(*tasks[i])))
+                    except Exception as exc:
+                        error = i, exc
+                    # Let a parent whose children all stopped stop writing.
+                    take.close()
+                    with open(write_end, "wb") as pipe:
+                        pickle.dump((done, error), pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            children.append((pid, open(read_end, "rb")))
+        take.close()
+        try:
+            for first in range(0, len(tasks), 4):
+                give.write(first.to_bytes(4, "little"))
+        except BrokenPipeError:
+            pass  # every child has stopped; its reply says why
+        give.close()
+        replies = [pipe.read() for _, pipe in children]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, 9)  # SIGKILL: the study has failed, stop the rest now
+        raise
+    finally:
+        take.close()
+        give.close()
+        statuses = []
+        for pid, pipe in children:
+            pipe.close()
+            statuses.append(os.waitpid(pid, 0)[1])
+    results, failures = [None] * len(tasks), []
+    for w, (reply, status) in enumerate(zip(replies, statuses)):
+        if status:
+            raise ChildProcessError(f"worker {w} ended without a result, wait status {status}")
+        done, error = pickle.loads(reply)
+        for i, result in done:
+            results[i] = result
+        if error is not None:
+            failures.append(error)
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results
 
 
 def run_alarm_experiment(
@@ -369,11 +453,13 @@ def run_alarm_experiment(
     """Arc-detection ROC study over replicated forward samples.
 
     Replicate r draws its dataset with seed ``seed + r``, so every metric
-    sees identical data and reruns are bit-for-bit reproducible; ``jobs``
-    only spreads replicates across processes without changing results.
-    The pool starts every worker at once, so it never gets more workers
-    than there are tasks or CPUs the process may run on. Results are keyed
-    by metric label and size, so a repeated label or size is rejected.
+    sees identical data and reruns are bit-for-bit reproducible. With
+    ``jobs`` above 1 the replicates run in forked workers (_forked_map), one
+    per CPU, never more than there are tasks or CPUs in the process's
+    affinity mask, each pinned to its own CPU; on one such CPU, or where
+    os.sched_setaffinity is missing, they run in-process. The results are
+    the same either way. Results are keyed by metric label and size, so a
+    repeated label or size is rejected.
     """
     counts = _as_int(reps), _as_int(seed), _as_int(jobs)
     if None in counts:
@@ -383,6 +469,10 @@ def run_alarm_experiment(
     reps, seed, jobs = counts
     if reps < 2:
         raise DegenerateInput(f"need at least 2 replicates, got {reps}")
+    if seed < 0:
+        raise DegenerateInput(f"seed must be non-negative, got {seed}")
+    if jobs < 1:
+        raise DegenerateInput(f"jobs must be at least 1, got {jobs}")
     checked = []
     for n in sizes:
         size = _as_int(n)
@@ -404,11 +494,7 @@ def run_alarm_experiment(
     tasks = [(net, n, seed + rep, pairs, metrics) for n in sizes for rep in range(reps)]
     workers = min(jobs, len(tasks), _usable_cpus())
     if workers > 1:
-        # Imported here: only a parallel roc needs the pool, not import bnscore.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replicate_curves, *zip(*tasks), chunksize=4))
+        results = _forked_map(_replicate_curves, tasks, workers)
     else:
         results = [_replicate_curves(*task) for task in tasks]
 

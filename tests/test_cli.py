@@ -1,6 +1,7 @@
 import gc
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -441,7 +442,7 @@ class TestRoc:
 
     def test_reruns_byte_identical_across_job_counts(self, capsys, tmp_path, monkeypatch):
         # roc runs one worker per usable CPU: one CPU runs the study
-        # in-process, two a pool of two.
+        # in-process, two fork two pinned workers.
         outputs = []
         for cpus in (1, 2):
             monkeypatch.setattr(rocstats, "_usable_cpus", lambda cpus=cpus: cpus)
@@ -449,6 +450,16 @@ class TestRoc:
             assert run(capsys, [*self.ARGS, "--out", str(out_dir)])[0] == 0
             outputs.append([(out_dir / n).read_bytes() for n in ("auc_summary.csv", "mean_roc.csv")])
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.bounded
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="workers need affinity")
+    def test_a_worker_that_dies_exits_2(self, capsys, tmp_path, monkeypatch):
+        # Two usable CPUs, so every replicate runs in a forked worker.
+        monkeypatch.setattr(rocstats, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(rocstats, "_replicate_curves", lambda *task: os._exit(9))
+        code, out, err = run(capsys, [*self.ARGS, "--out", str(tmp_path / "roc")])
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: worker [01] ended without a result, wait status 2304\n", err)
 
     def test_bad_metric_token(self, capsys, tmp_path):
         code, _, err = run(
@@ -591,8 +602,9 @@ class TestRoc:
 
 # Runs the CLI with the given arguments (none: only imports bnscore), then
 # reports the scipy and process-pool modules the command loaded, whether
-# import bnscore left os.environ as it was, and the process's thread count
-# (None where there is no /proc) after the import and at exit.
+# import bnscore left os.environ as it was, the process's thread count
+# (None where there is no /proc) after the import and at exit, and whether
+# a child process is left.
 STARTUP_PROBE = """
 import os
 import sys
@@ -612,6 +624,10 @@ print("pool modules:", sorted(m for m in sys.modules if m.split(".")[0] in pool)
 stats = ("statistics", "fractions", "decimal")
 print("statistics modules:", sorted(m for m in sys.modules if m.split(".")[0] in stats))
 print("threads at exit:", threads())
+try:
+    print("child left:", os.waitpid(-1, os.WNOHANG))
+except ChildProcessError:
+    print("child left: none")
 sys.exit(code)
 """
 
@@ -631,9 +647,9 @@ needs_affinity = pytest.mark.skipif(
 
 
 class TestStartUp:
-    """No command loads scipy. Only roc's aggregation needs statistics, and
-    only a parallel roc the process pool; every other command, and import
-    bnscore itself, loads neither.
+    """No command loads scipy or a process pool: roc forks its workers
+    itself. Only roc's aggregation needs statistics; every other command,
+    and import bnscore itself, loads none of them.
     bnscore calls no BLAS routine, so unless the caller set a BLAS thread
     count the process runs on one thread, and the import leaves os.environ
     as it found it."""
@@ -691,6 +707,18 @@ class TestStartUp:
         ci_low, ci_high = (tmp_path / "roc" / "auc_summary.csv").read_text().split(",")[-3:-1]
         assert float(ci_low) < float(ci_high)
         assert "scipy modules: []" in proc.stdout
+        if Path("/proc/self/task").is_dir():
+            assert "threads at exit: 1\n" in proc.stdout
+
+    @needs_affinity
+    def test_forked_roc_loads_no_pool_modules(self, tmp_path):
+        # Unpinned, roc forks one worker per usable CPU (in-process on one).
+        argv = ["roc", "--sizes", "5,10", "--reps", "3", "--metrics", "k2"]
+        proc = self.probe([*argv, "--out", str(tmp_path / "roc")])
+        assert proc.returncode == 0, proc.stderr
+        assert "pool modules: []" in proc.stdout
+        assert "scipy modules: []" in proc.stdout
+        assert "child left: none" in proc.stdout
         if Path("/proc/self/task").is_dir():
             assert "threads at exit: 1\n" in proc.stdout
 

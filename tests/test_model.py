@@ -197,6 +197,34 @@ class TestDataset:
             Dataset(vs, [(2,)])
 
     @pytest.mark.parametrize(
+        "cases, named",
+        [([(1.7,)], "1.7"), ([("1",)], "'1'"), ([(None,)], "None"), ([(True,)], "True"),
+         (np.array([[1.0]]), "1.0")],
+        ids=["float", "string", "none", "bool", "float-array"],
+    )
+    def test_non_integer_state_rejected(self, cases, named):
+        # int64 conversion would store 1.7 and '1' as state 1, and None
+        # raised a bare TypeError.
+        vs = (Variable("X", 2),)
+        with pytest.raises(ModelError) as exc:
+            Dataset(vs, cases)
+        assert str(exc.value) == f"variable 'X': state {named} is not an integer"
+
+    def test_first_non_integer_state_in_row_order_is_named(self):
+        vs = (Variable("X", 2), Variable("Y", 3))
+        # numpy alone would read the first row as two strings.
+        with pytest.raises(ModelError, match=r"^variable 'Y': state '1' is not an integer$"):
+            Dataset(vs, [(1, "1")])
+        with pytest.raises(ModelError, match=r"^variable 'Y': state None is not an integer$"):
+            Dataset(vs, [(1, 2), (0, None), (None, 0)])
+
+    def test_python_int_states_past_int64_are_out_of_range(self):
+        vs = (Variable("X", 2), Variable("Y", 2))
+        with pytest.raises(ModelError, match=rf"^variable 'Y': state {2**70} outside 0\.\.1$"):
+            Dataset(vs, [(1, 2**70)])
+        assert Dataset(vs, [(np.int64(1), 0), (0, 1)]) == Dataset(vs, [(1, 0), (0, 1)])
+
+    @pytest.mark.parametrize(
         "arity, dtype",
         [(2, np.uint8), (256, np.uint8), (257, np.uint16), (65537, np.uint32)],
     )

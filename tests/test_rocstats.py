@@ -1,6 +1,7 @@
-import concurrent.futures
 import math
+import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from bnscore import (
     BayesNet,
     DagStructure,
     DegenerateInput,
+    DomainError,
     MetricSpec,
     RocCurve,
     ScoredPair,
@@ -370,23 +372,16 @@ class TestAlarmExperiment:
     def test_pool_never_exceeds_tasks_or_cpus(self, alarm, monkeypatch, jobs, cpus, workers):
         started = []
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
+        def serial_workers(fn, tasks, count):
+            started.append(count)
+            return [fn(*task) for task in tasks]
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        # The host count, as on a platform with no affinity mask.
-        monkeypatch.delattr(rocstats.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(rocstats.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(rocstats, "_forked_map", serial_workers)
+        if cpus is None:
+            # A platform with no affinity mask runs the study in-process.
+            monkeypatch.delattr(rocstats.os, "sched_setaffinity", raising=False)
+        else:
+            monkeypatch.setattr(rocstats.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         metrics = (MetricSpec.k2(),)
         small = dict(self.SMALL, reps=2)  # 2 sizes x 2 reps: 4 tasks
         result = run_alarm_experiment(alarm.net, metrics=metrics, jobs=jobs, **small)
@@ -396,11 +391,11 @@ class TestAlarmExperiment:
         assert result.mean_curves == serial.mean_curves
 
     def test_pool_counts_only_cpus_the_process_may_use(self, alarm, monkeypatch):
-        def no_pool(max_workers):
-            raise AssertionError(f"started {max_workers} workers with one usable CPU")
+        def no_workers(fn, tasks, count):
+            raise AssertionError(f"forked {count} workers with one usable CPU")
 
         # Pinned to one CPU of a 64-CPU host, as by taskset.
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(rocstats, "_forked_map", no_workers)
         monkeypatch.setattr(rocstats.os, "cpu_count", lambda: 64)
         monkeypatch.setattr(rocstats.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         small = dict(self.SMALL, reps=2)
@@ -490,9 +485,12 @@ class TestAlarmExperiment:
             (dict(reps=True), "reps, seed and jobs must be integers, got True, 42 and 1"),
             (dict(seed=1.5), "reps, seed and jobs must be integers, got 2, 1.5 and 1"),
             (dict(jobs=1.5), "reps, seed and jobs must be integers, got 2, 42 and 1.5"),
+            (dict(seed=-1), "seed must be non-negative, got -1"),
+            (dict(jobs=0), "jobs must be at least 1, got 0"),
+            (dict(jobs=-2), "jobs must be at least 1, got -2"),
         ],
         ids=["negative-size", "negative-second-size", "float-reps", "bool-reps", "float-seed",
-             "float-jobs"],
+             "float-jobs", "negative-seed", "zero-jobs", "negative-jobs"],
     )
     def test_bad_count_or_seed_rejected_before_any_work(self, alarm, monkeypatch, given, message):
         # Refused with the study's own error, before the pairs are drawn.
@@ -518,6 +516,105 @@ class TestAlarmExperiment:
             "k2",
             "gu",
         ]
+
+
+needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="forked workers need os.sched_setaffinity"
+)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_affinity
+class TestForkedWorkers:
+    """rocstats._forked_map: one forked child per CPU, each pinned to its own,
+    results in task order, a child's fault raised here, and no child left."""
+
+    @pytest.mark.bounded
+    def test_each_child_is_pinned_to_its_own_cpu(self):
+        def mask():
+            time.sleep(0.02)  # so that every child takes a chunk
+            return os.getpid(), os.sched_getaffinity(0)
+
+        parent = os.sched_getaffinity(0)
+        workers = len(parent)
+        seen = dict(rocstats._forked_map(mask, [()] * 8 * workers, workers))
+        assert len(seen) == workers
+        assert all(len(pinned) == 1 for pinned in seen.values())
+        assert len(set().union(*seen.values())) == workers
+        assert set().union(*seen.values()) <= parent
+        assert os.sched_getaffinity(0) == parent
+        assert_no_child_left()
+
+    @pytest.mark.bounded
+    def test_results_come_back_in_task_order(self):
+        # More workers than CPUs: the pins cycle through the mask.
+        workers = len(os.sched_getaffinity(0)) + 3
+        tasks = [(i,) for i in range(8 * workers + 1)]
+        squares = rocstats._forked_map(lambda i: i * i, tasks, workers)
+        assert squares == [i * i for i, in tasks]
+        assert_no_child_left()
+
+    @pytest.mark.bounded
+    def test_a_child_error_keeps_its_type_and_message(self):
+        def task(i):
+            if i in (3, 4):
+                raise DomainError(f"task {i} failed")
+            return i
+
+        # Task 3 (first chunk) fails before task 4 (second chunk), as in-process.
+        with pytest.raises(DomainError) as exc:
+            rocstats._forked_map(task, [(i,) for i in range(8)], 2)
+        assert type(exc.value) is DomainError
+        assert str(exc.value) == "task 3 failed"
+        assert_no_child_left()
+
+    @pytest.mark.bounded
+    def test_a_child_that_dies_raises_a_typed_error(self):
+        def task(i):
+            if i == 1:
+                os._exit(9)
+            return i
+
+        with pytest.raises(ChildProcessError, match="^worker [01] ended without a result, "
+                           "wait status 2304$"):
+            rocstats._forked_map(task, [(0,), (1,)], 2)
+        assert_no_child_left()
+
+    @pytest.mark.bounded
+    @pytest.mark.parametrize("stops_by", ["exit", "raise"])
+    def test_children_that_all_stop_end_the_chunk_writes(self, stops_by):
+        # 50,000 chunk records overfill the chunk pipe, so its writes end only
+        # when every child has stopped taking chunks. A child that raises
+        # holds a reply larger than a pipe, which it can write only once the
+        # parent has stopped writing and reads.
+        calls = []
+
+        def task():
+            calls.append(None)
+            if len(calls) == 1:
+                return bytes(200_000)
+            if stops_by == "exit":
+                os._exit(9)
+            raise ValueError("stop")
+
+        with pytest.raises(ChildProcessError if stops_by == "exit" else ValueError):
+            rocstats._forked_map(task, [()] * 200_000, 2)
+        assert_no_child_left()
+
+    @pytest.mark.bounded
+    def test_a_study_fault_in_a_worker_reaches_the_caller(self, alarm, monkeypatch):
+        def forward_sample(net, n_cases, seed):
+            raise DomainError(f"no sample for seed {seed}")
+
+        monkeypatch.setattr(rocstats, "forward_sample", forward_sample)
+        with pytest.raises(DomainError, match="^no sample for seed 7$"):
+            run_alarm_experiment(alarm.net, metrics=(MetricSpec.k2(),), jobs=2,
+                                 **TestAlarmExperiment.SMALL)
+        assert_no_child_left()
 
 
 class TestBatchedReplicate:
