@@ -44,6 +44,9 @@ import tempfile
 import time
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from repeat import _seeds, spread  # noqa: E402  (perfbench is not a package)
+
 WORK = Path(".perfbench-work") / "abbench"
 ROC_OUTPUTS = ("auc_summary.csv", "mean_roc.csv")
 
@@ -51,11 +54,6 @@ ROC_OUTPUTS = ("auc_summary.csv", "mean_roc.csv")
 def _git(*args: str, cwd: Path | None = None) -> str:
     return subprocess.run(["git", *args], cwd=cwd, capture_output=True, text=True,
                           check=True).stdout.strip()
-
-
-def _seeds(text: str) -> list[int]:
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
 
 
 def _checkout(commit: str) -> Path:
@@ -109,9 +107,9 @@ def _summary(runs: list[dict], bounds: dict) -> dict:
     summary = {}
     for name, first in runs[0]["metrics"].items():
         values = [r["metrics"][name]["value"] for r in runs]
-        q1, median, q3 = statistics.quantiles(values, n=4)
+        median = statistics.median(values)
         summary[name] = {"median": median,
-                         "iqr_frac": (q3 - q1) / median if median else float("nan"),
+                         "iqr_frac": spread(values) if median else float("nan"),
                          "unit": first["unit"], "bound": bounds.get(name)}
     return summary
 
