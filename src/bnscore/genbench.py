@@ -64,19 +64,36 @@ def forward_sample(net: BayesNet, n_cases: int, seed: int) -> Dataset:
     n_cases, seed = checked
     if n_cases < 0 or seed < 0:
         raise DomainError(f"n_cases and seed must be non-negative, got {n_cases} and {seed}")
+    return _sample_stack(net, n_cases, [seed])
+
+
+def _sample_stack(net: BayesNet, n_cases: int, seeds: Sequence[int]) -> Dataset:
+    """One Dataset of len(seeds) replicates of n_cases cases each: rows
+    r * n_cases up to (r + 1) * n_cases hold forward_sample(net, n_cases,
+    seeds[r]), case for case.
+
+    The stack is drawn one variable at a time. Replicate r keeps its own
+    default_rng(seeds[r]) and draws its n_cases uniforms for a variable into
+    its own block of one buffer; k such draws give the doubles of one draw
+    of k * n_cases, so each replicate's stream is forward_sample's.
+    """
     structure = net.structure
     dtype = _state_dtype(structure.variables)
+    total = len(seeds) * n_cases
     # Past np.intp bytes numpy raises a bare ValueError, not a MemoryError.
-    if n_cases * structure.n * dtype.itemsize > np.iinfo(np.intp).max:
-        raise MemoryError(f"{n_cases} cases of {structure.n} variables do not fit in memory")
-    rng = np.random.default_rng(seed)
-    cases = np.zeros((n_cases, structure.n), dtype=dtype, order="F")
+    if total * structure.n * dtype.itemsize > np.iinfo(np.intp).max:
+        raise MemoryError(f"{total} cases of {structure.n} variables do not fit in memory")
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    cases = np.zeros((total, structure.n), dtype=dtype, order="F")
+    u = np.empty(total)
+    blocks = u.reshape(len(seeds), n_cases)
     for i in structure.topological_order():
         ps = structure.parents[i]
         # A root has one parent configuration, 0: each case meets the same thresholds.
         config = _mixed_radix(cases, ps, [structure.variables[p].arity for p in ps]) if ps else 0
         cdf = np.cumsum(net.cpts[i], axis=1)
-        u = rng.random(n_cases)
+        for rng, block in zip(rngs, blocks):
+            rng.random(out=block)
         state = cases[:, i]
         for k in range(structure.variables[i].arity - 1):
             state += u > cdf[:, k][config]

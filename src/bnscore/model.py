@@ -209,9 +209,13 @@ class DagStructure:
 def _as_case_array(variables: tuple[Variable, ...], cases) -> np.ndarray:
     """cases as an int64 array with one column per variable. A state that is
     not an integer (a float, string, bool or None) raises ModelError naming
-    the first in row order, where int64 conversion would truncate or parse it."""
-    arr = np.asarray(cases)
-    if arr.dtype.kind not in "iu":
+    the first in row order, where int64 conversion would truncate or parse it.
+    Ragged rows raise ModelError, which names the column count they lack."""
+    try:
+        arr = np.asarray(cases)
+    except ValueError:  # ragged rows: as objects they make a 1-D array of rows
+        arr = np.asarray(cases, dtype=object)
+    if arr.dtype.kind not in "iuO":
         # Each state as given: numpy reads [(1, '1')] as two strings.
         arr = np.asarray(cases, dtype=object)
     if arr.size == 0:
@@ -357,28 +361,34 @@ def joint_cell_counts(component: Sequence[int], data: Dataset) -> np.ndarray:
 
 
 def _pair_count_tables(
-    data: Dataset, pairs: Sequence[tuple[int, int]]
+    data: Dataset, pairs: Sequence[tuple[int, int]], reps: int = 1
 ) -> list[tuple[list[int], np.ndarray]]:
     """Joint count tables of many (x, y) pairs, grouped by shape (rx, ry).
 
-    Returns (positions in pairs, int64 tables of shape (k, rx, ry)) per
-    shape, each table equal to joint_cell_counts((x, y), data) reshaped.
-    The cases where a variable takes a state are packed into a bitset, so
-    a cell count is the population count of two bitsets' intersection.
-    Its pairs come in checked, each once per study by run_alarm_experiment.
+    data holds reps replicates of equal size stacked, replicate r in the
+    r-th block of rows. A key r * len(pairs) + i names pair i of replicate r.
+    Returns (keys, int64 tables of shape (k, rx, ry)) per shape, each table
+    equal to joint_cell_counts((x, y), data) reshaped, on its replicate's
+    rows. The cases where a variable takes a state are packed into a
+    bitset per replicate, so a cell count is the population count of two
+    bitsets' intersection. Its pairs come in checked, each once per study
+    by run_alarm_experiment.
     """
     variables, cases = data.variables, data.cases
+    n_cases = cases.shape[0] // reps
     used = sorted({v for pair in pairs for v in pair})
     arities = [variables[v].arity for v in used]
     first_row = dict(zip(used, accumulate([0, *arities])))
-    # Row first_row[v] + s holds the cases where v takes state s, one bit
-    # per case in 64-bit words; the bits past the last case stay 0.
-    words = np.zeros((sum(arities), -(-cases.shape[0] // 64)), np.uint64)
+    # Row first_row[v] + s of a replicate holds the cases where v takes
+    # state s, one bit per case in 64-bit words; the bits past the last
+    # case stay 0.
+    words = np.zeros((reps, sum(arities), -(-n_cases // 64)), np.uint64)
     as_bytes = words.view(np.uint8)
     for v, r in zip(used, arities):
         states = np.arange(r, dtype=cases.dtype)[:, None]  # an int64 arange would cast every case
-        packed = np.packbits(cases[:, v] == states, axis=-1, bitorder="little")
-        as_bytes[first_row[v] : first_row[v] + r, : packed.shape[1]] = packed
+        column = cases[:, v].reshape(reps, 1, n_cases)
+        packed = np.packbits(column == states, axis=-1, bitorder="little")
+        as_bytes[:, first_row[v] : first_row[v] + r, : packed.shape[-1]] = packed
 
     shapes: dict[tuple[int, int], list[int]] = {}
     for i, (x, y) in enumerate(pairs):
@@ -387,12 +397,13 @@ def _pair_count_tables(
     for (rx, ry), positions in shapes.items():
         xs = np.array([first_row[pairs[i][0]] for i in positions])[:, None] + np.arange(rx)
         ys = np.array([first_row[pairs[i][1]] for i in positions])[:, None] + np.arange(ry)
-        tables = np.empty((len(positions), rx, ry), np.int64)
+        tables = np.empty((reps, len(positions), rx, ry), np.int64)
         for s in range(rx):
-            both = words[ys]
-            both &= words[xs[:, s, None]]
-            tables[:, s] = np.bitwise_count(both).sum(-1, dtype=np.int64)
-        groups.append((positions, tables))
+            both = words[:, ys]
+            both &= words[:, xs[:, s, None]]
+            tables[:, :, s] = np.bitwise_count(both).sum(-1, dtype=np.int64)
+        keys = [r * len(pairs) + i for r in range(reps) for i in positions]
+        groups.append((keys, tables.reshape(-1, rx, ry)))
     return groups
 
 

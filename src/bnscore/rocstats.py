@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .genbench import _as_int, forward_sample
+from .genbench import _as_int, _sample_stack
 from .model import BayesNet, _checked_component, _pair_count_tables
 from .netio import _csv_text, _fmt
 from .scoring import MetricSpec, _arc_posteriors
@@ -56,6 +56,12 @@ DEFAULT_METRICS = (
     MetricSpec.k2(),
     MetricSpec.gu(),
 )
+
+# A chunk of the study holds at most one 20,000-case ALARM replicate's
+# cells, and at most 10 replicates: the kernel's transient memory grows by
+# about 0.24 MiB a replicate of five metrics, whatever the size.
+_CHUNK_CELLS = 20_000 * 37
+_CHUNK_REPS = 10
 
 
 class DegenerateInput(ValueError):
@@ -213,23 +219,40 @@ def _t_quantile(df: int) -> float:
     raise AssertionError(f"Newton's method did not settle on the t quantile for df {df}")
 
 
+def _stdev(vals: list[float]) -> float:
+    """The sample standard deviation of two or more finite floats, as
+    statistics.stdev gives it: the correctly rounded square root of the exact
+    variance. Every float is an integer multiple of 2**-1074, so the variance
+    is a ratio of Python ints. Its integer root, of 54 bits or more, is
+    rounded to odd, so the one rounding to a float is correct. A root past
+    float range raises OverflowError."""
+    ints = [a << (1075 - b.bit_length()) for a, b in map(float.as_integer_ratio, vals)]
+    k = len(ints)
+    num, den = k * sum(i * i for i in ints) - sum(ints) ** 2, k * (k - 1) << 2148
+    # Scale num / den by 4**-shift, to 108 bits or more before the root.
+    shift = (num.bit_length() - den.bit_length() - 109) // 2
+    num, den = (num, den << 2 * shift) if shift >= 0 else (num << -2 * shift, den)
+    root = math.isqrt(num // den)
+    root |= root * root * den != num  # round to odd: an inexact root keeps a sticky bit
+    return float(root << shift) if shift >= 0 else root / (1 << -shift)
+
+
 def t_confidence_interval(values: Sequence[float]) -> tuple[float, float, float]:
     """(mean, low, high): a symmetric 95% t interval for the mean.
 
     Needs at least two finite values and an interval within float range; a
     zero-spread sample collapses to a zero-width interval at the common value.
+    The mean is math.fsum(values) / len(values) and the standard deviation is
+    _stdev's: statistics.fmean and statistics.stdev, without importing them.
     """
     vals = [float(v) for v in values]
     if len(vals) < 2:
         raise DegenerateInput(f"need at least 2 values, got {len(vals)}")
     if not all(map(math.isfinite, vals)):
         raise DegenerateInput("values must be finite")
-    # Imported here: only roc's aggregation needs them, not import bnscore.
-    from statistics import fmean, stdev
-
     try:
-        m, s = fmean(vals), stdev(vals)
-    except OverflowError:  # fsum's partial sums left float range
+        m, s = math.fsum(vals) / len(vals), _stdev(vals)
+    except OverflowError:  # fsum's partial sums, or the root, left float range
         m = s = math.inf
     if s == 0.0:
         return m, m, m
@@ -330,25 +353,32 @@ class ExperimentResult:
     pairs: PairSets
 
 
-def _replicate_curves(
+def _chunk_curves(
     net: BayesNet,
     n_cases: int,
     seed: int,
+    reps: int,
     pairs: PairSets,
     metrics: Sequence[MetricSpec],
-) -> list[tuple[float, np.ndarray]]:
-    """One replicate: sample, count every pair's table, then score all pairs
-    by every metric in one kernel call, one (auc, grid row) per metric.
+) -> list[list[tuple[float, np.ndarray]]]:
+    """A chunk of replicates at one size, replicate r drawn with seed
+    ``seed + r``: one (auc, grid row) per metric for each replicate.
 
+    The chunk is sampled as one stack, every replicate's pair tables are
+    counted in one pass, and every (replicate, pair, metric) is scored in
+    one kernel call. Each replicate's posteriors are then swept per metric.
     Positives are scored in the arc direction, negatives from the
     lower-indexed variable.
     """
-    data = forward_sample(net, n_cases, seed)
+    data = _sample_stack(net, n_cases, range(seed, seed + reps))
     keys = [*pairs.positives, *pairs.negatives]
     labels = np.arange(len(keys)) < len(pairs.positives)
-    groups = _pair_count_tables(data, keys)
-    sweeps = (_sweep(labels, np.array(post)) for post in _arc_posteriors(metrics, groups))
-    return [(area, _grid_row(fpr, tpr)) for area, fpr, tpr in sweeps]
+    posteriors = _arc_posteriors(metrics, _pair_count_tables(data, keys, reps))
+    curves = []
+    for start in range(0, reps * len(keys), len(keys)):
+        sweeps = (_sweep(labels, np.array(post[start : start + len(keys)])) for post in posteriors)
+        curves.append([(area, _grid_row(fpr, tpr)) for area, fpr, tpr in sweeps])
+    return curves
 
 
 def _usable_cpus() -> int:
@@ -365,12 +395,12 @@ def _forked_map(fn, tasks: list[tuple], workers: int) -> list:
 
     Child w pins itself to CPU w of this process's affinity mask (cycling,
     should there be more workers than CPUs) and runs tasks on what it
-    inherited, so no task is pickled. The children take chunks of 4 task
-    indices from one shared pipe until it is empty, so a child on a slower
-    CPU takes fewer, and each pickles back through its own pipe its results
-    and the exception that stopped it, if any. A child leaves by os._exit:
-    it never returns into the caller's code, flushes stdio or runs atexit
-    handlers. Every child is reaped on every path. The exception of the
+    inherited, so no task is pickled. The children take task indices, one
+    at a time, from one shared pipe until it is empty, so a child on a
+    slower CPU takes fewer, and each pickles back through its own pipe its
+    results and the exception that stopped it, if any. A child leaves by
+    os._exit: it never returns into the caller's code, flushes stdio or runs
+    atexit handlers. Every child is reaped on every path. The exception of the
     first failing task in task order is raised here, as an in-process run
     raises it; a child that ends without a reply raises ChildProcessError,
     which names its wait status. A fork copies only the calling thread, so
@@ -388,16 +418,15 @@ def _forked_map(fn, tasks: list[tuple], workers: int) -> list:
             if pid == 0:
                 status = 1
                 try:
-                    give.close()  # else the chunk pipe never reads as empty
+                    give.close()  # else the task pipe never reads as empty
                     os.sched_setaffinity(0, {cpus[w % len(cpus)]})
                     done, error = [], None
                     try:
                         # The parent writes each 4-byte record in one write,
                         # so one read takes one whole record.
                         while record := take.read(4):
-                            first = int.from_bytes(record, "little")
-                            for i in range(first, min(first + 4, len(tasks))):
-                                done.append((i, fn(*tasks[i])))
+                            i = int.from_bytes(record, "little")
+                            done.append((i, fn(*tasks[i])))
                     except Exception as exc:
                         error = i, exc
                     # Let a parent whose children all stopped stop writing.
@@ -411,8 +440,8 @@ def _forked_map(fn, tasks: list[tuple], workers: int) -> list:
             children.append((pid, open(read_end, "rb")))
         take.close()
         try:
-            for first in range(0, len(tasks), 4):
-                give.write(first.to_bytes(4, "little"))
+            for i in range(len(tasks)):
+                give.write(i.to_bytes(4, "little"))
         except BrokenPipeError:
             pass  # every child has stopped; its reply says why
         give.close()
@@ -453,10 +482,13 @@ def run_alarm_experiment(
     """Arc-detection ROC study over replicated forward samples.
 
     Replicate r draws its dataset with seed ``seed + r``, so every metric
-    sees identical data and reruns are bit-for-bit reproducible. With
-    ``jobs`` above 1 the replicates run in forked workers (_forked_map), one
-    per CPU, never more than there are tasks or CPUs in the process's
-    affinity mask, each pinned to its own CPU; on one such CPU, or where
+    sees identical data and reruns are bit-for-bit reproducible. The
+    replicates of each size run as chunks of consecutive replicates
+    (_chunk_curves): up to 10, as many as fit in one 20,000-case ALARM
+    replicate's cells, so the chunks never depend on the worker count. With
+    ``jobs`` above 1 the chunks run in forked workers (_forked_map), one per
+    CPU, never more than there are chunks or CPUs in the process's affinity
+    mask, each pinned to its own CPU; on one such CPU, or where
     os.sched_setaffinity is missing, they run in-process. The results are
     the same either way. Results are keyed by metric label and size, so a
     repeated label or size is rejected.
@@ -491,12 +523,18 @@ def run_alarm_experiment(
     for pair in (*pairs.positives, *pairs.negatives):
         _checked_component(pair, net.structure.variables)
 
-    tasks = [(net, n, seed + rep, pairs, metrics) for n in sizes for rep in range(reps)]
+    tasks = []
+    for n in sizes:
+        # As many replicates as fit in _CHUNK_CELLS cells, at most _CHUNK_REPS.
+        step = max(1, min(_CHUNK_REPS, _CHUNK_CELLS // max(1, n * net.structure.n)))
+        tasks += [(net, n, seed + first, min(step, reps - first), pairs, metrics)
+                  for first in range(0, reps, step)]
     workers = min(jobs, len(tasks), _usable_cpus())
     if workers > 1:
-        results = _forked_map(_replicate_curves, tasks, workers)
+        chunks = _forked_map(_chunk_curves, tasks, workers)
     else:
-        results = [_replicate_curves(*task) for task in tasks]
+        chunks = [_chunk_curves(*task) for task in tasks]
+    results = [rep for chunk in chunks for rep in chunk]
 
     summaries = []
     mean_curves: dict[tuple[str, int], RocCurve] = {}

@@ -214,7 +214,7 @@ def _dm_sums(
     cells and rows add exactly 0.  Each distinct lnG argument, across all
     blocks, is looked up once.
     """
-    parts = []
+    parts, args = [], []
     for metric, entries in blocks:
         # Column c of a block holds the count n and offset b of one term,
         # whose value is sign_c (lnG(b + n) - lnG(b)); a row term's sign is
@@ -226,11 +226,14 @@ def _dm_sums(
             counts += [tables.reshape(k, q * r), np.add.reduce(tables, 2)]
             offsets += [a] * (q * r) + [r * a] * q
             signs += [sign] * (q * r) + [-sign] * q
-        parts.append((np.concatenate(counts, axis=1), np.array(offsets), np.array(signs)))
-    distinct, where = np.unique(
-        np.concatenate([x for n, b, _ in parts for x in ((b + n).ravel(), b)]),
-        return_inverse=True,
-    )
+        b = np.array(offsets)
+        args += [(b + np.concatenate(counts, axis=1)).ravel(), b]
+        parts.append((k, len(offsets), np.array(signs)))
+    # Sorted and searched, not np.unique(args, return_inverse=True): that
+    # holds twice the transient memory on a chunk of replicates' terms.
+    args = np.concatenate(args)
+    ordered = np.sort(args)
+    distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
     lg = np.array(list(map(_LGAM, distinct.tolist())))
     # lnG is infinite at subnormal pseudo-counts and overflows near 1e308.
     if not np.isfinite(lg).all():
@@ -238,13 +241,13 @@ def _dm_sums(
             "a Dirichlet pseudo-count (alpha0 for BDeu) puts a log-gamma term "
             "out of float range"
         )
-    lg = lg[where]
+    lg = lg[np.searchsorted(distinct, args)]
     sums, start = [], 0
-    for n, b, signs in parts:
-        stop = start + n.size
-        terms = signs * (lg[start:stop].reshape(n.shape) - lg[stop : stop + b.size])
+    for k, cols, signs in parts:
+        stop = start + k * cols
+        terms = signs * (lg[start:stop].reshape(k, cols) - lg[stop : stop + cols])
         sums.append(list(map(math.fsum, terms.tolist())))
-        start = stop + b.size
+        start = stop + cols
     return sums
 
 
@@ -320,10 +323,10 @@ def pair_structures(vx: Variable, vy: Variable) -> tuple[DagStructure, DagStruct
 def _pair_log_ratios(
     metrics: Sequence[MetricSpec], groups: Sequence[tuple[Sequence[int], np.ndarray]]
 ) -> list[list[float]]:
-    """Log posterior odds of x -> y against no arc for every pair of
-    _pair_count_tables groups, one list in pair order per metric, from one
-    kernel call: groups are (positions, k stacked (rx, ry) count tables
-    whose rows index x's states).
+    """Log posterior odds of x -> y against no arc for every table of
+    _pair_count_tables groups, one list in key order per metric, from one
+    kernel call: groups are (keys, k stacked (rx, ry) count tables whose
+    rows index x's states).
 
     K2 and BDeu give x the same family in both structures, so it cancels and
     only y's family is compared; GU compares the joint cells with both
@@ -347,7 +350,7 @@ def _arc_posteriors(
     metrics: Sequence[MetricSpec], groups: Sequence[tuple[Sequence[int], np.ndarray]]
 ) -> list[list[float]]:
     """Posterior of x -> y versus no arc, both with prior weight 1/2, for
-    every pair of _pair_count_tables groups, one list in pair order per
+    every table of _pair_count_tables groups, one list in key order per
     metric."""
     return [
         [1.0 / (1.0 + _safe_exp(-lr)) for lr in log_ratios]

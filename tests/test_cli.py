@@ -454,9 +454,9 @@ class TestRoc:
     @pytest.mark.bounded
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="workers need affinity")
     def test_a_worker_that_dies_exits_2(self, capsys, tmp_path, monkeypatch):
-        # Two usable CPUs, so every replicate runs in a forked worker.
+        # Two usable CPUs, so every chunk of replicates runs in a forked worker.
         monkeypatch.setattr(rocstats, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(rocstats, "_replicate_curves", lambda *task: os._exit(9))
+        monkeypatch.setattr(rocstats, "_chunk_curves", lambda *task: os._exit(9))
         code, out, err = run(capsys, [*self.ARGS, "--out", str(tmp_path / "roc")])
         assert (code, out) == (2, "")
         assert re.fullmatch(r"error: worker [01] ended without a result, wait status 2304\n", err)
@@ -647,9 +647,10 @@ needs_affinity = pytest.mark.skipif(
 
 
 class TestStartUp:
-    """No command loads scipy or a process pool: roc forks its workers
-    itself. Only roc's aggregation needs statistics; every other command,
-    and import bnscore itself, loads none of them.
+    """No command loads scipy, a process pool or statistics (with its
+    fractions and decimal): roc forks its workers itself and takes its
+    means and deviations in floats and ints, and import bnscore loads none
+    of them.
     bnscore calls no BLAS routine, so unless the caller set a BLAS thread
     count the process runs on one thread, and the import leaves os.environ
     as it found it."""
@@ -709,6 +710,19 @@ class TestStartUp:
         assert "scipy modules: []" in proc.stdout
         if Path("/proc/self/task").is_dir():
             assert "threads at exit: 1\n" in proc.stdout
+
+    @needs_affinity
+    @pytest.mark.parametrize("cpus", ["one", "every"], ids=["roc-one-cpu", "roc-every-cpu"])
+    def test_roc_loads_no_statistics(self, tmp_path, cpus):
+        # Two sizes: two chunks, so every CPU beyond one runs a forked worker.
+        # At these sizes the AUCs vary, so each interval needs a deviation.
+        argv = ["roc", "--sizes", "5,10", "--reps", "3", "--metrics", "k2"]
+        preexec_fn = self.one_cpu if cpus == "one" else None
+        proc = self.probe([*argv, "--out", str(tmp_path / "roc")], preexec_fn=preexec_fn)
+        assert proc.returncode == 0, proc.stderr
+        rows = (tmp_path / "roc" / "auc_summary.csv").read_text().splitlines()[1:]
+        assert all(float(row.split(",")[-3]) < float(row.split(",")[-2]) for row in rows)
+        assert "statistics modules: []" in proc.stdout
 
     @needs_affinity
     def test_forked_roc_loads_no_pool_modules(self, tmp_path):

@@ -365,6 +365,27 @@ class TestCounting:
             want = joint_cell_counts((x, y), dataset).reshape(arities[x], arities[y])
             assert got[i] == want.tolist(), (x, y)
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_stacked_pair_count_tables_equal_each_replicates(self, data):
+        """A stack of replicates, each over case counts that cross the 8- and
+        64-bit word edges, counts each replicate's tables from its own rows."""
+        arities = data.draw(st.lists(st.integers(2, 5), min_size=2, max_size=4))
+        n_cases, reps = data.draw(st.integers(0, 130)), data.draw(st.integers(1, 4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        vs = tuple(Variable(f"V{i}", r) for i, r in enumerate(arities))
+        stack = Dataset(vs, rng.integers(0, arities, size=(reps * n_cases, len(arities))))
+        pairs = [(x, y) for x in range(len(vs)) for y in range(len(vs)) if x != y]
+        got = {}
+        for keys, tables in _pair_count_tables(stack, pairs, reps):
+            got.update(zip(keys, tables.tolist()))
+        assert sorted(got) == list(range(reps * len(pairs)))
+        for r in range(reps):
+            rows = Dataset(vs, stack.cases[r * n_cases : (r + 1) * n_cases])
+            for i, (x, y) in enumerate(pairs):
+                want = joint_cell_counts((x, y), rows).reshape(arities[x], arities[y])
+                assert got[r * len(pairs) + i] == want.tolist(), (r, x, y)
+
     def test_pair_count_tables_of_uint16_cases(self):
         """States past 255 pack into the same bitsets as any other."""
         rng = np.random.default_rng(3)
@@ -387,7 +408,7 @@ class TestCounting:
         vs = (Variable("X", 2), Variable("Y", 3))
         data = Dataset(vs, [(0, 1)])
         net = BayesNet(DagStructure(vs, ((), ())), (np.full((1, 2), 1 / 2), np.full((1, 3), 1 / 3)))
-        monkeypatch.setattr(rocstats, "forward_sample", None)  # never reached
+        monkeypatch.setattr(rocstats, "_sample_stack", None)  # never reached
         for pairs, message in (
             ([(1, 1)], "component lists a variable twice"),
             ([(0, 1), (0, 0)], "component lists a variable twice"),
@@ -586,14 +607,19 @@ BINARY = (Variable("X", 2), Variable("Y", 2))
         (lambda: DagStructure(BINARY, ((),)), ModelError, "1 parent sets for 2 variables"),
         (lambda: Dataset(BINARY, [(0, 1, 0)]), ModelError,
          "case array must have 2 columns, got shape (1, 3)"),
+        # Ragged rows, which numpy builds no 2-D array of.
+        (lambda: Dataset(BINARY, [(1, 0), (1,)]), ModelError,
+         "case array must have 2 columns, got shape (2,)"),
+        (lambda: Dataset(BINARY, ((1, 0), (1,), (0, 1, 1))), ModelError,
+         "case array must have 2 columns, got shape (3,)"),
         (lambda: BayesNet(DagStructure(BINARY, ((), ())), (np.array([[0.5, 0.5]]),)),
          ModelError, "1 CPTs for 2 variables"),
         (lambda: BayesNet(DagStructure(BINARY, ((), ())),
                           (np.array([[0.5, 0.5]]), np.array([[0.5, 0.4]]))),
          ModelError, "variable 'Y': CPT row 0 sums to 0.9, not 1"),
     ],
-    ids=["empty-name", "no-variables", "parent-set-count", "dataset-width", "cpt-count",
-         "cpt-row-sum"],
+    ids=["empty-name", "no-variables", "parent-set-count", "dataset-width", "ragged-list",
+         "ragged-tuple", "cpt-count", "cpt-row-sum"],
 )
 def test_invalid_model_input_raises_its_error(build, error, message):
     with pytest.raises(error) as exc:

@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import statistics
 import time
 
 import numpy as np
@@ -30,10 +31,10 @@ from bnscore import (
     t_confidence_interval,
 )
 from bnscore import model, rocstats, scoring
-from bnscore.genbench import EXAMPLES, forward_sample, run_example
+from bnscore.genbench import EXAMPLES, _sample_stack, forward_sample, run_example
 from bnscore.model import _pair_count_tables
 from bnscore.rocstats import DEFAULT_FPR_GRID, DEFAULT_METRICS, DEFAULT_SIZES
-from bnscore.scoring import _arc_posteriors, arc_posterior_from_counts
+from bnscore.scoring import _arc_posteriors, _pair_log_ratios, arc_posterior_from_counts
 
 from .helpers import traced_peak
 from .oracles import (
@@ -257,6 +258,56 @@ class TestTConfidenceInterval:
         assert mean == pytest.approx(np.mean(values), rel=1e-12)
         assert (lo, hi) == pytest.approx(expected, rel=1e-12)
 
+    # Finite floats with subnormals, magnitudes near 1e308 and repeats.
+    finite = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-1e-307, 1e-307, allow_nan=False),
+        st.floats(1e307, 1.7976931348623157e308).flatmap(lambda x: st.sampled_from([x, -x])),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+    )
+    samples = st.one_of(
+        st.lists(finite, min_size=2, max_size=200),
+        st.lists(finite, min_size=1, max_size=5).flatmap(
+            lambda xs: st.lists(st.sampled_from(xs), min_size=2, max_size=200)),
+    )
+
+    @given(samples)
+    @settings(max_examples=500, deadline=None)
+    def test_stdev_equals_statistics(self, values):
+        """The exact-integer root gives statistics.stdev's float, or its
+        OverflowError when the root leaves float range."""
+        try:
+            want = statistics.stdev(values)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                rocstats._stdev(values)
+        else:
+            got = rocstats._stdev(values)
+            assert type(got) is float
+            assert math.copysign(1.0, got) == 1.0 and got == want
+
+    @given(samples)
+    @settings(max_examples=300, deadline=None)
+    def test_interval_as_statistics_gives_it(self, values):
+        """The interval t_confidence_interval gave when it took the mean and
+        deviation from statistics: fmean and stdev, with an overflow in either
+        read as infinite, and a zero spread collapsing the interval."""
+        try:
+            m, sd = statistics.fmean(values), statistics.stdev(values)
+        except OverflowError:
+            m = sd = math.inf
+        if sd == 0.0:
+            want = (m, m, m)
+        else:
+            half = rocstats._t_quantile(len(values) - 1) * sd / math.sqrt(len(values))
+            finite = math.isfinite(m - half) and math.isfinite(m + half)
+            want = (m, m - half, m + half) if finite else None
+        if want is None:
+            with pytest.raises(DegenerateInput, match="^the 95% interval overflows float range$"):
+                t_confidence_interval(values)
+        else:
+            assert t_confidence_interval(values) == want
+
 
 class TestAucSummary:
     def test_ci_clipped_to_unit_interval(self):
@@ -383,7 +434,8 @@ class TestAlarmExperiment:
         else:
             monkeypatch.setattr(rocstats.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         metrics = (MetricSpec.k2(),)
-        small = dict(self.SMALL, reps=2)  # 2 sizes x 2 reps: 4 tasks
+        # 2 sizes x 2 chunks (a full chunk and one more replicate): 4 tasks
+        small = dict(self.SMALL, reps=rocstats._CHUNK_REPS + 1)
         result = run_alarm_experiment(alarm.net, metrics=metrics, jobs=jobs, **small)
         serial = run_alarm_experiment(alarm.net, metrics=metrics, jobs=1, **small)
         assert started == ([] if workers is None else [workers])
@@ -443,7 +495,7 @@ class TestAlarmExperiment:
         def sampling_must_not_run(*args):
             raise AssertionError("sampled before the replicate count was checked")
 
-        monkeypatch.setattr(rocstats, "forward_sample", sampling_must_not_run)
+        monkeypatch.setattr(rocstats, "_sample_stack", sampling_must_not_run)
         with pytest.raises(DegenerateInput, match="^need at least 2 replicates, got 1$"):
             run_alarm_experiment(alarm.net, sizes=(5,), reps=1)
 
@@ -495,7 +547,7 @@ class TestAlarmExperiment:
     def test_bad_count_or_seed_rejected_before_any_work(self, alarm, monkeypatch, given, message):
         # Refused with the study's own error, before the pairs are drawn.
         monkeypatch.setattr(rocstats, "enumerate_pair_sets", None)
-        monkeypatch.setattr(rocstats, "forward_sample", None)
+        monkeypatch.setattr(rocstats, "_sample_stack", None)
         with pytest.raises(DegenerateInput) as exc:
             run_alarm_experiment(alarm.net, **{"sizes": (5,), "reps": 2, **given})
         assert str(exc.value) == message
@@ -536,7 +588,7 @@ class TestForkedWorkers:
     @pytest.mark.bounded
     def test_each_child_is_pinned_to_its_own_cpu(self):
         def mask():
-            time.sleep(0.02)  # so that every child takes a chunk
+            time.sleep(0.02)  # so that every child takes a task
             return os.getpid(), os.sched_getaffinity(0)
 
         parent = os.sched_getaffinity(0)
@@ -565,7 +617,7 @@ class TestForkedWorkers:
                 raise DomainError(f"task {i} failed")
             return i
 
-        # Task 3 (first chunk) fails before task 4 (second chunk), as in-process.
+        # Task 3 fails before task 4, whichever children run them, as in-process.
         with pytest.raises(DomainError) as exc:
             rocstats._forked_map(task, [(i,) for i in range(8)], 2)
         assert type(exc.value) is DomainError
@@ -587,8 +639,8 @@ class TestForkedWorkers:
     @pytest.mark.bounded
     @pytest.mark.parametrize("stops_by", ["exit", "raise"])
     def test_children_that_all_stop_end_the_chunk_writes(self, stops_by):
-        # 50,000 chunk records overfill the chunk pipe, so its writes end only
-        # when every child has stopped taking chunks. A child that raises
+        # 200,000 task records overfill the task pipe, so its writes end only
+        # when every child has stopped taking tasks. A child that raises
         # holds a reply larger than a pipe, which it can write only once the
         # parent has stopped writing and reads.
         calls = []
@@ -607,10 +659,10 @@ class TestForkedWorkers:
 
     @pytest.mark.bounded
     def test_a_study_fault_in_a_worker_reaches_the_caller(self, alarm, monkeypatch):
-        def forward_sample(net, n_cases, seed):
-            raise DomainError(f"no sample for seed {seed}")
+        def sample_stack(net, n_cases, seeds):
+            raise DomainError(f"no sample for seed {seeds[0]}")
 
-        monkeypatch.setattr(rocstats, "forward_sample", forward_sample)
+        monkeypatch.setattr(rocstats, "_sample_stack", sample_stack)
         with pytest.raises(DomainError, match="^no sample for seed 7$"):
             run_alarm_experiment(alarm.net, metrics=(MetricSpec.k2(),), jobs=2,
                                  **TestAlarmExperiment.SMALL)
@@ -644,7 +696,7 @@ class TestBatchedReplicate:
         area the loop trapezoid's."""
         sets = enumerate_pair_sets(alarm.net, seed=42)
         keys = [*sets.positives, *sets.negatives]
-        got = rocstats._replicate_curves(alarm.net, n_cases, n_cases, sets, DEFAULT_METRICS)
+        [got] = rocstats._chunk_curves(alarm.net, n_cases, n_cases, 1, sets, DEFAULT_METRICS)
         data = forward_sample(alarm.net, n_cases, n_cases)
         posteriors = _arc_posteriors(DEFAULT_METRICS, _pair_count_tables(data, keys))
         assert len(got) == len(DEFAULT_METRICS)
@@ -666,13 +718,81 @@ class TestBatchedReplicate:
             return kernel(blocks)
 
         monkeypatch.setattr(scoring, "_dm_sums", counted)
-        rocstats._replicate_curves(alarm.net, 20, 1, enumerate_pair_sets(alarm.net), DEFAULT_METRICS)
-        assert len(calls) == 1
-        calls.clear()
+        # A chunk of replicates, of one or of seven, makes one call.
+        for reps in (1, 7):
+            rocstats._chunk_curves(alarm.net, 20, 1, reps, enumerate_pair_sets(alarm.net),
+                                   DEFAULT_METRICS)
+            assert len(calls) == 1
+            calls.clear()
         # Example 11: its 4 sizes, 5 metrics and 61-point alpha0 sweep in one
         # call, of one block per metric and sweep point.
         run_example(EXAMPLES[11])
         assert calls == [5 + 61]
+
+
+class TestChunks:
+    """A chunk of replicates is sampled as one stack, counted in one pass and
+    scored in one kernel call; each of its replicates is, with ==, the
+    replicate the one-replicate public calls give."""
+
+    @pytest.mark.parametrize("n_cases", [5, 160])
+    @pytest.mark.parametrize("split", [[1], [7], [25], [3, 1, 4]], ids=str)
+    def test_chunk_equals_one_replicate_at_a_time(self, alarm, n_cases, split):
+        net, seed = alarm.net, 11
+        sets = enumerate_pair_sets(net, seed=seed)
+        keys = [*sets.positives, *sets.negatives]
+        labels = np.arange(len(keys)) < len(sets.positives)
+        arity = [v.arity for v in net.structure.variables]
+        for first, reps in zip(np.cumsum([0, *split]).tolist(), split):
+            stack = _sample_stack(net, n_cases, range(seed + first, seed + first + reps))
+            groups = _pair_count_tables(stack, keys, reps)
+            tables = dict(kv for keys_, t in groups for kv in zip(keys_, t.tolist()))
+            log_ratios = _pair_log_ratios(DEFAULT_METRICS, groups)
+            curves = rocstats._chunk_curves(net, n_cases, seed + first, reps, sets, DEFAULT_METRICS)
+            assert len(curves) == reps
+            for r in range(reps):
+                data = forward_sample(net, n_cases, seed + first + r)
+                rows = stack.cases[r * n_cases : (r + 1) * n_cases]
+                assert rows.tolist() == data.cases.tolist()
+                own = [joint_cell_counts((x, y), data).reshape(arity[x], arity[y]) for x, y in keys]
+                assert [tables[r * len(keys) + i] for i in range(len(keys))] == [
+                    t.tolist() for t in own]
+                for mi, metric in enumerate(DEFAULT_METRICS):
+                    lrs = log_ratios[mi][r * len(keys) : (r + 1) * len(keys)]
+                    assert lrs == [_pair_log_ratios([metric], [([0], t[None])])[0][0] for t in own]
+                    posts = [arc_posterior_from_counts(metric, t) for t in own]
+                    area, fpr, tpr = rocstats._sweep(labels, np.array(posts))
+                    got_area, got_row = curves[r][mi]
+                    assert got_area == area, (r, metric.label)
+                    assert got_row.tolist() == rocstats._grid_row(fpr, tpr).tolist()
+
+    def test_block_draws_continue_one_stream(self):
+        """The fact the stacked sampler rests on: a generator's draws into
+        consecutive blocks, by out=, are the doubles of one draw of them all."""
+        blocks = np.empty((37, 20))
+        rng = np.random.default_rng(5)
+        for block in blocks:
+            rng.random(out=block)
+        assert blocks.ravel().tolist() == np.random.default_rng(5).random(37 * 20).tolist()
+
+    @pytest.mark.parametrize(
+        "n_cases, reps, chunks",
+        [(5, 100, [10] * 10), (160, 23, [10, 10, 3]), (10_000, 20, [2] * 10),
+         (20_000, 3, [1] * 3), (40_000, 2, [1, 1]), (0, 12, [10, 2])],
+    )
+    def test_chunks_are_bounded_by_cells_and_replicates(self, alarm, monkeypatch, n_cases,
+                                                        reps, chunks):
+        seen = []
+
+        def chunk_curves(net, n, seed, count, pairs, metrics):
+            seen.append((seed, count))
+            return [[(0.5, np.ones(47))]] * count
+
+        monkeypatch.setattr(rocstats, "_chunk_curves", chunk_curves)
+        monkeypatch.setattr(rocstats, "t_confidence_interval", lambda values: (0.5, 0.5, 0.5))
+        run_alarm_experiment(alarm.net, (n_cases,), reps, (MetricSpec.k2(),), seed=3, jobs=1)
+        assert [count for _, count in seen] == chunks
+        assert [seed for seed, _ in seen] == (3 + np.cumsum([0, *chunks[:-1]])).tolist()
 
 
 class TestCsvOutput:
