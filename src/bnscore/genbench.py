@@ -163,8 +163,11 @@ def _noise_free_tables(spec: ExampleSpec) -> tuple[list[int], np.ndarray]:
     if len(spec.marginals) != 2:
         raise DomainError(f"an example needs 2 marginals, got {len(spec.marginals)}")
     margs = []
-    for name, m in zip("XY", spec.marginals):
-        m = np.asarray(m, dtype=float)
+    for name, given in zip("XY", spec.marginals):
+        try:
+            m = np.asarray(given, dtype=float)
+        except (TypeError, ValueError):
+            raise DomainError(f"marginal for {name!r} must be numbers, got {given!r}") from None
         if m.ndim != 1 or m.size < 2:
             raise DomainError(f"marginal for {name!r} must be a vector of length >= 2")
         if m.min() < 0.0:

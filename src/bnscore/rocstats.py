@@ -385,31 +385,25 @@ def _usable_cpus() -> int:
     """CPUs roc may pin a worker to: the size of this process's affinity
     mask, so a taskset or cpuset pin is honoured. Without sched_setaffinity
     nothing can be pinned, and roc runs in-process: 1."""
-    if hasattr(os, "sched_setaffinity"):
-        return len(os.sched_getaffinity(0))
-    return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else 1
 
 
 def _forked_map(fn, tasks: list[tuple], workers: int) -> list:
-    """[fn(*task) for task in tasks], run by ``workers`` forked children.
+    """[fn(*task) for task in tasks], run by ``workers`` forked children,
+    no more than the CPUs in this process's affinity mask.
 
-    Child w pins itself to CPU w of this process's affinity mask (cycling,
-    should there be more workers than CPUs) and runs tasks on what it
-    inherited, so no task is pickled. The children take task indices, one
-    at a time, from one shared pipe until it is empty, so a child on a
-    slower CPU takes fewer, and each pickles back through its own pipe its
-    results and the exception that stopped it, if any. A child leaves by
-    os._exit: it never returns into the caller's code, flushes stdio or runs
-    atexit handlers. Every child is reaped on every path. The exception of the
-    first failing task in task order is raised here, as an in-process run
-    raises it; a child that ends without a reply raises ChildProcessError,
-    which names its wait status. A fork copies only the calling thread, so
-    the caller must have no other thread that holds a lock the tasks take;
-    the CLI runs on one thread.
+    Child w pins itself to CPU w of the mask, runs tasks w, w + workers,
+    w + 2·workers, ... on what it inherited, so no task is pickled, and
+    pickles back through its own pipe its results and the exception that
+    stopped it, if any. It leaves by os._exit: it never returns into the
+    caller's code, flushes stdio or runs atexit handlers. Every child is
+    reaped on every path. The exception of the first failing task in task
+    order is raised here, as an in-process run raises it; a child that ends
+    without a reply raises ChildProcessError, which names its wait status.
+    A fork copies only the calling thread, so the caller must have no other
+    thread that holds a lock the tasks take; the CLI runs on one thread.
     """
     cpus = sorted(os.sched_getaffinity(0))
-    take_fd, give_fd = os.pipe()
-    take, give = open(take_fd, "rb", buffering=0), open(give_fd, "wb", buffering=0)
     children = []
     try:
         for w in range(workers):
@@ -418,19 +412,13 @@ def _forked_map(fn, tasks: list[tuple], workers: int) -> list:
             if pid == 0:
                 status = 1
                 try:
-                    give.close()  # else the task pipe never reads as empty
-                    os.sched_setaffinity(0, {cpus[w % len(cpus)]})
+                    os.sched_setaffinity(0, {cpus[w]})
                     done, error = [], None
                     try:
-                        # The parent writes each 4-byte record in one write,
-                        # so one read takes one whole record.
-                        while record := take.read(4):
-                            i = int.from_bytes(record, "little")
-                            done.append((i, fn(*tasks[i])))
+                        for i in range(w, len(tasks), workers):
+                            done.append(fn(*tasks[i]))
                     except Exception as exc:
                         error = i, exc
-                    # Let a parent whose children all stopped stop writing.
-                    take.close()
                     with open(write_end, "wb") as pipe:
                         pickle.dump((done, error), pipe)
                     status = 0
@@ -438,21 +426,12 @@ def _forked_map(fn, tasks: list[tuple], workers: int) -> list:
                     os._exit(status)
             os.close(write_end)
             children.append((pid, open(read_end, "rb")))
-        take.close()
-        try:
-            for i in range(len(tasks)):
-                give.write(i.to_bytes(4, "little"))
-        except BrokenPipeError:
-            pass  # every child has stopped; its reply says why
-        give.close()
         replies = [pipe.read() for _, pipe in children]
     except BaseException:
         for pid, _ in children:
             os.kill(pid, 9)  # SIGKILL: the study has failed, stop the rest now
         raise
     finally:
-        take.close()
-        give.close()
         statuses = []
         for pid, pipe in children:
             pipe.close()
@@ -462,8 +441,7 @@ def _forked_map(fn, tasks: list[tuple], workers: int) -> list:
         if status:
             raise ChildProcessError(f"worker {w} ended without a result, wait status {status}")
         done, error = pickle.loads(reply)
-        for i, result in done:
-            results[i] = result
+        results[w : w + len(done) * workers : workers] = done
         if error is not None:
             failures.append(error)
     if failures:
@@ -488,10 +466,11 @@ def run_alarm_experiment(
     replicate's cells, so the chunks never depend on the worker count. With
     ``jobs`` above 1 the chunks run in forked workers (_forked_map), one per
     CPU, never more than there are chunks or CPUs in the process's affinity
-    mask, each pinned to its own CPU; on one such CPU, or where
-    os.sched_setaffinity is missing, they run in-process. The results are
-    the same either way. Results are keyed by metric label and size, so a
-    repeated label or size is rejected.
+    mask, each pinned to its own CPU and running every workers-th chunk from
+    its own index, so each gets the same mix of sizes; on one such CPU, or
+    where os.sched_setaffinity is missing, they run in-process. The results
+    are the same either way. Results are keyed by metric label and size, so
+    a repeated label or size is rejected, as is an empty metric list.
     """
     counts = _as_int(reps), _as_int(seed), _as_int(jobs)
     if None in counts:
@@ -515,6 +494,8 @@ def run_alarm_experiment(
         checked.append(size)
     sizes = tuple(checked)
     metrics = tuple(metrics)
+    if not metrics:
+        raise DegenerateInput("need at least one metric")
     for kind, keys in (("size", sizes), ("metric", tuple(m.label for m in metrics))):
         repeated = [k for k in keys if keys.count(k) > 1]
         if repeated:

@@ -60,6 +60,23 @@ class TestIndependentJoint:
         with pytest.raises(DomainError, match="^marginal for 'X' has negative entries$"):
             run_example(ExampleSpec(0, ((1.1, -0.1), HALF), (10,)))
 
+    @pytest.mark.parametrize(
+        "marginal, message",
+        [
+            (("a", "b"), "marginal for 'X' must be numbers, got ('a', 'b')"),
+            ((1j, 0.0), "marginal for 'X' must be numbers, got (1j, 0.0)"),
+            (((0.5,), 0.5), "marginal for 'X' must be numbers, got ((0.5,), 0.5)"),
+            # numpy reads None as NaN, which no marginal sums to 1 with.
+            ((None, 0.5), "marginal for 'X' sums to nan, not 1"),
+        ],
+        ids=["strings", "complex", "ragged", "none"],
+    )
+    def test_non_numeric_marginal_rejected(self, marginal, message):
+        with pytest.raises(DomainError) as exc:
+            run_example(ExampleSpec(1, (marginal, HALF), (10,)))
+        assert type(exc.value) is DomainError
+        assert str(exc.value) == message
+
     def test_accepted_marginals_give_an_accepted_joint(self):
         # Each marginal is within 1e-12 of summing to 1, and is divided by its sum.
         marginal = (0.5, 0.5 + 0.9e-12)

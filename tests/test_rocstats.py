@@ -540,9 +540,10 @@ class TestAlarmExperiment:
             (dict(seed=-1), "seed must be non-negative, got -1"),
             (dict(jobs=0), "jobs must be at least 1, got 0"),
             (dict(jobs=-2), "jobs must be at least 1, got -2"),
+            (dict(metrics=()), "need at least one metric"),
         ],
         ids=["negative-size", "negative-second-size", "float-reps", "bool-reps", "float-seed",
-             "float-jobs", "negative-seed", "zero-jobs", "negative-jobs"],
+             "float-jobs", "negative-seed", "zero-jobs", "negative-jobs", "no-metrics"],
     )
     def test_bad_count_or_seed_rejected_before_any_work(self, alarm, monkeypatch, given, message):
         # Refused with the study's own error, before the pairs are drawn.
@@ -582,13 +583,13 @@ def assert_no_child_left():
 
 @needs_affinity
 class TestForkedWorkers:
-    """rocstats._forked_map: one forked child per CPU, each pinned to its own,
-    results in task order, a child's fault raised here, and no child left."""
+    """rocstats._forked_map: one forked child per CPU, each pinned to its own
+    and running a fixed share of the tasks, results in task order, a child's
+    fault raised here, and no child left."""
 
     @pytest.mark.bounded
     def test_each_child_is_pinned_to_its_own_cpu(self):
         def mask():
-            time.sleep(0.02)  # so that every child takes a task
             return os.getpid(), os.sched_getaffinity(0)
 
         parent = os.sched_getaffinity(0)
@@ -602,9 +603,26 @@ class TestForkedWorkers:
         assert_no_child_left()
 
     @pytest.mark.bounded
+    def test_child_w_runs_tasks_w_plus_multiples_of_workers(self):
+        # Task 0 is slow: a shared queue would hand task `workers` to another
+        # child, a fixed share leaves it to child 0.
+        def task(i):
+            if i == 0:
+                time.sleep(0.05)
+            return os.getpid(), os.sched_getaffinity(0)
+
+        cpus = sorted(os.sched_getaffinity(0))
+        workers = len(cpus)
+        ran = rocstats._forked_map(task, [(i,) for i in range(8 * workers + 1)], workers)
+        assert ran == [ran[i % workers] for i in range(len(ran))]
+        assert len({pid for pid, _ in ran}) == workers
+        assert os.getpid() not in {pid for pid, _ in ran}
+        assert [mask for _, mask in ran[:workers]] == [{cpu} for cpu in cpus]
+        assert_no_child_left()
+
+    @pytest.mark.bounded
     def test_results_come_back_in_task_order(self):
-        # More workers than CPUs: the pins cycle through the mask.
-        workers = len(os.sched_getaffinity(0)) + 3
+        workers = len(os.sched_getaffinity(0))
         tasks = [(i,) for i in range(8 * workers + 1)]
         squares = rocstats._forked_map(lambda i: i * i, tasks, workers)
         assert squares == [i * i for i, in tasks]
@@ -638,11 +656,11 @@ class TestForkedWorkers:
 
     @pytest.mark.bounded
     @pytest.mark.parametrize("stops_by", ["exit", "raise"])
-    def test_children_that_all_stop_end_the_chunk_writes(self, stops_by):
-        # 200,000 task records overfill the task pipe, so its writes end only
-        # when every child has stopped taking tasks. A child that raises
-        # holds a reply larger than a pipe, which it can write only once the
-        # parent has stopped writing and reads.
+    def test_stopped_children_are_drained_one_by_one(self, stops_by):
+        # Each child's first task returns more bytes than a pipe holds and its
+        # second stops it, leaving the rest of its 100,000 tasks unrun. A child
+        # that raises holds a reply larger than a pipe, which it can write only
+        # while the parent reads that child's pipe to its end.
         calls = []
 
         def task():
