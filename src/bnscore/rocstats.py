@@ -385,7 +385,9 @@ def _usable_cpus() -> int:
     """CPUs roc may pin a worker to: the size of this process's affinity
     mask, so a taskset or cpuset pin is honoured. Without sched_setaffinity
     nothing can be pinned, and roc runs in-process: 1."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else 1
+    if hasattr(os, "sched_setaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
 
 
 def _forked_map(fn, tasks: list[tuple], workers: int) -> list:
@@ -415,10 +417,10 @@ def _forked_map(fn, tasks: list[tuple], workers: int) -> list:
                     os.sched_setaffinity(0, {cpus[w]})
                     done, error = [], None
                     try:
-                        for i in range(w, len(tasks), workers):
-                            done.append(fn(*tasks[i]))
+                        for task in tasks[w::workers]:
+                            done.append(fn(*task))
                     except Exception as exc:
-                        error = i, exc
+                        error = exc
                     with open(write_end, "wb") as pipe:
                         pickle.dump((done, error), pipe)
                     status = 0
@@ -436,16 +438,16 @@ def _forked_map(fn, tasks: list[tuple], workers: int) -> list:
         for pid, pipe in children:
             pipe.close()
             statuses.append(os.waitpid(pid, 0)[1])
-    results, failures = [None] * len(tasks), []
+    results, failures = [None] * len(tasks), {}
     for w, (reply, status) in enumerate(zip(replies, statuses)):
         if status:
             raise ChildProcessError(f"worker {w} ended without a result, wait status {status}")
         done, error = pickle.loads(reply)
         results[w : w + len(done) * workers : workers] = done
         if error is not None:
-            failures.append(error)
+            failures[w + len(done) * workers] = error  # the task that raised it
     if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
+        raise failures[min(failures)]
     return results
 
 

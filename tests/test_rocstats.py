@@ -635,7 +635,7 @@ class TestForkedWorkers:
                 raise DomainError(f"task {i} failed")
             return i
 
-        # Task 3 fails before task 4, whichever children run them, as in-process.
+        # Task 3 (child 1's) fails before task 4 (child 0's), as in-process.
         with pytest.raises(DomainError) as exc:
             rocstats._forked_map(task, [(i,) for i in range(8)], 2)
         assert type(exc.value) is DomainError
@@ -658,9 +658,9 @@ class TestForkedWorkers:
     @pytest.mark.parametrize("stops_by", ["exit", "raise"])
     def test_stopped_children_are_drained_one_by_one(self, stops_by):
         # Each child's first task returns more bytes than a pipe holds and its
-        # second stops it, leaving the rest of its 100,000 tasks unrun. A child
-        # that raises holds a reply larger than a pipe, which it can write only
-        # while the parent reads that child's pipe to its end.
+        # second stops it. A child that raises holds a reply larger than a
+        # pipe, which it can write only while the parent reads that child's
+        # pipe to its end.
         calls = []
 
         def task():
