@@ -391,10 +391,10 @@ def _usable_cpus() -> int:
 
 
 def _forked_map(fn, tasks: list[tuple], workers: int) -> list:
-    """[fn(*task) for task in tasks], run by ``workers`` forked children,
-    no more than the CPUs in this process's affinity mask.
+    """[fn(*task) for task in tasks], run by ``workers`` forked children.
 
-    Child w pins itself to CPU w of the mask, runs tasks w, w + workers,
+    Child w pins itself to CPU w of this process's affinity mask (cycling,
+    should there be more workers than CPUs), runs tasks w, w + workers,
     w + 2·workers, ... on what it inherited, so no task is pickled, and
     pickles back through its own pipe its results and the exception that
     stopped it, if any. It leaves by os._exit: it never returns into the
@@ -414,7 +414,7 @@ def _forked_map(fn, tasks: list[tuple], workers: int) -> list:
             if pid == 0:
                 status = 1
                 try:
-                    os.sched_setaffinity(0, {cpus[w]})
+                    os.sched_setaffinity(0, {cpus[w % len(cpus)]})
                     done, error = [], None
                     try:
                         for task in tasks[w::workers]:
@@ -468,11 +468,10 @@ def run_alarm_experiment(
     replicate's cells, so the chunks never depend on the worker count. With
     ``jobs`` above 1 the chunks run in forked workers (_forked_map), one per
     CPU, never more than there are chunks or CPUs in the process's affinity
-    mask, each pinned to its own CPU and running every workers-th chunk from
-    its own index, so each gets the same mix of sizes; on one such CPU, or
-    where os.sched_setaffinity is missing, they run in-process. The results
-    are the same either way. Results are keyed by metric label and size, so
-    a repeated label or size is rejected, as is an empty metric list.
+    mask, each pinned to its own CPU; on one such CPU, or where
+    os.sched_setaffinity is missing, they run in-process. The results are
+    the same either way. Results are keyed by metric label and size, so a
+    repeated label or size is rejected, as is an empty metric list.
     """
     counts = _as_int(reps), _as_int(seed), _as_int(jobs)
     if None in counts:
