@@ -157,8 +157,8 @@ def _grid_row(fpr: np.ndarray, tpr: np.ndarray) -> np.ndarray:
 
 
 def _mean_curve(rows: np.ndarray) -> RocCurve:
-    """Vertical average of grid rows. Axis 0 of a C-ordered array adds one row
-    at a time, in order, as a loop does; a pairwise sum would move CSV digits."""
+    """Vertical average of grid rows. Axis 0 of rows, each row contiguous, adds
+    one row at a time, in order, as a loop does; a pairwise sum would move CSV digits."""
     return RocCurve(tuple(zip(DEFAULT_FPR_GRID, (rows.sum(axis=0) / len(rows)).tolist())))
 
 
@@ -360,9 +360,9 @@ def _chunk_curves(
     reps: int,
     pairs: PairSets,
     metrics: Sequence[MetricSpec],
-) -> list[list[tuple[float, np.ndarray]]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """A chunk of replicates at one size, replicate r drawn with seed
-    ``seed + r``: one (auc, grid row) per metric for each replicate.
+    ``seed + r``: its float64 AUCs (reps, metrics) and grid rows (reps, metrics, 47).
 
     The chunk is sampled as one stack, every replicate's pair tables are
     counted in one pass, and every (replicate, pair, metric) is scored in
@@ -373,12 +373,13 @@ def _chunk_curves(
     data = _sample_stack(net, n_cases, range(seed, seed + reps))
     keys = [*pairs.positives, *pairs.negatives]
     labels = np.arange(len(keys)) < len(pairs.positives)
-    posteriors = _arc_posteriors(metrics, _pair_count_tables(data, keys, reps))
-    curves = []
-    for start in range(0, reps * len(keys), len(keys)):
-        sweeps = (_sweep(labels, np.array(post[start : start + len(keys)])) for post in posteriors)
-        curves.append([(area, _grid_row(fpr, tpr)) for area, fpr, tpr in sweeps])
-    return curves
+    posteriors = np.array(_arc_posteriors(metrics, _pair_count_tables(data, keys, reps)))
+    aucs = np.empty((reps, len(metrics)))
+    rows = np.empty((reps, len(metrics), len(DEFAULT_FPR_GRID)))
+    for r, mi in np.ndindex(aucs.shape):
+        area, fpr, tpr = _sweep(labels, posteriors[mi, r * len(keys) : (r + 1) * len(keys)])
+        aucs[r, mi], rows[r, mi] = area, _grid_row(fpr, tpr)
+    return aucs, rows
 
 
 def _usable_cpus() -> int:
@@ -470,8 +471,10 @@ def run_alarm_experiment(
     CPU, never more than there are chunks or CPUs in the process's affinity
     mask, each pinned to its own CPU; on one such CPU, or where
     os.sched_setaffinity is missing, they run in-process. The results are
-    the same either way. Results are keyed by metric label and size, so a
-    repeated label or size is rejected, as is an empty metric list.
+    the same either way. They fill an AUC and a grid-row array allocated
+    before any work, so a study too large to hold fails at once. Results
+    are keyed by metric label and size, so a repeated label or size is
+    rejected, as is an empty size or metric list.
     """
     counts = _as_int(reps), _as_int(seed), _as_int(jobs)
     if None in counts:
@@ -495,9 +498,9 @@ def run_alarm_experiment(
         checked.append(size)
     sizes = tuple(checked)
     metrics = tuple(metrics)
-    if not metrics:
-        raise DegenerateInput("need at least one metric")
     for kind, keys in (("size", sizes), ("metric", tuple(m.label for m in metrics))):
+        if not keys:
+            raise DegenerateInput(f"need at least one {kind}")
         repeated = [k for k in keys if keys.count(k) > 1]
         if repeated:
             raise DegenerateInput(f"{kind} {repeated[0]!r} is given more than once")
@@ -505,6 +508,11 @@ def run_alarm_experiment(
     for pair in (*pairs.positives, *pairs.negatives):
         _checked_component(pair, net.structure.variables)
 
+    # Past np.intp bytes numpy raises a bare ValueError, not a MemoryError.
+    shape = (len(sizes), reps, len(metrics))
+    if math.prod(shape) * len(DEFAULT_FPR_GRID) * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"the results of {len(sizes) * reps} replicates do not fit in memory")
+    aucs, rows = np.empty(shape), np.empty((*shape, len(DEFAULT_FPR_GRID)))
     tasks = []
     for n in sizes:
         # As many replicates as fit in _CHUNK_CELLS cells, at most _CHUNK_REPS.
@@ -516,16 +524,16 @@ def run_alarm_experiment(
         chunks = _forked_map(_chunk_curves, tasks, workers)
     else:
         chunks = [_chunk_curves(*task) for task in tasks]
-    results = [rep for chunk in chunks for rep in chunk]
+    np.concatenate([a for a, _ in chunks], out=aucs.reshape(-1, len(metrics)))
+    np.concatenate([r for _, r in chunks], out=rows.reshape(-1, *rows.shape[2:]))
 
     summaries = []
     mean_curves: dict[tuple[str, int], RocCurve] = {}
     for si, n in enumerate(sizes):
-        per_rep = results[si * reps : (si + 1) * reps]
         for mi, metric in enumerate(metrics):
-            mean, lo, hi = t_confidence_interval([rep[mi][0] for rep in per_rep])
+            mean, lo, hi = t_confidence_interval(aucs[si, :, mi])
             summaries.append(AucSummary(metric.kind, metric.alpha0, n, mean, lo, hi, reps))
-            mean_curves[(metric.label, n)] = _mean_curve(np.array([rep[mi][1] for rep in per_rep]))
+            mean_curves[(metric.label, n)] = _mean_curve(rows[si, :, mi])
     return ExperimentResult(tuple(summaries), mean_curves, pairs)
 
 

@@ -22,6 +22,7 @@ between pairs therefore stay ties in the ROC sweep.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -70,8 +71,15 @@ class MetricSpec:
         if self.kind == "bdeu":
             if self.alpha0 is None:
                 raise DomainError("BDeu requires alpha0")
-            if not 0 < self.alpha0 < math.inf:
+            if isinstance(self.alpha0, bool) or not isinstance(self.alpha0, numbers.Real):
+                raise DomainError(f"alpha0 must be a real number, got {self.alpha0!r}")
+            try:
+                alpha0 = float(self.alpha0)
+            except OverflowError:  # an int or fraction past the largest float
+                alpha0 = math.inf
+            if not 0 < alpha0 < math.inf:
                 raise DomainError(f"alpha0 must be positive and finite, got {self.alpha0}")
+            object.__setattr__(self, "alpha0", alpha0)
         elif self.alpha0 is not None:
             raise DomainError(f"{self.kind} does not take alpha0")
 
@@ -81,7 +89,7 @@ class MetricSpec:
 
     @classmethod
     def bdeu(cls, alpha0: float) -> "MetricSpec":
-        return cls("bdeu", float(alpha0))
+        return cls("bdeu", alpha0)
 
     @classmethod
     def gu(cls) -> "MetricSpec":

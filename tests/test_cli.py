@@ -939,13 +939,21 @@ class TestMemoryBounds:
             (["roc", "--sizes", "1000000000000000000", "--reps", "2", "--metrics", "k2",
               "--out", "roc"], 3,
              "out of memory: 1000000000000000000 cases of 37 variables do not fit in memory"),
+            # The study's AUC array, allocated before any task, is 7.28 TiB.
+            (["roc", "--sizes", "5", "--reps", "1000000000000", "--metrics", "k2",
+              "--out", "roc"], 3, "out of memory: Unable to allocate"),
+            # Its grid-row array is past np.intp.
+            (["roc", "--sizes", "5", "--reps", "4611686018427387904", "--metrics", "k2",
+              "--out", "roc"], 3,
+             "out of memory: the results of 4611686018427387904 replicates do not fit in memory"),
             # A ROC pair past the count-table cap, caught by the study's pair check.
             (["roc", "--net", "wide-pair.bn", "--sizes", "5", "--reps", "2", "--metrics", "k2",
               "--out", "roc"], 3,
              "out of memory: a count table over B1, B2 would have 16785409 cells, past 16777216"),
         ],
         ids=["score-wide", "score-wider", "var-arity", "sample", "roc", "var-labels",
-             "sample-past-intp", "roc-past-intp", "roc-wide-pair"],
+             "sample-past-intp", "roc-past-intp", "roc-reps", "roc-reps-past-intp",
+             "roc-wide-pair"],
     )
     def test_exits_with_one_error_line(self, tmp_path, argv, code, expected):
         for name, text in self.FILES.items():

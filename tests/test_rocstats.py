@@ -541,9 +541,10 @@ class TestAlarmExperiment:
             (dict(jobs=0), "jobs must be at least 1, got 0"),
             (dict(jobs=-2), "jobs must be at least 1, got -2"),
             (dict(metrics=()), "need at least one metric"),
+            (dict(sizes=()), "need at least one size"),
         ],
         ids=["negative-size", "negative-second-size", "float-reps", "bool-reps", "float-seed",
-             "float-jobs", "negative-seed", "zero-jobs", "negative-jobs", "no-metrics"],
+             "float-jobs", "negative-seed", "zero-jobs", "negative-jobs", "no-metrics", "no-sizes"],
     )
     def test_bad_count_or_seed_rejected_before_any_work(self, alarm, monkeypatch, given, message):
         # Refused with the study's own error, before the pairs are drawn.
@@ -715,11 +716,12 @@ class TestBatchedReplicate:
         area the loop trapezoid's."""
         sets = enumerate_pair_sets(alarm.net, seed=42)
         keys = [*sets.positives, *sets.negatives]
-        [got] = rocstats._chunk_curves(alarm.net, n_cases, n_cases, 1, sets, DEFAULT_METRICS)
+        [areas], [rows] = rocstats._chunk_curves(alarm.net, n_cases, n_cases, 1, sets,
+                                                 DEFAULT_METRICS)
         data = forward_sample(alarm.net, n_cases, n_cases)
         posteriors = _arc_posteriors(DEFAULT_METRICS, _pair_count_tables(data, keys))
-        assert len(got) == len(DEFAULT_METRICS)
-        for metric, (area, row), posts in zip(DEFAULT_METRICS, got, posteriors):
+        assert len(areas) == len(rows) == len(DEFAULT_METRICS)
+        for metric, area, row, posts in zip(DEFAULT_METRICS, areas, rows, posteriors):
             pairs = [ScoredPair(x, y, i < len(sets.positives), p)
                      for i, ((x, y), p) in enumerate(zip(keys, posts))]
             pair_area, curve = auc_from_pairs(pairs)
@@ -767,8 +769,9 @@ class TestChunks:
             groups = _pair_count_tables(stack, keys, reps)
             tables = dict(kv for keys_, t in groups for kv in zip(keys_, t.tolist()))
             log_ratios = _pair_log_ratios(DEFAULT_METRICS, groups)
-            curves = rocstats._chunk_curves(net, n_cases, seed + first, reps, sets, DEFAULT_METRICS)
-            assert len(curves) == reps
+            areas, grid_rows = rocstats._chunk_curves(net, n_cases, seed + first, reps, sets,
+                                                      DEFAULT_METRICS)
+            assert len(areas) == len(grid_rows) == reps
             for r in range(reps):
                 data = forward_sample(net, n_cases, seed + first + r)
                 rows = stack.cases[r * n_cases : (r + 1) * n_cases]
@@ -781,9 +784,18 @@ class TestChunks:
                     assert lrs == [_pair_log_ratios([metric], [([0], t[None])])[0][0] for t in own]
                     posts = [arc_posterior_from_counts(metric, t) for t in own]
                     area, fpr, tpr = rocstats._sweep(labels, np.array(posts))
-                    got_area, got_row = curves[r][mi]
+                    got_area, got_row = areas[r, mi], grid_rows[r, mi]
                     assert got_area == area, (r, metric.label)
                     assert got_row.tolist() == rocstats._grid_row(fpr, tpr).tolist()
+
+    @pytest.mark.parametrize("n_cases, reps", [(5, 1), (160, 3)])
+    def test_chunk_returns_two_float64_arrays(self, alarm, n_cases, reps):
+        metrics = (MetricSpec.k2(), MetricSpec.bdeu(4.0), MetricSpec.gu())
+        got = rocstats._chunk_curves(alarm.net, n_cases, 1, reps, enumerate_pair_sets(alarm.net),
+                                     metrics)
+        assert type(got) is tuple and len(got) == 2
+        assert all(type(a) is np.ndarray and a.dtype == np.float64 for a in got)
+        assert [a.shape for a in got] == [(reps, 3), (reps, 3, 47)]
 
     def test_block_draws_continue_one_stream(self):
         """The fact the stacked sampler rests on: a generator's draws into
@@ -805,7 +817,7 @@ class TestChunks:
 
         def chunk_curves(net, n, seed, count, pairs, metrics):
             seen.append((seed, count))
-            return [[(0.5, np.ones(47))]] * count
+            return np.full((count, 1), 0.5), np.ones((count, 1, 47))
 
         monkeypatch.setattr(rocstats, "_chunk_curves", chunk_curves)
         monkeypatch.setattr(rocstats, "t_confidence_interval", lambda values: (0.5, 0.5, 0.5))

@@ -589,7 +589,15 @@ class TestMetricSpec:
         with pytest.raises(DomainError):
             MetricSpec("bdeu", -1.0)
 
-    @pytest.mark.parametrize("alpha0", [math.inf, math.nan])
+    @pytest.mark.parametrize("alpha0", [True, np.True_, "4"], ids=["bool", "numpy-bool", "str"])
+    def test_alpha0_must_be_a_real_number(self, alpha0):
+        with pytest.raises(DomainError, match="^alpha0 must be a real number, got "):
+            MetricSpec("bdeu", alpha0)
+
+    @pytest.mark.parametrize(
+        "alpha0", [math.inf, math.nan, 10**400, Fraction(1, 10**400)],
+        ids=["inf", "nan", "int-past-float", "fraction-below-float"],
+    )
     def test_alpha0_must_be_finite(self, alpha0):
         with pytest.raises(DomainError):
             MetricSpec.bdeu(alpha0)
@@ -630,10 +638,18 @@ class TestMetricSpec:
     @given(
         st.sampled_from([MetricSpec.k2(), MetricSpec.gu()])
         | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(MetricSpec.bdeu)
+        # numpy scalars, as numpy arithmetic hands them out, are stored as floats.
+        | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+        .map(np.float64).map(MetricSpec.bdeu)
+        | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, width=32)
+        .map(np.float32).map(MetricSpec.bdeu)
+        | st.integers(1, 2**63 - 1).map(np.int64).map(MetricSpec.bdeu)
     )
     @example(MetricSpec.bdeu(5e-324))
     @example(MetricSpec.bdeu(1e308))
+    @example(MetricSpec.bdeu(np.float64(4.0)))
     def test_parse_reads_back_the_label(self, metric):
+        assert metric.alpha0 is None or type(metric.alpha0) is float
         assert MetricSpec.parse(metric.label) == metric
 
     def test_alpha0_grid_labels_are_distinct(self):
