@@ -467,14 +467,13 @@ def run_alarm_experiment(
     replicates of each size run as chunks of consecutive replicates
     (_chunk_curves): up to 10, as many as fit in one 20,000-case ALARM
     replicate's cells, so the chunks never depend on the worker count. With
-    ``jobs`` above 1 the chunks run in forked workers (_forked_map), one per
-    CPU, never more than there are chunks or CPUs in the process's affinity
-    mask, each pinned to its own CPU; on one such CPU, or where
-    os.sched_setaffinity is missing, they run in-process. The results are
-    the same either way. They fill an AUC and a grid-row array allocated
-    before any work, so a study too large to hold fails at once. Results
-    are keyed by metric label and size, so a repeated label or size is
-    rejected, as is an empty size or metric list.
+    ``jobs`` above 1 the chunks run in pinned forked workers (_forked_map),
+    never more than there are chunks or CPUs in the process's affinity
+    mask; on one such CPU, or where os.sched_setaffinity is missing, they
+    run in-process, with the same results. They fill an AUC and a grid-row
+    array allocated before any work, so a study too large to hold fails at
+    once. Results are keyed by metric label and size, so a repeated label
+    or size is rejected, as is an empty size or metric list.
     """
     counts = _as_int(reps), _as_int(seed), _as_int(jobs)
     if None in counts:
@@ -524,7 +523,7 @@ def run_alarm_experiment(
         chunks = _forked_map(_chunk_curves, tasks, workers)
     else:
         chunks = [_chunk_curves(*task) for task in tasks]
-    np.concatenate([a for a, _ in chunks], out=aucs.reshape(-1, len(metrics)))
+    np.concatenate([a for a, _ in chunks], out=aucs.reshape(-1, *aucs.shape[2:]))
     np.concatenate([r for _, r in chunks], out=rows.reshape(-1, *rows.shape[2:]))
 
     summaries = []

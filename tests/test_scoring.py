@@ -640,14 +640,14 @@ class TestMetricSpec:
         | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(MetricSpec.bdeu)
         # numpy scalars, as numpy arithmetic hands them out, are stored as floats.
         | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-        .map(np.float64).map(MetricSpec.bdeu)
+        .map(lambda a: MetricSpec("bdeu", np.float64(a)))
         | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, width=32)
-        .map(np.float32).map(MetricSpec.bdeu)
-        | st.integers(1, 2**63 - 1).map(np.int64).map(MetricSpec.bdeu)
+        .map(lambda a: MetricSpec("bdeu", np.float32(a)))
+        | st.integers(1, 2**63 - 1).map(lambda a: MetricSpec("bdeu", np.int64(a)))
     )
     @example(MetricSpec.bdeu(5e-324))
     @example(MetricSpec.bdeu(1e308))
-    @example(MetricSpec.bdeu(np.float64(4.0)))
+    @example(MetricSpec("bdeu", np.float64(4.0)))
     def test_parse_reads_back_the_label(self, metric):
         assert metric.alpha0 is None or type(metric.alpha0) is float
         assert MetricSpec.parse(metric.label) == metric
