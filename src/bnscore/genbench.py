@@ -17,8 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import BayesNet, Dataset, _mixed_radix, _state_dtype
-from .netio import _csv_text, _fmt
+from .model import BayesNet, Dataset, _csv_text, _fmt, _mixed_radix, _state_dtype
 from .scoring import DomainError, MetricSpec, RatioResult, _pair_log_ratios, _safe_exp
 
 __all__ = [

@@ -1,4 +1,5 @@
-"""Graphs, datasets, and counting for discrete Bayesian networks.
+"""Graphs, datasets, and counting for discrete Bayesian networks, and the
+CSV formatting that every result writer shares.
 
 States are indexed 0..arity-1 internally; state labels exist for the I/O
 boundary only.  Parent configurations and joint cells use mixed-radix
@@ -8,10 +9,12 @@ which is numpy's C order (``np.ravel_multi_index``/``np.unravel_index``).
 
 from __future__ import annotations
 
+import csv
 import heapq
+import io
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,6 +28,7 @@ __all__ = [
     "count_sufficient_stats",
     "joint_cell_counts",
     "d_separated",
+    "marginally_d_separated_pairs",
     "ROW_SUM_TOL",
 ]
 
@@ -451,6 +455,27 @@ def d_separated(structure: DagStructure, x: int, y: int, given: Iterable[int] = 
     return True
 
 
+def marginally_d_separated_pairs(net: BayesNet) -> tuple[tuple[int, int], ...]:
+    """All unordered pairs with no active marginal path (no conditioning).
+
+    With nothing observed an active trail has no collider, so it is a chain
+    or a fork through a common ancestor: a pair is separated exactly when
+    its ancestor sets, each variable its own ancestor, are disjoint.
+    """
+    structure = net.structure
+    ancestors = [0] * structure.n  # bitmask over variable indices
+    for v in structure.topological_order():
+        for p in structure.parents[v]:
+            ancestors[v] |= ancestors[p]
+        ancestors[v] |= 1 << v
+    return tuple(
+        (a, b)
+        for a in range(structure.n)
+        for b in range(a + 1, structure.n)
+        if not ancestors[a] & ancestors[b]
+    )
+
+
 def _check_cpt(v: Variable, q: int, cpt: np.ndarray) -> np.ndarray:
     arr = np.asarray(cpt, dtype=float)
     if arr.shape != (q, v.arity):
@@ -500,3 +525,20 @@ class BayesNet:
         return self.structure == other.structure and all(
             np.array_equal(a, b) for a, b in zip(self.cpts, other.cpts)
         )
+
+
+def _fmt(value: float | None) -> str:
+    """A float as the result CSVs write it: 12 significant digits, empty for None."""
+    return "" if value is None else format(value, ".12g")
+
+
+def _csv_rows(rows) -> str:
+    """CSV text of rows, with LF line endings."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _csv_text(header, rows) -> str:
+    """CSV text of a header and rows, with LF line endings."""
+    return _csv_rows(chain([header], rows))

@@ -32,6 +32,7 @@ from .model import (
     Dataset,
     ModelError,
     Variable,
+    _csv_rows,
     _state_dtype,
 )
 
@@ -424,23 +425,6 @@ def parse_dataset(text: str | io.TextIOBase, schema: tuple[Variable, ...]) -> Da
     cases = np.empty((sum(b.shape[1] for b in blocks), len(schema)), dtype, order="F")
     np.concatenate(blocks, axis=1, out=cases.T)
     return Dataset._adopt(schema, cases)
-
-
-def _fmt(value: float | None) -> str:
-    """A float as the result CSVs write it: 12 significant digits, empty for None."""
-    return "" if value is None else format(value, ".12g")
-
-
-def _csv_rows(rows) -> str:
-    """CSV text of rows, with LF line endings."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
-
-
-def _csv_text(header, rows) -> str:
-    """CSV text of a header and rows, with LF line endings."""
-    return _csv_rows(itertools.chain([header], rows))
 
 
 def _dataset_csv_blocks(data: Dataset):

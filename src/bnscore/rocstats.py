@@ -19,8 +19,14 @@ from typing import Sequence
 import numpy as np
 
 from .genbench import _as_int, _sample_stack
-from .model import BayesNet, _checked_component, _pair_count_tables
-from .netio import _csv_text, _fmt
+from .model import (
+    BayesNet,
+    _checked_component,
+    _csv_text,
+    _fmt,
+    _pair_count_tables,
+    marginally_d_separated_pairs,
+)
 from .scoring import MetricSpec, _arc_posteriors
 
 __all__ = [
@@ -36,7 +42,6 @@ __all__ = [
     "auc_from_pairs",
     "mean_roc",
     "t_confidence_interval",
-    "marginally_d_separated_pairs",
     "enumerate_pair_sets",
     "run_alarm_experiment",
     "auc_summary_csv",
@@ -291,27 +296,6 @@ class PairSets:
     positives: tuple[tuple[int, int], ...]
     negatives: tuple[tuple[int, int], ...]
     n_candidates: int
-
-
-def marginally_d_separated_pairs(net: BayesNet) -> tuple[tuple[int, int], ...]:
-    """All unordered pairs with no active marginal path (no conditioning).
-
-    With nothing observed an active trail has no collider, so it is a chain
-    or a fork through a common ancestor: a pair is separated exactly when
-    its ancestor sets, each variable its own ancestor, are disjoint.
-    """
-    structure = net.structure
-    ancestors = [0] * structure.n  # bitmask over variable indices
-    for v in structure.topological_order():
-        for p in structure.parents[v]:
-            ancestors[v] |= ancestors[p]
-        ancestors[v] |= 1 << v
-    return tuple(
-        (a, b)
-        for a in range(structure.n)
-        for b in range(a + 1, structure.n)
-        if not ancestors[a] & ancestors[b]
-    )
 
 
 def enumerate_pair_sets(net: BayesNet, negatives: int = 46, seed: int = 42) -> PairSets:

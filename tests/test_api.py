@@ -10,12 +10,17 @@ from pathlib import Path
 import pytest
 
 import bnscore
-from bnscore.cli import _PARSE_ERRORS, _VALIDATION_ERRORS
+from bnscore import cli
 
 MODULES = [
     importlib.import_module(f"bnscore.{info.name}")
     for info in pkgutil.iter_modules(bnscore.__path__)
 ]
+
+# Every module is loaded above, so these are all the error classes main maps.
+_NAMES = [m.__name__.rpartition(".")[2] for m in MODULES]
+_PARSE_ERRORS = cli._errors(cli._PARSE_ERRORS, _NAMES)
+_VALIDATION_ERRORS = cli._errors(cli._VALIDATION_ERRORS, _NAMES)
 
 ROOT = Path(__file__).resolve().parents[1]
 USER_DIRS = ("src/bnscore", "demos", "tools", "perfbench")
@@ -26,9 +31,14 @@ def test_every_listed_name_resolves(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
+def _exports():
+    """The package's public names, resolved through the package."""
+    return {name: getattr(bnscore, name) for name in dir(bnscore) if not name.startswith("_")}
+
+
 def test_every_package_export_is_listed_in_its_module():
     """The package exports exactly the union of its modules' ``__all__``
-    (``cli`` is not imported by the package)."""
+    (``cli`` is not among them)."""
     listed = [
         (name, getattr(m, name))
         for m in MODULES
@@ -37,8 +47,8 @@ def test_every_package_export_is_listed_in_its_module():
     ]
     exported = {
         name: obj
-        for name, obj in vars(bnscore).items()
-        if not name.startswith("_") and not inspect.ismodule(obj)
+        for name, obj in _exports().items()
+        if not inspect.ismodule(obj)
     }
     assert len(dict(listed)) == len(listed)  # no name in two lists
     assert exported == dict(listed)
@@ -50,7 +60,7 @@ def test_every_exported_error_maps_to_an_exit_code():
     an error class added without a mapping would end in a traceback."""
     errors = {
         name
-        for name, obj in vars(bnscore).items()
+        for name, obj in _exports().items()
         if inspect.isclass(obj) and issubclass(obj, BaseException)
     }
     assert errors == {
@@ -59,6 +69,18 @@ def test_every_exported_error_maps_to_an_exit_code():
     unmapped = [name for name in errors
                 if not issubclass(getattr(bnscore, name), _PARSE_ERRORS + _VALIDATION_ERRORS)]
     assert unmapped == []
+
+
+def test_package_names_agree():
+    """``dir``, ``__all__`` and a star import give the same 52 names, each
+    loaded on first use; a name no module lists is an AttributeError."""
+    star = {}
+    exec("from bnscore import *", star)
+    public = {name for name, obj in _exports().items() if not inspect.ismodule(obj)}
+    assert len(bnscore.__all__) == len(set(bnscore.__all__)) == 52
+    assert set(bnscore.__all__) == public == {name for name in star if name != "__builtins__"}
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        bnscore.no_such_name
 
 
 def _references(path):

@@ -407,6 +407,17 @@ class TestDsep:
         )
 
     @pytest.mark.parametrize(
+        "argv", [["--x", "X"], ["--y", "Y"], ["--given", "Z"], ["--x", "X", "--y", "Y"]],
+        ids=["x", "y", "given", "x-and-y"],
+    )
+    def test_count_flag_takes_no_query(self, capsys, tmp_path, wide_terminal, argv):
+        net = tmp_path / "collider.bn"
+        net.write_text(COLLIDER_NET)
+        code, out, err = run(capsys, ["dsep", "--net", str(net), "--count-marginal", *argv])
+        assert code == 3 and out == ""
+        assert err == usage_fault("dsep", "--count-marginal takes no --x, --y or --given")
+
+    @pytest.mark.parametrize(
         "text, code, expected",
         [
             (WIDE_NET, 2, "variable 'A' is missing 1 cpt row(s), first missing config 0"),
@@ -601,7 +612,7 @@ class TestRoc:
 
 
 # Runs the CLI with the given arguments (none: only imports bnscore), then
-# reports the scipy and process-pool modules the command loaded, whether
+# reports the scipy, process-pool and bnscore modules the command loaded, whether
 # import bnscore left os.environ as it was, the process's thread count
 # (None where there is no /proc) after the import and at exit, and whether
 # a child process is left.
@@ -623,6 +634,7 @@ pool = ("concurrent", "multiprocessing")
 print("pool modules:", sorted(m for m in sys.modules if m.split(".")[0] in pool))
 stats = ("statistics", "fractions", "decimal")
 print("statistics modules:", sorted(m for m in sys.modules if m.split(".")[0] in stats))
+print("bnscore modules:", sorted(m for m in sys.modules if m.startswith("bnscore.")))
 print("threads at exit:", threads())
 try:
     print("child left:", os.waitpid(-1, os.WNOHANG))
@@ -699,6 +711,30 @@ class TestStartUp:
             assert "threads after import: 1\n" in proc.stdout
             assert "threads at exit: 1\n" in proc.stdout
 
+    @pytest.mark.parametrize(
+        "argv, unloaded",
+        [
+            ([], ["cli", "genbench", "model", "netio", "rocstats", "scoring"]),
+            (["bench", "--example", "3"], ["netio", "rocstats"]),
+            (["dsep", "--net", "{alarm}", "--count-marginal"], ["genbench", "rocstats", "scoring"]),
+            (
+                ["score", "--metric", "k2", "--net", "{net}", "--data", "{data}"],
+                ["genbench", "rocstats"],
+            ),
+            (["sample", "--net", "{alarm}", "--n", "20", "--out", "{tmp}/s.csv"], ["rocstats"]),
+            (["roc", "--sizes", "5", "--reps", "2", "--metrics", "k2", "--out", "{tmp}/roc"], []),
+        ],
+        ids=["import", "bench", "dsep", "score", "sample", "roc"],
+    )
+    def test_command_loads_only_its_modules(self, tmp_path, pair_files, argv, unloaded):
+        net, data = pair_files
+        fields = {"alarm": str(alarm_path()), "tmp": str(tmp_path), "net": net, "data": data}
+        proc = self.probe([a.format(**fields) for a in argv])
+        assert proc.returncode == 0, proc.stderr
+        loaded = eval(proc.stdout.split("bnscore modules: ", 1)[1].splitlines()[0])
+        every = {"cli", "genbench", "model", "netio", "rocstats", "scoring"}
+        assert loaded == sorted(f"bnscore.{m}" for m in every - set(unloaded))
+
     @needs_affinity
     def test_roc_leaves_scipy_unloaded(self, tmp_path):
         # At this size the AUCs vary, so the interval needs its t quantile.
@@ -770,6 +806,42 @@ else:
     del sys.argv[1]
     sys.exit(main())
 """
+
+
+# Calls main() as the console script does, then reports whether OpenSSL's
+# _hashlib was loaded and which sha256 a later import hashlib gives.
+HASHLIB_PROBE = """
+import atexit
+import sys
+def report():
+    print("_hashlib loaded:", "_hashlib" in sys.modules)
+    import hashlib
+    print("sha256:", hashlib.sha256.__name__)
+atexit.register(report)
+from bnscore.cli import main
+sys.exit(main())
+"""
+
+
+class TestNoLibcrypto:
+    """Run as the program, sample and roc load numpy.random without OpenSSL's
+    _hashlib, silently, and leave hashlib to load it as usual afterwards."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--net", "{alarm}", "--n", "50", "--seed", "3", "--out", "{tmp}/s.csv"],
+            ["roc", "--sizes", "5,10", "--reps", "2", "--metrics", "k2", "--out", "{tmp}/roc"],
+        ],
+        ids=["sample", "roc"],
+    )
+    def test_program_leaves_hashlib_unloaded(self, tmp_path, argv):
+        fields = {"alarm": str(alarm_path()), "tmp": str(tmp_path)}
+        proc = TestStartUp.probe([a.format(**fields) for a in argv], code=HASHLIB_PROBE)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert "_hashlib loaded: False\n" in proc.stdout
+        assert proc.stdout.endswith("sha256: openssl_sha256\n")
 
 
 class TestGcFreeze:

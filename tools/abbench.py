@@ -20,8 +20,9 @@ named by short commit; the head is this tree's HEAD, so commit the change
 first. Each file has ``perfbench/repeat.py``'s schema (``seconds``,
 ``trace``, ``machine``, and per workload its ``runs`` and a ``summary`` of
 each metric's median and quartile spread as a share of the median) plus
-``abbench``: both commits, the seeds, each seed's order, and per workload
-and metric how many pairs each side won, by the metric's ``better``
+``abbench``: both commits, the seeds, each seed's order, whether
+``PYTHONDONTWRITEBYTECODE`` was set (so no run cached its bytecode), and per
+workload and metric how many pairs each side won, by the metric's ``better``
 direction in ``BENCHMARK.json`` (lower when it names none).
 
 The parent is a ``git clone --shared`` rather than a worktree, so a run
@@ -177,6 +178,9 @@ def main(argv: list[str] | None = None) -> int:
         digests = {r["outputs_sha256"] for side in runs for r in runs[side]["roc-default"]}
         wins["roc-default"]["outputs_identical"] = len(digests) == 1
 
+    # Without a bytecode cache every command compiles the package, which
+    # moves its CPU time and peak memory; the runs inherit this setting.
+    dont_write_bytecode = bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
     ok = True
     for side, root in roots.items():
         report = {}
@@ -190,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
         path.write_text(json.dumps(
             {"seconds": args.seconds, "trace": 0, "machine": machine, "workloads": report,
              "abbench": {"side": side, "commits": commits, "seeds": seeds, "orders": orders,
-                         "wins": wins}},
+                         "dont_write_bytecode": dont_write_bytecode, "wins": wins}},
             indent=1) + "\n")
         print(f"wrote {path}")
 
